@@ -2,7 +2,7 @@
 // tracing" claim and the cost of each pipeline stage.
 //
 //   * syscall dispatch with tracing off vs on (tracing overhead)
-//   * trace filter throughput (regex + fd tracking)
+//   * trace filter throughput (mount-point prefix + fd tracking)
 //   * analyzer throughput (variant merge + partitioning)
 //   * ingest throughput: text parse vs IOCT binary decode, and the full
 //     pipeline from both formats (serial, sharded, mmap vs read copy)
@@ -101,21 +101,6 @@ void BM_FilterThroughput(benchmark::State& state) {
                             static_cast<std::int64_t>(events.size()));
 }
 BENCHMARK(BM_FilterThroughput);
-
-void BM_FilterThroughputPrefix(benchmark::State& state) {
-    const auto& events = canned_trace();
-    for (auto _ : state) {
-        trace::TraceFilter filter(
-            trace::FilterConfig::mount_point_prefix("/mnt/test"));
-        std::size_t kept = 0;
-        for (const auto& ev : events)
-            if (filter.admit(ev)) ++kept;
-        benchmark::DoNotOptimize(kept);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(events.size()));
-}
-BENCHMARK(BM_FilterThroughputPrefix);
 
 void BM_AnalyzerThroughput(benchmark::State& state) {
     const auto& events = canned_trace();
@@ -311,7 +296,7 @@ void BM_MemoryBandwidth(benchmark::State& state) {
 BENCHMARK(BM_MemoryBandwidth);
 
 /// Batched binary ingest: structural scan + decode_batch in 512-row
-/// chunks — the hardware-bound hot path (SWAR/BMI2 varints, SoA rows,
+/// chunks — the hardware-bound hot path (scalar varints, SoA rows,
 /// strings stay table ids).  `roofline_fraction` reports decode
 /// bytes/sec as a fraction of measured_memory_bandwidth().
 void BM_IngestBinaryBatched(benchmark::State& state) {
@@ -506,7 +491,7 @@ void BM_SnapshotSaveDurable(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotSaveDurable);
 
-/// Snapshot decode (SWAR varint path + checksum + histogram rebuild).
+/// Snapshot decode (varint reads + checksum + histogram rebuild).
 void BM_SnapshotLoad(benchmark::State& state) {
     const auto& encoded = canned_fleet().encoded.front();
     for (auto _ : state) {
@@ -664,8 +649,7 @@ BENCHMARK(BM_ExtentMapSparseRead);
 // BENCHMARK_MAIN(), plus provenance context: the Debian libbenchmark
 // package compiles its own "library_build_type: debug" into every JSON
 // it emits regardless of how *this* binary was built, so record the
-// bench binary's actual build type (and the decode ISA the batched
-// benches dispatched to) under our own keys.  scripts/bench_json.sh
+// bench binary's actual build type under our own key.  scripts/bench_json.sh
 // refuses to publish a run whose iocov_build_type is not "release".
 int main(int argc, char** argv) {
 #if defined(NDEBUG) && defined(__OPTIMIZE__)
@@ -673,9 +657,6 @@ int main(int argc, char** argv) {
 #else
     benchmark::AddCustomContext("iocov_build_type", "debug");
 #endif
-    benchmark::AddCustomContext(
-        "iocov_decode_isa",
-        iocov::trace::decode_isa_name(iocov::trace::active_decode_isa()));
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
     benchmark::RunSpecifiedBenchmarks();

@@ -80,8 +80,7 @@ if build_type != "release":
           f"(iocov_build_type={build_type!r}); refusing to keep it",
           file=sys.stderr)
     sys.exit(1)
-print(f"provenance: iocov_build_type=release "
-      f"decode_isa={ctx.get('iocov_decode_isa', '?')}")
+print("provenance: iocov_build_type=release")
 EOF
 then
   rm -f "$OUT"

@@ -1,99 +1,20 @@
 #include "core/checkpoint.hpp"
 
-#include <bit>
 #include <cstring>
 
 #include "host/io.hpp"
 #include "trace/binary_format.hpp"
-#include "trace/detail/varint_decode.hpp"
+#include "trace/detail/wire.hpp"
 
 namespace iocov::core {
 namespace {
 
-// Same wire helpers as IOCS (snapshot.cpp); the manifest is a sibling
-// format and deliberately shares the varint grammar and reader policy.
-
-void put_varint(std::string& out, std::uint64_t v) {
-    while (v >= 0x80) {
-        out.push_back(static_cast<char>(v | 0x80));
-        v >>= 7;
-    }
-    out.push_back(static_cast<char>(v));
-}
-
-void put_u32le(std::string& out, std::uint32_t v) {
-    for (int shift = 0; shift < 32; shift += 8)
-        out.push_back(static_cast<char>((v >> shift) & 0xff));
-}
-
-void put_u64le(std::string& out, std::uint64_t v) {
-    for (int shift = 0; shift < 64; shift += 8)
-        out.push_back(static_cast<char>((v >> shift) & 0xff));
-}
-
-std::uint32_t read_u32le(const char* p) {
-    const auto* u = reinterpret_cast<const unsigned char*>(p);
-    return static_cast<std::uint32_t>(u[0]) |
-           static_cast<std::uint32_t>(u[1]) << 8 |
-           static_cast<std::uint32_t>(u[2]) << 16 |
-           static_cast<std::uint32_t>(u[3]) << 24;
-}
-
-std::uint64_t read_u64le(const char* p) {
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | static_cast<unsigned char>(p[i]);
-    return v;
-}
-
-struct PayloadCursor {
-    const unsigned char* p;
-    const unsigned char* const rec_end;
-    const unsigned char* const buf_end;
-
-    PayloadCursor(std::string_view payload, std::string_view file)
-        : p(reinterpret_cast<const unsigned char*>(payload.data())),
-          rec_end(p + payload.size()),
-          buf_end(reinterpret_cast<const unsigned char*>(file.data()) +
-                  file.size()) {}
-
-    bool done() const { return p == rec_end; }
-
-    bool read_u8(std::uint8_t& out) {
-        if (p == rec_end) return false;
-        out = *p++;
-        return true;
-    }
-
-    bool read_varint(std::uint64_t& out) {
-        if constexpr (std::endian::native == std::endian::little)
-            return trace::detail::SwarVarintReader::read(p, rec_end, buf_end,
-                                                         out);
-        else
-            return trace::detail::ScalarVarintReader::read(p, rec_end,
-                                                           buf_end, out);
-    }
-
-    bool read_string(std::string& out) {
-        std::uint64_t len = 0;
-        if (!read_varint(len) ||
-            len > static_cast<std::uint64_t>(rec_end - p))
-            return false;
-        out.assign(reinterpret_cast<const char*>(p),
-                   static_cast<std::size_t>(len));
-        p += len;
-        return true;
-    }
-};
-
-std::uint64_t fnv1a64(std::string_view data) {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const char c : data) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
+using trace::detail::fnv1a64;
+using trace::detail::PayloadCursor;
+using trace::detail::put_u32le;
+using trace::detail::put_u64le;
+using trace::detail::put_varint;
+using trace::detail::read_u32le;
 
 bool fail(SnapshotError* err, SnapshotError::Kind kind, std::uint64_t offset,
           std::string reason) {
@@ -212,7 +133,7 @@ std::optional<Checkpoint> decode_checkpoint(std::string_view data,
         }
         const std::string_view body = data.substr(pos, len);
         pos += len;
-        PayloadCursor c(body.substr(1), data);
+        PayloadCursor c(body.substr(1));
         switch (static_cast<IockTag>(static_cast<std::uint8_t>(body[0]))) {
             case IockTag::Meta: {
                 std::uint8_t mode = 0;
@@ -261,16 +182,14 @@ std::optional<Checkpoint> decode_checkpoint(std::string_view data,
                          "malformed checkpoint block record");
                     return std::nullopt;
                 }
-                const auto iocs = std::string_view(
-                    reinterpret_cast<const char*>(c.p),
-                    static_cast<std::size_t>(c.rec_end - c.p));
+                const std::string_view iocs = c.rest();
                 auto snap = decode_snapshot(iocs, err);
                 if (!snap) {
                     // err already carries the embedded-IOCS failure;
                     // re-anchor the offset to this file.
                     if (err) {
                         err->offset += static_cast<std::uint64_t>(
-                            reinterpret_cast<const char*>(c.p) - data.data());
+                            iocs.data() - data.data());
                         err->reason =
                             "embedded block snapshot: " + err->reason;
                     }
@@ -282,16 +201,10 @@ std::optional<Checkpoint> decode_checkpoint(std::string_view data,
             }
             case IockTag::Footer: {
                 std::uint64_t checksum = 0;
-                bool ok = c.read_varint(footer_names) &&
-                          c.read_varint(footer_diags) &&
-                          c.read_varint(footer_blocks);
-                if (ok && c.rec_end - c.p >= 8) {
-                    checksum = read_u64le(reinterpret_cast<const char*>(c.p));
-                    c.p += 8;
-                } else {
-                    ok = false;
-                }
-                if (!ok || !c.done()) {
+                if (!c.read_varint(footer_names) ||
+                    !c.read_varint(footer_diags) ||
+                    !c.read_varint(footer_blocks) ||
+                    !c.read_u64le(checksum) || !c.done()) {
                     fail(err, Kind::Corrupt, record_start,
                          "malformed checkpoint footer record");
                     return std::nullopt;

@@ -10,7 +10,7 @@
 //     const auto& report = iocov.report();
 //
 // As in the real tool, the only knob a new file-system tester needs is
-// the mount-point regular expression.
+// the mount point: a literal directory whose subtree is in scope.
 #pragma once
 
 #include <istream>

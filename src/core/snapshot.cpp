@@ -10,94 +10,17 @@
 #include "exec/thread_pool.hpp"
 #include "host/io.hpp"
 #include "trace/binary_format.hpp"
-#include "trace/detail/varint_decode.hpp"
+#include "trace/detail/wire.hpp"
 
 namespace iocov::core {
 namespace {
 
-// ---- wire helpers ----------------------------------------------------------
-//
-// Same varint grammar as IOCT: writes are plain LEB128, reads go
-// through the shared reader policies of trace/detail/varint_decode.hpp
-// so the snapshot loader rides the same SWAR 8-byte fast path (scalar
-// on big-endian targets) the batched event decoder uses — and inherits
-// its truncation and 10th-byte rules verbatim.
-
-void put_varint(std::string& out, std::uint64_t v) {
-    while (v >= 0x80) {
-        out.push_back(static_cast<char>(v | 0x80));
-        v >>= 7;
-    }
-    out.push_back(static_cast<char>(v));
-}
-
-void put_u32le(std::string& out, std::uint32_t v) {
-    for (int shift = 0; shift < 32; shift += 8)
-        out.push_back(static_cast<char>((v >> shift) & 0xff));
-}
-
-void put_u64le(std::string& out, std::uint64_t v) {
-    for (int shift = 0; shift < 64; shift += 8)
-        out.push_back(static_cast<char>((v >> shift) & 0xff));
-}
-
-std::uint32_t read_u32le(const char* p) {
-    const auto* u = reinterpret_cast<const unsigned char*>(p);
-    return static_cast<std::uint32_t>(u[0]) |
-           static_cast<std::uint32_t>(u[1]) << 8 |
-           static_cast<std::uint32_t>(u[2]) << 16 |
-           static_cast<std::uint32_t>(u[3]) << 24;
-}
-
-std::uint64_t read_u64le(const char* p) {
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | static_cast<unsigned char>(p[i]);
-    return v;
-}
-
-/// Bounds-checked reader over one record payload; varints dispatch to
-/// the SWAR policy on little-endian targets, scalar otherwise.
-struct PayloadCursor {
-    const unsigned char* p;
-    const unsigned char* const rec_end;
-    const unsigned char* const buf_end;  ///< wide-load bound (whole file)
-
-    PayloadCursor(std::string_view payload, std::string_view file)
-        : p(reinterpret_cast<const unsigned char*>(payload.data())),
-          rec_end(p + payload.size()),
-          buf_end(reinterpret_cast<const unsigned char*>(file.data()) +
-                  file.size()) {}
-
-    bool done() const { return p == rec_end; }
-
-    bool read_u8(std::uint8_t& out) {
-        if (p == rec_end) return false;
-        out = *p++;
-        return true;
-    }
-
-    bool read_varint(std::uint64_t& out) {
-        if constexpr (std::endian::native == std::endian::little)
-            return trace::detail::SwarVarintReader::read(p, rec_end, buf_end,
-                                                         out);
-        else
-            return trace::detail::ScalarVarintReader::read(p, rec_end,
-                                                           buf_end, out);
-    }
-};
-
-/// FNV-1a 64 over the encoded bytes — the footer's torn-tail/corruption
-/// detector.  Not cryptographic; it only needs to make truncation and
-/// bit flips loudly detectable.
-std::uint64_t fnv1a64(std::string_view data) {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const char c : data) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
+using trace::detail::fnv1a64;
+using trace::detail::PayloadCursor;
+using trace::detail::put_u32le;
+using trace::detail::put_u64le;
+using trace::detail::put_varint;
+using trace::detail::read_u32le;
 
 std::string iocs_header() {
     std::string h(kIocsHeaderSize, '\0');
@@ -344,33 +267,26 @@ std::optional<IOCovSnapshot> decode_snapshot(std::string_view data,
         }
         const std::string_view payload = data.substr(pos, len);
         pos += len;
-        PayloadCursor c(payload.substr(1), data);
+        PayloadCursor c(payload.substr(1));
         switch (static_cast<IocsTag>(payload[0])) {
             case IocsTag::Str:
                 strings.push_back(payload.substr(1));
                 break;
             case IocsTag::Meta: {
                 std::uint64_t threads = 0, seconds_bits = 0, label_id = 0;
-                bool ok = !saw_meta &&
-                          c.read_varint(snap.report.events_seen) &&
-                          c.read_varint(snap.report.events_tracked) &&
-                          c.read_varint(snap.filtered_out) &&
-                          c.read_varint(snap.dropped) &&
-                          c.read_varint(snap.ingest.events) &&
-                          c.read_varint(snap.ingest.bytes) &&
-                          c.read_varint(snap.ingest.files) &&
-                          c.read_varint(threads) && threads <= UINT32_MAX &&
-                          c.read_varint(snap.ingest.hot_loop_allocs);
-                if (ok && c.rec_end - c.p >= 8) {
-                    seconds_bits = read_u64le(
-                        reinterpret_cast<const char*>(c.p));
-                    c.p += 8;
-                } else {
-                    ok = false;
-                }
-                ok = ok && c.read_varint(label_id) &&
-                     label_id < strings.size() &&
-                     c.read_varint(snap.timestamp) && c.done();
+                const bool ok =
+                    !saw_meta && c.read_varint(snap.report.events_seen) &&
+                    c.read_varint(snap.report.events_tracked) &&
+                    c.read_varint(snap.filtered_out) &&
+                    c.read_varint(snap.dropped) &&
+                    c.read_varint(snap.ingest.events) &&
+                    c.read_varint(snap.ingest.bytes) &&
+                    c.read_varint(snap.ingest.files) &&
+                    c.read_varint(threads) && threads <= UINT32_MAX &&
+                    c.read_varint(snap.ingest.hot_loop_allocs) &&
+                    c.read_u64le(seconds_bits) && c.read_varint(label_id) &&
+                    label_id < strings.size() &&
+                    c.read_varint(snap.timestamp) && c.done();
                 if (!ok) {
                     fail(err, Kind::Corrupt, record_start,
                          "malformed meta record");
@@ -429,15 +345,9 @@ std::optional<IOCovSnapshot> decode_snapshot(std::string_view data,
             }
             case IocsTag::Footer: {
                 std::uint64_t checksum = 0;
-                bool ok = c.read_varint(footer_inputs) &&
-                          c.read_varint(footer_outputs);
-                if (ok && c.rec_end - c.p >= 8) {
-                    checksum = read_u64le(reinterpret_cast<const char*>(c.p));
-                    c.p += 8;
-                } else {
-                    ok = false;
-                }
-                if (!ok || !c.done()) {
+                if (!c.read_varint(footer_inputs) ||
+                    !c.read_varint(footer_outputs) ||
+                    !c.read_u64le(checksum) || !c.done()) {
                     fail(err, Kind::Corrupt, record_start,
                          "malformed footer record");
                     return std::nullopt;

@@ -12,6 +12,8 @@
 #include <cstring>
 #include <utility>
 
+#include "trace/detail/wire.hpp"
+
 namespace iocov::serve {
 namespace {
 
@@ -141,11 +143,7 @@ std::optional<Reply> Client::roundtrip(std::string frame_bytes,
     }
     FrameDecoder decoder;
     decoder.feed(head);
-    const auto* u = reinterpret_cast<const unsigned char*>(head.data());
-    const std::uint32_t len = static_cast<std::uint32_t>(u[0]) |
-                              static_cast<std::uint32_t>(u[1]) << 8 |
-                              static_cast<std::uint32_t>(u[2]) << 16 |
-                              static_cast<std::uint32_t>(u[3]) << 24;
+    const std::uint32_t len = trace::detail::read_u32le(head.data());
     if (len == 0 || len > kMaxFramePayload) {
         if (err)
             *err = host::IoError{host::IoPhase::SockRead, EPROTO, "serve"};

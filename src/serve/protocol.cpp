@@ -2,45 +2,19 @@
 
 #include <cstring>
 
-#include "trace/detail/varint_decode.hpp"
+#include "trace/detail/wire.hpp"
 
 namespace iocov::serve {
 namespace {
 
-void put_u32le(std::string& out, std::uint32_t v) {
-    const char bytes[4] = {
-        static_cast<char>(v & 0xff),
-        static_cast<char>((v >> 8) & 0xff),
-        static_cast<char>((v >> 16) & 0xff),
-        static_cast<char>((v >> 24) & 0xff),
-    };
-    out.append(bytes, 4);
-}
-
-std::uint32_t get_u32le(const char* p) {
-    const auto* u = reinterpret_cast<const unsigned char*>(p);
-    return static_cast<std::uint32_t>(u[0]) |
-           static_cast<std::uint32_t>(u[1]) << 8 |
-           static_cast<std::uint32_t>(u[2]) << 16 |
-           static_cast<std::uint32_t>(u[3]) << 24;
-}
-
-void put_varint(std::string& out, std::uint64_t v) {
-    while (v >= 0x80) {
-        out.push_back(static_cast<char>((v & 0x7f) | 0x80));
-        v >>= 7;
-    }
-    out.push_back(static_cast<char>(v));
-}
+using trace::detail::put_u32le;
+using trace::detail::put_varint;
+using trace::detail::read_u32le;
 
 bool read_varint(std::string_view& body, std::uint64_t& out) {
-    const auto* p = reinterpret_cast<const unsigned char*>(body.data());
-    const auto* end = p + body.size();
-    if (!trace::detail::ScalarVarintReader::read(p, end, end, out))
-        return false;
-    body.remove_prefix(
-        static_cast<std::size_t>(reinterpret_cast<const char*>(p) -
-                                 body.data()));
+    trace::detail::PayloadCursor c(body);
+    if (!c.read_varint(out)) return false;
+    body = c.rest();
     return true;
 }
 
@@ -129,7 +103,7 @@ FrameDecoder::Status FrameDecoder::next(Frame& out, std::string* reason) {
     }
     const std::size_t avail = buf_.size() - off_;
     if (avail < 4) return Status::NeedMore;
-    const std::uint32_t len = get_u32le(buf_.data() + off_);
+    const std::uint32_t len = read_u32le(buf_.data() + off_);
     if (len == 0 || len > kMaxFramePayload) {
         corrupt_ = true;
         corrupt_reason_ = len == 0 ? "zero-length frame"

@@ -1,0 +1,144 @@
+// Wire primitives shared by every binary format in the tree: IOCT
+// traces (trace/binary_format), IOCS snapshots (core/snapshot), IOCK
+// checkpoints (core/checkpoint) and serve frames (serve/protocol).
+//
+// Each primitive has exactly one definition here, so the formats
+// cannot drift apart on the varint grammar, byte order or checksum:
+//
+//   varints   unsigned LEB128; signed values are zigzag-mapped first
+//   u32/u64   fixed-width little-endian (record length prefixes,
+//             checksums, IEEE-754 bit patterns)
+//   fnv1a64   the IOCS/IOCK footer checksum
+#pragma once
+
+#include <cstdint>
+#include <string>
+#include <string_view>
+
+namespace iocov::trace::detail {
+
+inline void put_varint(std::string& out, std::uint64_t v) {
+    while (v >= 0x80) {
+        out.push_back(static_cast<char>(v | 0x80));
+        v >>= 7;
+    }
+    out.push_back(static_cast<char>(v));
+}
+
+/// Advances `p` past one varint ending at or before `end` and sets
+/// `out`; returns false (with `p` unspecified) on a varint that runs
+/// past `end`, has no terminator within 10 bytes, or overflows 64 bits.
+/// The loop's first iteration is the 1-byte fast path most trace
+/// fields (pids, fds, string ids, arg counts) take.
+inline bool read_varint(const unsigned char*& p, const unsigned char* end,
+                        std::uint64_t& out) {
+    std::uint64_t v = 0;
+    for (unsigned shift = 0; shift < 64; shift += 7) {
+        if (p == end) return false;
+        const unsigned char byte = *p++;
+        v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+        if (!(byte & 0x80)) {
+            // The 10th byte may only carry the top bit of a u64.
+            if (shift == 63 && (byte & 0x7e)) return false;
+            out = v;
+            return true;
+        }
+    }
+    return false;  // unterminated varint
+}
+
+inline std::uint64_t zigzag64(std::int64_t v) {
+    return (static_cast<std::uint64_t>(v) << 1) ^
+           static_cast<std::uint64_t>(v >> 63);
+}
+
+inline std::int64_t unzigzag64(std::uint64_t v) {
+    return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
+}
+
+inline void put_u32le(std::string& out, std::uint32_t v) {
+    for (int shift = 0; shift < 32; shift += 8)
+        out.push_back(static_cast<char>((v >> shift) & 0xff));
+}
+
+inline void put_u64le(std::string& out, std::uint64_t v) {
+    for (int shift = 0; shift < 64; shift += 8)
+        out.push_back(static_cast<char>((v >> shift) & 0xff));
+}
+
+inline std::uint32_t read_u32le(const char* p) {
+    const auto* u = reinterpret_cast<const unsigned char*>(p);
+    return static_cast<std::uint32_t>(u[0]) |
+           static_cast<std::uint32_t>(u[1]) << 8 |
+           static_cast<std::uint32_t>(u[2]) << 16 |
+           static_cast<std::uint32_t>(u[3]) << 24;
+}
+
+inline std::uint64_t read_u64le(const char* p) {
+    std::uint64_t v = 0;
+    for (int i = 7; i >= 0; --i)
+        v = (v << 8) | static_cast<unsigned char>(p[i]);
+    return v;
+}
+
+/// FNV-1a 64 over the encoded bytes — the IOCS/IOCK footer's
+/// torn-tail/corruption detector.  Not cryptographic; it only needs to
+/// make truncation and bit flips loudly detectable.
+inline std::uint64_t fnv1a64(std::string_view data) {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const char c : data) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+/// Bounds-checked forward reader over one record payload.  Every read
+/// returns false, consuming nothing usable, when the field would run
+/// past the end of the payload.
+struct PayloadCursor {
+    const unsigned char* p;
+    const unsigned char* end;
+
+    explicit PayloadCursor(std::string_view payload)
+        : p(reinterpret_cast<const unsigned char*>(payload.data())),
+          end(p + payload.size()) {}
+
+    bool done() const { return p == end; }
+
+    /// The unread remainder of the payload.
+    std::string_view rest() const {
+        return {reinterpret_cast<const char*>(p),
+                static_cast<std::size_t>(end - p)};
+    }
+
+    bool read_u8(std::uint8_t& out) {
+        if (p == end) return false;
+        out = *p++;
+        return true;
+    }
+
+    bool read_varint(std::uint64_t& out) {
+        return detail::read_varint(p, end, out);
+    }
+
+    bool read_u64le(std::uint64_t& out) {
+        if (end - p < 8) return false;
+        out = detail::read_u64le(reinterpret_cast<const char*>(p));
+        p += 8;
+        return true;
+    }
+
+    /// A varint byte length followed by that many bytes.
+    bool read_string(std::string& out) {
+        std::uint64_t len = 0;
+        if (!read_varint(len) || len > static_cast<std::uint64_t>(end - p))
+            return false;
+        out.assign(reinterpret_cast<const char*>(p),
+                   static_cast<std::size_t>(len));
+        p += len;
+        return true;
+    }
+};
+
+}  // namespace iocov::trace::detail

@@ -19,50 +19,22 @@ bool returns_watchable_fd(const TraceEvent& ev) {
 }  // namespace
 
 FilterConfig FilterConfig::mount_point(const std::string& mount) {
-    FilterConfig cfg;
-    // Match the mount point itself and anything beneath it.  The mount
-    // string is escaped naively (sufficient for conventional mount paths).
-    std::string escaped;
-    for (char ch : mount) {
-        if (std::string("\\^$.|?*+()[]{}").find(ch) != std::string::npos)
-            escaped += '\\';
-        escaped += ch;
-    }
-    cfg.include.push_back("^" + escaped + "(/.*)?$");
-    return cfg;
+    // "/" strips to "", whose prefix form "/" admits every absolute path.
+    const auto last = mount.find_last_not_of('/');
+    return {{mount.substr(0, last == std::string::npos ? 0 : last + 1)}, {}};
 }
 
-FilterConfig FilterConfig::mount_point_prefix(const std::string& mount) {
-    FilterConfig cfg;
-    cfg.include_prefixes.push_back(mount);
-    return cfg;
-}
-
-TraceFilter::TraceFilter(const FilterConfig& config)
-    : prefixes_(config.include_prefixes) {
-    for (const auto& pat : config.include)
-        include_.emplace_back(pat, std::regex::extended);
-    for (const auto& pat : config.exclude)
-        exclude_.emplace_back(pat, std::regex::extended);
-}
+TraceFilter::TraceFilter(const FilterConfig& config) : config_(config) {}
 
 bool TraceFilter::path_in_scope(const std::string& path) const {
-    auto matches_any = [&](const std::vector<std::regex>& pats) {
-        return std::any_of(pats.begin(), pats.end(), [&](const std::regex& re) {
-            return std::regex_match(path, re);
-        });
+    auto matches_any = [&](const std::vector<std::string>& prefixes) {
+        return std::any_of(
+            prefixes.begin(), prefixes.end(), [&](const std::string& p) {
+                return path.starts_with(p) &&
+                       (path.size() == p.size() || path[p.size()] == '/');
+            });
     };
-    bool included = false;
-    for (const auto& prefix : prefixes_) {
-        if (path.size() >= prefix.size() &&
-            path.compare(0, prefix.size(), prefix) == 0 &&
-            (path.size() == prefix.size() || path[prefix.size()] == '/')) {
-            included = true;
-            break;
-        }
-    }
-    if (!included && !matches_any(include_)) return false;
-    return !matches_any(exclude_);
+    return matches_any(config_.include) && !matches_any(config_.exclude);
 }
 
 bool TraceFilter::admit(const TraceEvent& event) {

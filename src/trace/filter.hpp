@@ -2,7 +2,7 @@
 //
 // A tracer records *every* syscall a tester makes, including ones against
 // the build tree, /proc, temporary files, etc.  Like the real IOCov, we
-// filter by mount-point regular expressions before analysis.  Path-less
+// filter by mount point before analysis.  Path-less
 // syscalls (read/write/close/... on a file descriptor) cannot be matched
 // textually, so the filter is stateful: it watches fds returned by admitted
 // open-family calls and admits subsequent fd-based calls on those fds.
@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <regex>
 #include <string>
 #include <vector>
 
@@ -20,24 +19,19 @@
 
 namespace iocov::trace {
 
-/// Filter configuration. `include` patterns select in-scope paths (e.g.
-/// "^/mnt/test(/.*)?$"); `exclude` patterns veto paths even when an
-/// include matched (useful to drop a tester's scratch subdirectory).
+/// Filter configuration: literal directory prefixes.  A path matches
+/// prefix P when it equals P or starts with P + "/", so "/mnt/test"
+/// covers "/mnt/test/a" but not "/mnt/testsuffix".  `include` selects
+/// in-scope paths; `exclude` vetoes paths even when an include matched
+/// (useful to drop a tester's scratch subdirectory).
 struct FilterConfig {
     std::vector<std::string> include;
     std::vector<std::string> exclude;
-    /// Literal mount-point prefixes matched without regex machinery —
-    /// the fast path for the overwhelmingly common "everything under
-    /// /mnt/test" configuration (~4x cheaper per event than std::regex;
-    /// see perf_analyzer's BM_FilterThroughputPrefix).
-    std::vector<std::string> include_prefixes;
 
-    /// The paper's xfstests setup: everything under /mnt/test.
-    /// Uses a regex so `exclude` patterns compose naturally.
+    /// The paper's xfstests setup: everything under `mount`.  Trailing
+    /// slashes are ignored, so "/mnt/test/" means "/mnt/test" and "/"
+    /// admits every absolute path.
     static FilterConfig mount_point(const std::string& mount);
-
-    /// Same scope via the literal-prefix fast path.
-    static FilterConfig mount_point_prefix(const std::string& mount);
 };
 
 class TraceFilter {
@@ -87,9 +81,7 @@ class TraceFilter {
 
     bool path_in_scope(const std::string& path) const;
 
-    std::vector<std::regex> include_;
-    std::vector<std::regex> exclude_;
-    std::vector<std::string> prefixes_;
+    FilterConfig config_;
     /// pid -> set of fds opened within the mount point.
     std::map<std::uint32_t, FdSet> watched_;
     /// pid -> whether its cwd is inside the mount point (tracked via

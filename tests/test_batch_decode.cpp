@@ -1,7 +1,8 @@
-// Batched IOCT decode: ISA equivalence (scalar vs SWAR vs BMI2),
-// round-trips through EventBatch + EventScratch materialization,
-// diagnostics parity with the scalar reference on truncated and
-// corrupted input, and the zero-allocation steady state.
+// Batched IOCT decode: the shared varint reader, round-trips through
+// EventBatch + EventScratch materialization, event/drop/diagnostics
+// parity with the per-record reference decoder (decode_trace) on
+// clean, truncated and corrupted input, and the zero-allocation
+// steady state.
 #include "trace/binary_format.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "exec/alloc_hook.hpp"
+#include "trace/detail/wire.hpp"
 
 namespace iocov::trace {
 namespace {
@@ -20,8 +22,7 @@ const char* const kSyscallNames[] = {"open",  "openat", "read",  "write",
                                      "lseek", "close",  "chdir", "mkdir"};
 
 /// Deterministic random event spanning the varint value space: 1-byte
-/// varints (the fast path), mid-size values (the SWAR wide path), and
-/// 9/10-byte extremes (the scalar fallback).
+/// varints (the fast path), mid-size values, and 9/10-byte extremes.
 TraceEvent random_event(std::mt19937_64& rng) {
     TraceEvent ev;
     ev.seq = rng() % 3 ? rng() % 100 : rng();
@@ -61,18 +62,11 @@ std::vector<TraceEvent> random_events(std::uint64_t seed, int n) {
     return events;
 }
 
-std::vector<DecodeIsa> available_isas() {
-    std::vector<DecodeIsa> isas;
-    for (const auto isa :
-         {DecodeIsa::Scalar, DecodeIsa::Swar, DecodeIsa::Bmi2})
-        if (decode_isa_available(isa)) isas.push_back(isa);
-    return isas;
-}
-
-/// Scan + chunked batched decode + materialization, pinned to one ISA.
-/// The odd chunk size forces several batch boundaries in every test.
+/// Scan + chunked batched decode + materialization.  Drops and
+/// diagnostics of both stages are folded the way decode_trace() folds
+/// them.  The odd chunk size forces several batch boundaries in every
+/// test.
 std::vector<TraceEvent> batch_decode_all(std::string_view data,
-                                         DecodeIsa isa,
                                          std::size_t* dropped = nullptr,
                                          ParseDiagnostics* diags = nullptr) {
     constexpr std::size_t kChunk = 97;
@@ -80,20 +74,29 @@ std::vector<TraceEvent> batch_decode_all(std::string_view data,
     std::vector<TraceEvent> out;
     EventBatch batch;
     EventScratch scratch;
+    // decode_batch accumulates into *dropped (callers chunk), so start
+    // from the scan's count — decode_trace assigns the sum.
+    std::size_t bad = scan.dropped;
+    ParseDiagnostics decode_diags;
     for (std::size_t i = 0; i < scan.events.size(); i += kChunk) {
         const std::size_t n = std::min(kChunk, scan.events.size() - i);
         batch.clear();
-        const auto rows = decode_batch_with(isa, data, scan.strings,
-                                            scan.events.data() + i, n,
-                                            batch, dropped, diags);
+        const auto rows = decode_batch(data, scan.strings,
+                                       scan.events.data() + i, n, batch,
+                                       &bad, &decode_diags);
         for (std::size_t r = 0; r < rows; ++r)
             out.push_back(scratch.materialize(batch, r, scan.strings));
+    }
+    if (dropped) *dropped = bad;
+    if (diags) {
+        diags->merge(scan.diags);
+        diags->merge(decode_diags);
     }
     return out;
 }
 
 void expect_diags_equal(const ParseDiagnostics& a, const ParseDiagnostics& b,
-                        const char* what) {
+                        const std::string& what) {
     EXPECT_EQ(a.total(), b.total()) << what;
     ASSERT_EQ(a.entries().size(), b.entries().size()) << what;
     for (std::size_t i = 0; i < a.entries().size(); ++i) {
@@ -104,34 +107,81 @@ void expect_diags_equal(const ParseDiagnostics& a, const ParseDiagnostics& b,
     }
 }
 
+/// The batched decoder must agree with the per-record reference,
+/// decode_trace(): the same events, the same drop count and the same
+/// diagnostics, entry by entry.
+void expect_matches_reference(std::string_view data, const std::string& what) {
+    std::size_t ref_dropped = 0, dropped = 0;
+    ParseDiagnostics ref_diags, diags;
+    const auto reference = decode_trace(data, &ref_dropped, &ref_diags);
+    const auto batched = batch_decode_all(data, &dropped, &diags);
+    ASSERT_EQ(batched, reference) << what;
+    EXPECT_EQ(dropped, ref_dropped) << what;
+    expect_diags_equal(diags, ref_diags, what);
+}
+
+/// Runs the shared varint reader over `bytes`, with the record ending
+/// after `rec_len` bytes.
+bool read_one(std::string_view bytes, std::size_t rec_len,
+              std::uint64_t& out, std::size_t* consumed = nullptr) {
+    const auto* begin = reinterpret_cast<const unsigned char*>(bytes.data());
+    const unsigned char* p = begin;
+    const bool ok = detail::read_varint(p, begin + rec_len, out);
+    if (consumed) *consumed = static_cast<std::size_t>(p - begin);
+    return ok;
+}
+
 TEST(BatchDecode, ScalarIsAlwaysAvailable) {
-    EXPECT_TRUE(decode_isa_available(DecodeIsa::Scalar));
-    EXPECT_TRUE(decode_isa_available(active_decode_isa()));
-    EXPECT_STREQ(decode_isa_name(DecodeIsa::Scalar), "scalar");
+    // The one varint reader every binary format shares, at the 1-byte,
+    // 2-byte and 10-byte boundaries.
+    const std::pair<std::uint64_t, std::size_t> cases[] = {
+        {0, 1},
+        {127, 1},
+        {128, 2},
+        {std::uint64_t{1} << 63, 10},
+        {std::numeric_limits<std::uint64_t>::max(), 10},
+    };
+    for (const auto& [value, size] : cases) {
+        std::string enc;
+        detail::put_varint(enc, value);
+        EXPECT_EQ(enc.size(), size) << value;
+        std::uint64_t out = 1;
+        std::size_t consumed = 0;
+        ASSERT_TRUE(read_one(enc, enc.size(), out, &consumed)) << value;
+        EXPECT_EQ(out, value);
+        EXPECT_EQ(consumed, size) << value;
+    }
+
+    std::uint64_t out = 0;
+    // The 10th byte may only carry bit 63; 0x02 would overflow a u64.
+    const std::string ten_bytes = std::string(9, '\xff') + '\x02';
+    EXPECT_FALSE(read_one(ten_bytes, ten_bytes.size(), out));
+    // No terminator within 10 bytes, even with more bytes available.
+    const std::string unterminated(11, '\x80');
+    EXPECT_FALSE(read_one(unterminated, unterminated.size(), out));
+    // 128 encodes as 80 01; a record ending after 80 truncates it.
+    const std::string two_bytes = "\x80\x01";
+    EXPECT_FALSE(read_one(two_bytes, 1, out));
+    EXPECT_FALSE(read_one(two_bytes, 0, out));
 }
 
 TEST(BatchDecode, RoundTripsRandomizedEventsOnEveryIsa) {
     const auto events = random_events(20260808, 2000);
     const auto data = encode_trace(events);
-    for (const auto isa : available_isas()) {
-        // decode_batch accumulates into *dropped (callers chunk), so
-        // start from zero — unlike decode_trace, which assigns.
-        std::size_t dropped = 0;
-        const auto decoded = batch_decode_all(data, isa, &dropped);
-        EXPECT_EQ(dropped, 0u) << decode_isa_name(isa);
-        ASSERT_EQ(decoded.size(), events.size()) << decode_isa_name(isa);
-        for (std::size_t i = 0; i < events.size(); ++i)
-            ASSERT_EQ(decoded[i], events[i])
-                << decode_isa_name(isa) << " event " << i;
-    }
+    std::size_t dropped = 1;
+    const auto decoded = batch_decode_all(data, &dropped);
+    EXPECT_EQ(dropped, 0u);
+    ASSERT_EQ(decoded.size(), events.size());
+    for (std::size_t i = 0; i < events.size(); ++i)
+        ASSERT_EQ(decoded[i], events[i]) << "event " << i;
+    expect_matches_reference(data, "clean");
 }
 
 TEST(BatchDecode, MatchesDecodeTraceOnCleanInput) {
     const auto data = encode_trace(random_events(42, 500));
-    std::size_t ref_dropped = 1, batch_dropped = 0;
+    std::size_t ref_dropped = 1, batch_dropped = 1;
     const auto reference = decode_trace(data, &ref_dropped);
-    const auto batched =
-        batch_decode_all(data, active_decode_isa(), &batch_dropped);
+    const auto batched = batch_decode_all(data, &batch_dropped);
     EXPECT_EQ(batch_dropped, ref_dropped);
     EXPECT_EQ(batched, reference);
 }
@@ -139,31 +189,16 @@ TEST(BatchDecode, MatchesDecodeTraceOnCleanInput) {
 TEST(BatchDecode, IsasAgreeOnTruncatedTails) {
     const auto data = encode_trace(random_events(7, 200));
     // Chop at every offset across the last few records plus a spread of
-    // earlier cuts: every truncation must decode identically (events,
-    // drop counts, diagnostics) on every ISA.
+    // earlier cuts: every truncation must decode exactly as the
+    // reference does (events, drop counts, diagnostics).
     std::vector<std::size_t> cuts;
     for (std::size_t cut = data.size() - 120; cut < data.size(); ++cut)
         cuts.push_back(cut);
     for (std::size_t cut = 16; cut < data.size(); cut += 997)
         cuts.push_back(cut);
-    for (const std::size_t cut : cuts) {
-        const std::string torn = data.substr(0, cut);
-        std::size_t scalar_dropped = 0;
-        ParseDiagnostics scalar_diags;
-        const auto scalar = batch_decode_all(torn, DecodeIsa::Scalar,
-                                             &scalar_dropped, &scalar_diags);
-        for (const auto isa : available_isas()) {
-            if (isa == DecodeIsa::Scalar) continue;
-            std::size_t dropped = 0;
-            ParseDiagnostics diags;
-            const auto fast = batch_decode_all(torn, isa, &dropped, &diags);
-            ASSERT_EQ(fast, scalar)
-                << decode_isa_name(isa) << " cut " << cut;
-            EXPECT_EQ(dropped, scalar_dropped)
-                << decode_isa_name(isa) << " cut " << cut;
-            expect_diags_equal(diags, scalar_diags, decode_isa_name(isa));
-        }
-    }
+    for (const std::size_t cut : cuts)
+        expect_matches_reference(std::string_view(data).substr(0, cut),
+                                 "cut " + std::to_string(cut));
 }
 
 TEST(BatchDecode, IsasAgreeUnderRandomCorruption) {
@@ -177,21 +212,7 @@ TEST(BatchDecode, IsasAgreeUnderRandomCorruption) {
         for (int f = 0; f < flips; ++f)
             data[kIoctHeaderSize + rng() % (data.size() - kIoctHeaderSize)] =
                 static_cast<char>(rng() & 0xff);
-        std::size_t scalar_dropped = 0;
-        ParseDiagnostics scalar_diags;
-        const auto scalar = batch_decode_all(data, DecodeIsa::Scalar,
-                                             &scalar_dropped, &scalar_diags);
-        for (const auto isa : available_isas()) {
-            if (isa == DecodeIsa::Scalar) continue;
-            std::size_t dropped = 0;
-            ParseDiagnostics diags;
-            const auto fast = batch_decode_all(data, isa, &dropped, &diags);
-            ASSERT_EQ(fast, scalar)
-                << decode_isa_name(isa) << " trial " << trial;
-            EXPECT_EQ(dropped, scalar_dropped)
-                << decode_isa_name(isa) << " trial " << trial;
-            expect_diags_equal(diags, scalar_diags, decode_isa_name(isa));
-        }
+        expect_matches_reference(data, "trial " + std::to_string(trial));
     }
 }
 
@@ -213,10 +234,10 @@ TEST(BatchDecode, ParityWithPerRecordDecodeEventUnderCorruption) {
                              scan.strings, scratch))
                 reference.push_back(scratch);
         std::size_t dropped = 0;
-        const auto batched =
-            batch_decode_all(data, active_decode_isa(), &dropped);
+        const auto batched = batch_decode_all(data, &dropped);
         ASSERT_EQ(batched, reference) << "trial " << trial;
-        EXPECT_EQ(batched.size() + dropped, scan.events.size())
+        EXPECT_EQ(batched.size() + dropped,
+                  scan.events.size() + scan.dropped)
             << "trial " << trial;
     }
 }

@@ -53,10 +53,12 @@ TEST(TraceFilter, AdmitsPathsUnderMountPoint) {
 
 TEST(TraceFilter, ExcludePatternsVetoIncludes) {
     FilterConfig cfg = FilterConfig::mount_point("/mnt/test");
-    cfg.exclude.push_back("^/mnt/test/private(/.*)?$");
+    cfg.exclude.push_back("/mnt/test/private");
     TraceFilter f(cfg);
     EXPECT_TRUE(f.admit(ev_open("/mnt/test/public", 3)));
-    EXPECT_FALSE(f.admit(ev_open("/mnt/test/private/secret", 4)));
+    EXPECT_TRUE(f.admit(ev_open("/mnt/test/privateer", 4)));
+    EXPECT_FALSE(f.admit(ev_open("/mnt/test/private", 5)));
+    EXPECT_FALSE(f.admit(ev_open("/mnt/test/private/secret", 6)));
 }
 
 TEST(TraceFilter, TracksFdsFromAdmittedOpens) {
@@ -151,29 +153,52 @@ TEST(TraceFilter, MountPointEscapingHandlesRegexMetacharacters) {
 }
 
 TEST(TraceFilter, PrefixFastPathMatchesRegexSemantics) {
-    TraceFilter regex_f(FilterConfig::mount_point("/mnt/test"));
-    TraceFilter prefix_f(FilterConfig::mount_point_prefix("/mnt/test"));
-    const std::vector<std::string> probes = {
-        "/mnt/test",        "/mnt/test/",         "/mnt/test/a/b",
-        "/mnt/testsuffix",  "/mnt/tes",           "/mnt",
-        "/home/x",          "/mnt/test2/file",
+    // The outcomes the former regex filter, ^/mnt/test(/.*)?$, gave.
+    const std::vector<std::pair<std::string, bool>> expected = {
+        {"/mnt/test", true},        {"/mnt/test/", true},
+        {"/mnt/test/a/b", true},    {"/mnt/testsuffix", false},
+        {"/mnt/tes", false},        {"/mnt", false},
+        {"/home/x", false},         {"/mnt/test2/file", false},
     };
-    for (const auto& path : probes) {
-        EXPECT_EQ(regex_f.admit(ev_open(path, 3)),
-                  prefix_f.admit(ev_open(path, 3)))
-            << path;
-    }
+    TraceFilter f(FilterConfig::mount_point("/mnt/test"));
+    for (const auto& [path, admitted] : expected)
+        EXPECT_EQ(f.admit(ev_open(path, 3)), admitted) << path;
 }
 
 TEST(TraceFilter, PrefixAndRegexCompose) {
-    FilterConfig cfg = FilterConfig::mount_point_prefix("/mnt/test");
-    cfg.include.push_back("^/media/other(/.*)?$");
-    cfg.exclude.push_back("^/mnt/test/private(/.*)?$");
+    FilterConfig cfg = FilterConfig::mount_point("/mnt/test");
+    cfg.include.push_back("/media/other");
+    cfg.exclude.push_back("/mnt/test/private");
     TraceFilter f(cfg);
     EXPECT_TRUE(f.admit(ev_open("/mnt/test/f", 3)));
     EXPECT_TRUE(f.admit(ev_open("/media/other/f", 4)));
     EXPECT_FALSE(f.admit(ev_open("/mnt/test/private/f", 5)));
     EXPECT_FALSE(f.admit(ev_open("/elsewhere", 6)));
+}
+
+TEST(TraceFilter, MountPointIgnoresTrailingSlashes) {
+    for (const char* mount : {"/mnt/test/", "/mnt/test//"}) {
+        TraceFilter f(FilterConfig::mount_point(mount));
+        EXPECT_TRUE(f.admit(ev_open("/mnt/test", 3))) << mount;
+        EXPECT_TRUE(f.admit(ev_open("/mnt/test/file", 4))) << mount;
+        EXPECT_FALSE(f.admit(ev_open("/mnt/testsuffix", 5))) << mount;
+    }
+}
+
+TEST(TraceFilter, RootMountAdmitsEveryAbsolutePath) {
+    TraceFilter f(FilterConfig::mount_point("/"));
+    EXPECT_TRUE(f.admit(ev_open("/", 3)));
+    EXPECT_TRUE(f.admit(ev_open("/etc/passwd", 4)));
+    EXPECT_TRUE(f.admit(ev_open("/mnt/test/file", 5)));
+    EXPECT_FALSE(f.admit(ev_open("relative", 6)));  // cwd never entered
+}
+
+TEST(TraceFilter, LiteralPrefixAdmitsEmbeddedNul) {
+    // The former regex's "." did not match NUL, so it rejected this
+    // path; a literal prefix admits it.  IOCT can carry such a string
+    // even though no kernel produces one.
+    TraceFilter f(FilterConfig::mount_point("/mnt/test"));
+    EXPECT_TRUE(f.admit(ev_open(std::string("/mnt/test/a\0b", 13), 3)));
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // iocov — command-line front end for the library.
 //
-//   iocov analyze  [--mount RE] [--syz] [--strict] [--max-errors N]
+//   iocov analyze  [--mount DIR] [--syz] [--strict] [--max-errors N]
 //                  [--save FILE] [--snapshot FILE] TRACE...
 //   iocov convert  IN OUT                       (text <-> IOCT binary)
 //   iocov merge    [--threads N] -o OUT.iocs INPUT...
@@ -90,7 +90,7 @@ int usage() {
     std::fprintf(
         stderr,
         "usage:\n"
-        "  iocov analyze [--mount RE] [--syz] [--extended] [--threads N]\n"
+        "  iocov analyze [--mount DIR] [--syz] [--extended] [--threads N]\n"
         "                [--strict] [--max-errors N] [--stats]\n"
         "                [--checkpoint FILE] [--checkpoint-every N]\n"
         "                [--resume] [--save FILE] [--snapshot FILE]\n"
@@ -133,7 +133,7 @@ int usage() {
         "  iocov report  [--untested] [--under N] FILE\n"
         "  iocov diff    BEFORE AFTER\n"
         "  iocov tcd     [--target N] [--arg BASE.KEY] FILE\n"
-        "  iocov serve   [--socket PATH] [--tcp PORT] [--mount RE]\n"
+        "  iocov serve   [--socket PATH] [--tcp PORT] [--mount DIR]\n"
         "                [--extended] [--threads N] [--delta-dir DIR]\n"
         "                [--delta-every N] [--label L]\n"
         "                [--checkpoint FILE] [--checkpoint-every N]\n"
