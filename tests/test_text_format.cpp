@@ -230,6 +230,11 @@ struct RoundTripCase {
     ArgValue value;
 };
 
+// Print a case by its arg name. Without this gtest prints the raw struct
+// bytes, which hold a pointer, so the discovered test names would change
+// on every run.
+void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << c.name; }
+
 class TextRoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
 
 TEST_P(TextRoundTrip, SingleArgRoundTrips) {
