@@ -503,8 +503,8 @@ void BM_SnapshotLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotLoad);
 
-/// The fleet-aggregation headline: decode 8 snapshots + pairwise tree
-/// merge, versus re-ingesting the 8 equivalent raw IOCT traces.
+/// The fleet-aggregation headline: decode 8 snapshots + a serial
+/// merge_snapshots fold, versus re-ingesting the 8 equivalent raw IOCT traces.
 /// bytes/sec is reported against the RAW trace bytes the snapshots
 /// stand in for, so the number is directly comparable to
 /// BM_IngestBinaryBatched — the ≥10x floor in scripts/perf_floor.txt

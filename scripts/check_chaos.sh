@@ -22,7 +22,8 @@
 #   4. resumable-ingest byte-identity: `iocov merge`/`iocov analyze`
 #      killed mid-walk and resumed (--checkpoint/--resume) produce
 #      byte-identical artifacts to an uninterrupted run, at --threads
-#      1 and 4, and the manifest is removed on success;
+#      1 and 4, and the manifest is removed on success; two
+#      `analyze --snapshot` runs over one input are byte-identical;
 #   5. the live daemon's socket surface: check_serve.sh's faults stage
 #      injects accept/sock-read/sock-write errnos into a running
 #      `iocov serve` — connections may degrade, the daemon must not,
@@ -59,9 +60,8 @@ trap 'rm -rf "$TMP"' EXIT
 
 # ---- CLI fixtures ----------------------------------------------------------
 # A small text trace, transcoded to IOCT, analyzed into 6 snapshot
-# shards (each embeds its own wall-clock ingest.seconds, so the merge
-# genuinely exercises the order-sensitive float sum), plus an IOCT
-# directory for the analyze-resume stage.
+# shards (identical shards: merge is exact, so their order cannot
+# matter), plus an IOCT directory for the analyze-resume stage.
 "$OFFLINE" "$TMP/trace.txt" >/dev/null
 "$CLI" convert "$TMP/trace.txt" "$TMP/trace.ioct" >/dev/null
 mkdir "$TMP/shards" "$TMP/traces"
@@ -225,8 +225,9 @@ for threads in 1 4; do
   done
 done
 
-# analyze DIR/ --resume: the oracle is the saved report (the .iocs
-# snapshot embeds wall-clock seconds; the report does not).
+# analyze DIR/ --resume: the oracle is the saved report (a snapshot
+# also carries ingest statistics, such as warm-up allocations, that
+# depend on how the walk was split; the report does not).
 "$CLI" analyze "$TMP/traces" --threads 1 --save "$TMP/want_report.txt" \
   >/dev/null
 IOCOV_SELF_FAULT="stats:$TMP/stats_an.txt" \
@@ -256,6 +257,17 @@ for threads in 1 4; do
     exit 1
   }
 done
+
+# A snapshot holds no wall-clock time, so two runs over the same
+# input write byte-identical snapshots.
+"$CLI" analyze "$TMP/traces" --threads 1 --snapshot "$TMP/run1.iocs" \
+  >/dev/null
+"$CLI" analyze "$TMP/traces" --threads 1 --snapshot "$TMP/run2.iocs" \
+  >/dev/null
+cmp "$TMP/run1.iocs" "$TMP/run2.iocs" || {
+  echo "chaos: two analyze --snapshot runs differ" >&2
+  exit 1
+}
 
 # ---- stage 5: live daemon socket-errno sweep -------------------------------
 echo "chaos: serve socket-errno sweep (check_serve.sh faults stage)"

@@ -272,48 +272,14 @@ std::optional<Checkpoint> load_checkpoint_file(const std::string& path,
     return decode_checkpoint(mapped->data(), err);
 }
 
-// ---- incremental merge -----------------------------------------------------
-
-void IncrementalMerge::push(IOCovSnapshot leaf) {
-    blocks_.push_back({1, std::move(leaf)});
-    ++leaves_;
-    // Carry: whenever the two rightmost blocks cover equal leaf
-    // counts, they are adjacent complete subtrees of the same level of
-    // the pairwise tree, and the level walk merges them (left absorbs
-    // right) before anything larger happens.  Repeating until the
-    // sizes differ keeps block sizes strictly decreasing — the binary
-    // digits of leaves().
-    while (blocks_.size() >= 2 &&
-           blocks_[blocks_.size() - 2].leaves == blocks_.back().leaves) {
-        auto right = std::move(blocks_.back());
-        blocks_.pop_back();
-        blocks_.back().snapshot.merge(right.snapshot);
-        blocks_.back().leaves += right.leaves;
+void MergeBlock::absorb(MergeBlock other) {
+    if (other.leaves == 0) return;
+    if (leaves == 0) {
+        *this = std::move(other);
+        return;
     }
-}
-
-void IncrementalMerge::restore(std::vector<MergeBlock> blocks) {
-    blocks_ = std::move(blocks);
-    leaves_ = 0;
-    for (const auto& b : blocks_) leaves_ += b.leaves;
-}
-
-IOCovSnapshot IncrementalMerge::finish() {
-    if (blocks_.empty()) return {};
-    // Stragglers combine innermost-first in the level walk: the two
-    // rightmost (smallest) blocks meet at the lowest level where both
-    // exist, and the result climbs leftward.  A right-fold reproduces
-    // that order exactly.
-    while (blocks_.size() >= 2) {
-        auto right = std::move(blocks_.back());
-        blocks_.pop_back();
-        blocks_.back().snapshot.merge(right.snapshot);
-        blocks_.back().leaves += right.leaves;
-    }
-    auto out = std::move(blocks_.front().snapshot);
-    blocks_.clear();
-    leaves_ = 0;
-    return out;
+    snapshot.merge(other.snapshot);
+    leaves += other.leaves;
 }
 
 }  // namespace iocov::core

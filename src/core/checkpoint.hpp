@@ -1,6 +1,4 @@
-// IOCK — resumable-ingest checkpoint manifests, and the incremental
-// merge reducer that makes "resume after SIGKILL" byte-identical to an
-// uninterrupted run.
+// IOCK — resumable-ingest checkpoint manifests.
 //
 // `iocov merge` and `iocov analyze DIR/` walk hundreds of inputs; a
 // kill or fault mid-walk should not force re-reading everything.  A
@@ -12,21 +10,11 @@
 // previous complete manifest or the new complete one, never a torn
 // file.
 //
-// The hard part is byte-identity.  merge_snapshots() reduces leaves
-// level by level over adjacent pairs (the odd straggler waits), and
-// IOCovSnapshot::merge is associative for every field *except* the
-// double `ingest.seconds` sum — float addition makes the merge-tree
-// shape observable in the output bytes.  A resumable fold therefore
-// cannot be a running left-fold; it must reproduce the exact pairwise
-// tree.  IncrementalMerge does this with a binary-counter forest: each
-// pushed leaf is a 1-block; whenever the two rightmost blocks have
-// equal leaf counts they carry-merge (left absorbs right), so after n
-// pushes the forest is the complete power-of-two subtrees of the
-// pairwise tree (block sizes = binary digits of n).  finish()
-// right-folds the remaining blocks — rightmost pair first — which is
-// exactly the order the level walk combines its stragglers.  The
-// forest, not the folded value, is what a checkpoint stores: resuming
-// mid-walk re-enters the identical tree.
+// IOCovSnapshot::merge is exact, so the partial state is one running
+// accumulator and resuming from it is byte-identical to an
+// uninterrupted run.  Writers store it as at most one BLOCK; resume
+// folds every stored block, so older manifests that hold several
+// blocks resume to the same bytes.
 //
 // File layout (all integers little-endian; spec in DESIGN.md §12):
 //
@@ -37,7 +25,7 @@
 //       0x02 NAME    one consumed input name, in processing order
 //       0x03 DIAG    one retained diagnostic: varint line, offset,
 //                    then length-prefixed reason and excerpt
-//       0x04 BLOCK   one forest block: varint leaf count, then a
+//       0x04 BLOCK   partial merge state: varint leaf count, then a
 //                    complete embedded IOCS snapshot
 //       0x05 FOOTER  name/diag/block counts + FNV-1a-64 checksum of
 //                    every byte before the footer's length prefix
@@ -88,12 +76,16 @@ bool is_iock(std::string_view data);
 
 // ---- checkpoint value ------------------------------------------------------
 
-/// One block of the binary-counter forest: a complete power-of-two
-/// subtree of the pairwise merge tree, tagged with how many original
-/// leaves it folds.
+/// Partial merge state: the fold of `leaves` input snapshots.
 struct MergeBlock {
     std::uint64_t leaves = 0;
     IOCovSnapshot snapshot;
+
+    /// Folds `other` in.  A block with no leaves holds nothing: it is
+    /// skipped, and an empty block takes `other` whole, so every fold
+    /// is seeded from its first input (IOCovSnapshot{} is not a merge
+    /// identity).
+    void absorb(MergeBlock other);
 
     friend bool operator==(const MergeBlock&, const MergeBlock&) = default;
 };
@@ -108,8 +100,8 @@ struct Checkpoint {
     std::uint64_t rejected = 0;  ///< inputs diagnosed + skipped so far
     std::uint64_t bytes = 0;     ///< input bytes consumed so far
     trace::ParseDiagnostics diags;
-    /// Forest blocks, leftmost (largest) first.  Analyze walks fold
-    /// into a single accumulator, so they always store one block.
+    /// Partial merge state.  Writers store at most one block; resume
+    /// absorbs every block, in any order.
     std::vector<MergeBlock> blocks;
 };
 
@@ -135,37 +127,5 @@ bool save_checkpoint_file(const std::string& path, const Checkpoint& cp,
 /// Maps and decodes `path`; nullopt on open or decode failure.
 std::optional<Checkpoint> load_checkpoint_file(const std::string& path,
                                                SnapshotError* err = nullptr);
-
-// ---- incremental merge -----------------------------------------------------
-
-/// Incremental reducer producing bytes identical to
-/// merge_snapshots(leaves) at any interruption/resume point.  Push
-/// leaves one at a time; read `blocks()` to checkpoint; seed a fresh
-/// instance with `restore()` to resume; `finish()` right-folds into
-/// the final snapshot.
-class IncrementalMerge {
-  public:
-    /// Appends one leaf and performs any pending carry-merges.
-    void push(IOCovSnapshot leaf);
-
-    /// Re-seeds the forest from checkpointed blocks (must be called on
-    /// an empty instance, blocks leftmost-first as blocks() returned
-    /// them).
-    void restore(std::vector<MergeBlock> blocks);
-
-    /// Total leaves folded so far.
-    std::uint64_t leaves() const { return leaves_; }
-
-    /// Current forest, leftmost (largest) block first.
-    const std::vector<MergeBlock>& blocks() const { return blocks_; }
-
-    /// Right-folds the forest into the final snapshot (empty snapshot
-    /// for zero leaves).  Consumes the state.
-    IOCovSnapshot finish();
-
-  private:
-    std::vector<MergeBlock> blocks_;
-    std::uint64_t leaves_ = 0;
-};
 
 }  // namespace iocov::core

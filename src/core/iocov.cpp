@@ -1,7 +1,6 @@
 #include "core/iocov.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
 #include <iterator>
 
@@ -17,12 +16,6 @@ namespace {
 /// Rows decoded per decode_batch() chunk: large enough to amortize the
 /// loop setup, small enough that the SoA scratch stays cache-resident.
 constexpr std::size_t kBatchRows = 512;
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-}
 
 /// The shared decode -> filter -> analyze inner loop over a span of
 /// scan refs.  Chunked through the reusable EventBatch/EventScratch so
@@ -100,7 +93,6 @@ std::size_t IOCov::consume_text(std::istream& in) {
 }
 
 std::size_t IOCov::consume_binary(std::string_view data) {
-    const auto t0 = std::chrono::steady_clock::now();
     const auto scan = trace::scan_ioct(data);
     const auto bindings = analyzer_.table().bind_all(scan.strings);
     trace::ParseDiagnostics decode_diags;
@@ -115,7 +107,6 @@ std::size_t IOCov::consume_binary(std::string_view data) {
     ingest_stats_.events += outcome.events;
     ingest_stats_.bytes += data.size();
     ingest_stats_.hot_loop_allocs += outcome.allocs;
-    ingest_stats_.seconds += seconds_since(t0);
     return scan.dropped + outcome.dropped;
 }
 
@@ -124,7 +115,6 @@ std::size_t IOCov::consume_binary_parallel(std::string_view data,
     if (n_threads == 0) n_threads = exec::ThreadPool::default_thread_count();
     if (n_threads <= 1) return consume_binary(data);
 
-    const auto t0 = std::chrono::steady_clock::now();
     const auto scan = trace::scan_ioct(data);
     const auto bindings = analyzer_.table().bind_all(scan.strings);
 
@@ -188,7 +178,6 @@ std::size_t IOCov::consume_binary_parallel(std::string_view data,
     diagnostics_.merge(scan.diags);
     ingest_stats_.bytes += data.size();
     ingest_stats_.threads = std::max(ingest_stats_.threads, n_threads);
-    ingest_stats_.seconds += seconds_since(t0);
     return total_dropped;
 }
 
@@ -205,7 +194,6 @@ std::optional<std::size_t> IOCov::consume_binary_file(const std::string& path,
 std::optional<IOCov::DirIngest> IOCov::consume_binary_dir(
     const std::string& dir, unsigned n_threads) {
     namespace fs = std::filesystem;
-    const auto t0 = std::chrono::steady_clock::now();
 
     std::error_code ec;
     if (!fs::is_directory(dir, ec) || ec) return std::nullopt;
@@ -332,7 +320,6 @@ std::optional<IOCov::DirIngest> IOCov::consume_binary_dir(
     ingest_stats_.files += result.files;
     ingest_stats_.bytes += result.bytes;
     ingest_stats_.threads = std::max(ingest_stats_.threads, lanes);
-    ingest_stats_.seconds += seconds_since(t0);
     return result;
 }
 
@@ -452,7 +439,6 @@ void IOCov::merge(const IOCov& other) {
     ingest_stats_.threads =
         std::max(ingest_stats_.threads, other.ingest_stats_.threads);
     ingest_stats_.hot_loop_allocs += other.ingest_stats_.hot_loop_allocs;
-    ingest_stats_.seconds += other.ingest_stats_.seconds;
 }
 
 void IOCov::merge(const IOCovSnapshot& snapshot) {
@@ -467,7 +453,6 @@ void IOCov::merge(const IOCovSnapshot& snapshot) {
     ingest_stats_.threads =
         std::max(ingest_stats_.threads, snapshot.ingest.threads);
     ingest_stats_.hot_loop_allocs += snapshot.ingest.hot_loop_allocs;
-    ingest_stats_.seconds += snapshot.ingest.seconds;
 }
 
 IOCovSnapshot IOCov::snapshot() const {

@@ -29,7 +29,9 @@
 namespace iocov::core {
 
 /// Cumulative binary-ingest statistics across every consume_binary*
-/// call on one IOCov (surfaced by `iocov analyze --stats`).
+/// call on one IOCov (surfaced by `iocov analyze --stats`).  Integers
+/// only: wall time is the caller's to measure, so merging stats (and
+/// the snapshots that carry them) is exact in any order.
 struct IngestStats {
     std::uint64_t events = 0;  ///< event records decoded (pre-filter)
     std::uint64_t bytes = 0;   ///< trace bytes ingested
@@ -39,7 +41,6 @@ struct IngestStats {
     /// analyze loops (stays 0 once histograms and scratch are warm;
     /// always 0 when exec::has_allocation_counting() is false).
     std::uint64_t hot_loop_allocs = 0;
-    double seconds = 0;        ///< wall time spent in binary ingestion
 
     friend bool operator==(const IngestStats&, const IngestStats&) = default;
 };
@@ -191,10 +192,9 @@ class IOCov {
     /// Accumulation contract (holds for diagnostics(), shards_lost()
     /// and events_filtered_out() too): an IOCov never self-resets.
     /// Every consume_* call and every merge() adds to the running
-    /// totals — counters and `seconds` sum, `threads` keeps the widest
-    /// value seen — so after any interleaving of N calls each total
-    /// equals the sum of what the calls would have reported
-    /// individually.  Snapshots inherit the same semantics: snapshot()
+    /// totals — counters sum, `threads` keeps the widest value seen —
+    /// so after any interleaving of N calls each total equals the sum
+    /// of what the calls would have reported individually.  Snapshots inherit the same semantics: snapshot()
     /// captures the running totals, and merging a snapshot adds its
     /// totals in.  To measure one ingestion in isolation, use a fresh
     /// IOCov and subtract nothing.

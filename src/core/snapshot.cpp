@@ -1,7 +1,6 @@
 #include "core/snapshot.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <filesystem>
 #include <unordered_map>
@@ -139,7 +138,6 @@ void IOCovSnapshot::merge(const IOCovSnapshot& other) {
     ingest.files += other.ingest.files;
     ingest.threads = std::max(ingest.threads, other.ingest.threads);
     ingest.hot_loop_allocs += other.ingest.hot_loop_allocs;
-    ingest.seconds += other.ingest.seconds;
     if (label != other.label) label.clear();
     timestamp = std::max(timestamp, other.timestamp);
 }
@@ -160,10 +158,9 @@ std::string encode_snapshot(const IOCovSnapshot& snapshot) {
         put_varint(payload, snapshot.ingest.files);
         put_varint(payload, snapshot.ingest.threads);
         put_varint(payload, snapshot.ingest.hot_loop_allocs);
-        // Seconds keep their exact bit pattern so a round trip is
-        // value-identical, not just approximately equal.
-        put_u64le(payload, std::bit_cast<std::uint64_t>(
-                               snapshot.ingest.seconds));
+        // Reserved 8-byte slot (it once held wall-clock seconds):
+        // written 0, ignored on read.
+        put_u64le(payload, 0);
         put_varint(payload, strings.id(snapshot.label));
         put_varint(payload, snapshot.timestamp);
         put_record(out, payload);
@@ -273,7 +270,7 @@ std::optional<IOCovSnapshot> decode_snapshot(std::string_view data,
                 strings.push_back(payload.substr(1));
                 break;
             case IocsTag::Meta: {
-                std::uint64_t threads = 0, seconds_bits = 0, label_id = 0;
+                std::uint64_t threads = 0, reserved = 0, label_id = 0;
                 const bool ok =
                     !saw_meta && c.read_varint(snap.report.events_seen) &&
                     c.read_varint(snap.report.events_tracked) &&
@@ -284,7 +281,7 @@ std::optional<IOCovSnapshot> decode_snapshot(std::string_view data,
                     c.read_varint(snap.ingest.files) &&
                     c.read_varint(threads) && threads <= UINT32_MAX &&
                     c.read_varint(snap.ingest.hot_loop_allocs) &&
-                    c.read_u64le(seconds_bits) && c.read_varint(label_id) &&
+                    c.read_u64le(reserved) && c.read_varint(label_id) &&
                     label_id < strings.size() &&
                     c.read_varint(snap.timestamp) && c.done();
                 if (!ok) {
@@ -293,7 +290,6 @@ std::optional<IOCovSnapshot> decode_snapshot(std::string_view data,
                     return std::nullopt;
                 }
                 snap.ingest.threads = static_cast<unsigned>(threads);
-                snap.ingest.seconds = std::bit_cast<double>(seconds_bits);
                 snap.label.assign(strings[label_id]);
                 saw_meta = true;
                 break;
@@ -417,7 +413,7 @@ std::optional<IOCovSnapshot> load_snapshot_file(const std::string& path,
     return decode_snapshot(mapped->data(), err);
 }
 
-// ---- directory loading + hierarchical merge --------------------------------
+// ---- directory loading + merge ---------------------------------------------
 
 std::optional<SnapshotDirLoad> load_snapshot_dir(const std::string& dir,
                                                  unsigned n_threads) {
@@ -443,8 +439,8 @@ std::optional<SnapshotDirLoad> load_snapshot_dir(const std::string& dir,
         files.push_back(std::move(fe));
     }
     if (ec) return std::nullopt;
-    // Name order is the deterministic key for everything downstream:
-    // which diagnostics survive retention and the merge-tree leaf order.
+    // Name order is the deterministic key downstream: it decides which
+    // diagnostics survive retention and the order snapshots are listed.
     std::sort(files.begin(), files.end(),
               [](const FileEntry& a, const FileEntry& b) {
                   return a.name < b.name;
@@ -510,50 +506,29 @@ std::optional<SnapshotDirLoad> load_snapshot_dir(const std::string& dir,
 IOCovSnapshot merge_snapshots(std::vector<NamedSnapshot> snapshots,
                               unsigned n_threads) {
     if (snapshots.empty()) return {};
-    std::vector<IOCovSnapshot> level;
-    level.reserve(snapshots.size());
-    for (auto& ns : snapshots) level.push_back(std::move(ns.snapshot));
-
     if (n_threads == 0) n_threads = exec::ThreadPool::default_thread_count();
-    // The reduction order is a pure function of the index structure —
-    // level k merges (0,1), (2,3), ... of level k-1 — so any lane
-    // assignment computes the identical tree.  Parallelism only decides
-    // *who* performs each fold, never *which* folds happen.
-    std::optional<exec::ThreadPool> pool;
-    if (n_threads > 1 && level.size() > 2) pool.emplace(n_threads);
-
-    auto row_weight = [](const IOCovSnapshot& s) {
-        std::uint64_t rows = 1;
-        for (const auto& in : s.report.inputs)
-            rows += in.hist.rows().size() + in.pairs.rows().size();
-        for (const auto& o : s.report.outputs) rows += o.hist.rows().size();
-        return rows;
+    // One contiguous chunk per lane, each folded in place into its
+    // first snapshot (folds never start from IOCovSnapshot{}); merge()
+    // is exact, so the grouping cannot change the bytes.
+    const std::size_t n = snapshots.size();
+    const std::size_t lanes = std::min<std::size_t>(n_threads, n);
+    auto chunk_begin = [&](std::size_t lane) { return lane * n / lanes; };
+    auto fold_chunk = [&](std::size_t lane) {
+        IOCovSnapshot& acc = snapshots[chunk_begin(lane)].snapshot;
+        for (std::size_t i = chunk_begin(lane) + 1; i < chunk_begin(lane + 1);
+             ++i)
+            acc.merge(snapshots[i].snapshot);
     };
-
-    while (level.size() > 1) {
-        const std::size_t pairs = level.size() / 2;
-        auto merge_pair = [&](std::size_t i) {
-            level[2 * i].merge(level[2 * i + 1]);
-        };
-        if (pool && pairs > 1) {
-            std::vector<std::uint64_t> weights(pairs);
-            for (std::size_t i = 0; i < pairs; ++i)
-                weights[i] =
-                    row_weight(level[2 * i]) + row_weight(level[2 * i + 1]);
-            exec::parallel_for_stealing(*pool, weights, merge_pair);
-        } else {
-            for (std::size_t i = 0; i < pairs; ++i) merge_pair(i);
-        }
-        // Compact survivors: merged pairs at even indices, plus the odd
-        // straggler which waits for the next level.
-        std::vector<IOCovSnapshot> next;
-        next.reserve(pairs + level.size() % 2);
-        for (std::size_t i = 0; i < pairs; ++i)
-            next.push_back(std::move(level[2 * i]));
-        if (level.size() % 2) next.push_back(std::move(level.back()));
-        level = std::move(next);
+    if (lanes > 1) {
+        exec::ThreadPool pool(static_cast<unsigned>(lanes));
+        exec::parallel_for(pool, lanes, fold_chunk);
+    } else {
+        fold_chunk(0);
     }
-    return std::move(level.front());
+    IOCovSnapshot out = std::move(snapshots.front().snapshot);
+    for (std::size_t lane = 1; lane < lanes; ++lane)
+        out.merge(snapshots[chunk_begin(lane)].snapshot);
+    return out;
 }
 
 std::string merge_summary_json(const SnapshotDirLoad& load,

@@ -13,9 +13,10 @@
 // boundary, so merge behavior survives a round trip bit-identically),
 // the filtered/dropped counters, cumulative IngestStats, and two
 // provenance fields (`label`, `timestamp`) that `iocov trend` slices
-// on.  merge() over snapshots is associative and commutative —
-// merge(ingest(A), ingest(B)) == ingest(A+B) — which is what lets a
-// directory of snapshots reduce in any tree shape on any thread count.
+// on.  Every field is an integer, a histogram or a string, so merge()
+// is exact: associative and commutative, merge(ingest(A), ingest(B))
+// == ingest(A+B), and a directory of snapshots folds in any order and
+// grouping on any thread count to the same bytes.
 //
 // File layout (all integers little-endian; full spec in DESIGN.md §10):
 //
@@ -24,7 +25,8 @@
 //       0x01 STR     string-table entry; ids are implicit (0, 1, 2, ...
 //                    in order of appearance), always defined before use
 //       0x02 META    varint counters (events seen/tracked, filtered,
-//                    dropped, ingest stats), label string-id, timestamp
+//                    dropped, ingest stats), 8 reserved bytes (written
+//                    0, ignored on read), label string-id, timestamp
 //       0x03 INPUT   one ArgCoverage: base-id, key-id, class byte, then
 //                    the four histograms (hist, combo, combo_rdonly,
 //                    pairs), each as varint row/declared counts +
@@ -93,10 +95,13 @@ struct IOCovSnapshot {
     /// buckets on it.  merge() keeps the maximum (latest capture wins).
     std::uint64_t timestamp = 0;
 
-    /// Associative + commutative fold: histograms merge row-wise
-    /// (canonical order), counters add, timestamp keeps the max, and a
-    /// label is kept only while all merged inputs agree on it (mixed
-    /// labels collapse to "" rather than invent an ordering).
+    /// Exact associative + commutative fold: histograms merge row-wise
+    /// (canonical order), counters add, `threads` and timestamp keep
+    /// the max, and a label is kept only while all merged inputs agree
+    /// on it (mixed labels collapse to "" rather than invent an
+    /// ordering).  Not a monoid with IOCovSnapshot{} as identity:
+    /// merging the empty snapshot clears a label and raises `threads`
+    /// to 1, so folds seed from their first input.
     void merge(const IOCovSnapshot& other);
 
     friend bool operator==(const IOCovSnapshot&,
@@ -155,7 +160,7 @@ bool save_snapshot_file(const std::string& path,
 std::optional<IOCovSnapshot> load_snapshot_file(const std::string& path,
                                                 SnapshotError* err = nullptr);
 
-// ---- directory loading + hierarchical merge --------------------------------
+// ---- directory loading + merge ---------------------------------------------
 
 /// One snapshot loaded from a directory entry, keyed by file name.
 struct NamedSnapshot {
@@ -184,14 +189,13 @@ struct SnapshotDirLoad {
 std::optional<SnapshotDirLoad> load_snapshot_dir(const std::string& dir,
                                                  unsigned n_threads = 1);
 
-/// Deterministic hierarchical merge: reduces `snapshots` pairwise in
-/// index (i.e. name) order — level by level, adjacent pairs — with the
-/// level's merges scheduled onto a work-stealing pool weighted by
-/// histogram row count.  Because merge() is associative and
-/// commutative, the tree shape cannot change the value; fixing it
-/// anyway (plus canonical histogram row order) makes the reduction
-/// *bit-identical* at any thread count, which the golden tests assert.
-/// Returns an empty snapshot for an empty input.
+/// Folds `snapshots` into one.  merge() is exact, so the result does
+/// not depend on order, grouping or `n_threads` (0 = hardware
+/// concurrency): each lane folds a contiguous chunk, then the lane
+/// partials fold.  Every fold is seeded from its first input, because
+/// IOCovSnapshot{} is not an identity.  Canonical histogram row order
+/// then makes the encoding byte-identical at any thread count, which
+/// the golden tests assert.  Returns an empty snapshot for no input.
 IOCovSnapshot merge_snapshots(std::vector<NamedSnapshot> snapshots,
                               unsigned n_threads = 1);
 

@@ -77,8 +77,8 @@ std::string trend_json(const std::vector<core::NamedSnapshot>& snapshots,
     std::string json = "{\n  \"slices\": [\n";
     std::size_t slice_idx = 0;
     for (auto& [sort_key, slice] : slices) {
-        // Members inherit the directory's name order, so the per-slice
-        // fold is the same deterministic reduction `iocov merge` runs.
+        // Same fold as `iocov merge`; merge is exact, so the slice's
+        // bytes do not depend on member order or thread count.
         const std::size_t n = slice.members.size();
         const core::IOCovSnapshot merged =
             core::merge_snapshots(std::move(slice.members), n_threads);

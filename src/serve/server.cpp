@@ -216,9 +216,9 @@ host::IoStatus Server::restore_from_checkpoint() {
         return host::IoError{host::IoPhase::Open, EINVAL,
                              opts_.checkpoint_path};
     }
-    core::IOCovSnapshot state;
-    if (!cp->blocks.empty()) state = std::move(cp->blocks.front().snapshot);
-    live_.restore(state, std::move(cp->consumed));
+    core::MergeBlock state;
+    for (auto& b : cp->blocks) state.absorb(std::move(b));
+    live_.restore(state.snapshot, std::move(cp->consumed));
     stats_.pushes_accepted = live_.epoch();
     stats_.pushes_rejected = cp->rejected;
     stats_.shard_bytes = cp->bytes;

@@ -7,7 +7,7 @@
 //
 //   varints   unsigned LEB128; signed values are zigzag-mapped first
 //   u32/u64   fixed-width little-endian (record length prefixes,
-//             checksums, IEEE-754 bit patterns)
+//             checksums, the IOCS reserved slot)
 //   fnv1a64   the IOCS/IOCK footer checksum
 #pragma once
 

@@ -1,10 +1,13 @@
-// IOCK checkpoint manifests and the IncrementalMerge forest: round
-// trips, all-or-nothing decode under truncation/corruption, and the
-// headline resumability claim — finishing from a checkpoint taken at
-// *any* point yields bytes identical to merge_snapshots over the full
-// input, including the float-sensitive ingest.seconds sum.
+// IOCK checkpoint manifests: round trips, all-or-nothing decode under
+// truncation/corruption, and the headline resumability claim —
+// finishing from a checkpoint taken at *any* point yields bytes
+// identical to merge_snapshots over the full input.  The
+// IncrementalMergeTest cases keep their names from when resume state
+// was a binary-counter forest of blocks; they now check that such
+// multi-block manifests still decode and fold to the same bytes.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -39,10 +42,9 @@ std::vector<trace::TraceEvent> generator_trace(double scale,
     return buffer.take_events();
 }
 
-/// `n` shard snapshots of one workload with *varied non-zero*
-/// ingest.seconds — float addition is the one non-associative merge
-/// field, so identical-seconds fixtures would hide any tree-shape
-/// divergence between IncrementalMerge and merge_snapshots.
+/// `n` shard snapshots of one workload, with a shared label and
+/// distinct timestamps so a fold seeded from IOCovSnapshot{} (which
+/// clears the label) cannot pass.
 std::vector<IOCovSnapshot> make_leaves(std::size_t n, std::uint64_t seed) {
     const auto events = generator_trace(0.03, seed);
     std::vector<std::vector<trace::TraceEvent>> parts(n);
@@ -54,8 +56,6 @@ std::vector<IOCovSnapshot> make_leaves(std::size_t n, std::uint64_t seed) {
         IOCov shard(config());
         shard.consume_binary(trace::encode_trace(parts[i]));
         auto snap = shard.snapshot();
-        // Deliberately awkward doubles: (a+b)+c != a+(b+c) for these.
-        snap.ingest.seconds = 0.1 + 0.0173 * static_cast<double>(i + 1);
         snap.label = "shard";
         snap.timestamp = 2000 + i;
         leaves.push_back(std::move(snap));
@@ -70,6 +70,15 @@ std::vector<NamedSnapshot> named(const std::vector<IOCovSnapshot>& leaves) {
     return out;
 }
 
+/// What `iocov merge --checkpoint` runs: one accumulator, seeded from
+/// the first leaf.
+MergeBlock fold(const std::vector<IOCovSnapshot>& leaves, std::size_t begin,
+                std::size_t end) {
+    MergeBlock acc;
+    for (std::size_t i = begin; i < end; ++i) acc.absorb({1, leaves[i]});
+    return acc;
+}
+
 Checkpoint sample_checkpoint(const std::vector<IOCovSnapshot>& leaves) {
     Checkpoint cp;
     cp.mode = CheckpointMode::Merge;
@@ -79,9 +88,7 @@ Checkpoint sample_checkpoint(const std::vector<IOCovSnapshot>& leaves) {
     cp.diags.record(0, 42, "not a snapshot", "hello");
     cp.diags.record(7, 99, "version skew: file is v9");
     cp.diags.count_only(3);
-    IncrementalMerge fold;
-    for (const auto& leaf : leaves) fold.push(leaf);
-    cp.blocks = fold.blocks();
+    cp.blocks = {fold(leaves, 0, leaves.size())};
     return cp;
 }
 
@@ -203,92 +210,99 @@ TEST(Checkpoint, SaveLoadFileRoundTripAndMissingFile) {
 }
 
 TEST(IncrementalMergeTest, ForestShapeIsBinaryCounter) {
+    // Older builds checkpointed a binary-counter forest: after 13
+    // leaves, blocks of 8, 4 and 1.  Such a manifest still decodes, and
+    // because merge is exact its blocks fold in any order to the bytes
+    // of merge_snapshots over the 13 leaves.
     const auto leaves = make_leaves(13, 35);
-    IncrementalMerge fold;
-    for (std::size_t i = 0; i < leaves.size(); ++i) {
-        fold.push(leaves[i]);
-        const std::uint64_t n = i + 1;
-        // Block count == popcount(n); sizes are n's binary digits,
-        // largest first.
-        std::size_t popcount = 0;
-        for (std::uint64_t v = n; v; v >>= 1) popcount += v & 1;
-        ASSERT_EQ(fold.blocks().size(), popcount) << "after " << n;
-        ASSERT_EQ(fold.leaves(), n);
-        std::uint64_t sum = 0, prev = ~0ull;
-        for (const auto& b : fold.blocks()) {
-            EXPECT_LT(b.leaves, prev) << "after " << n;
-            prev = b.leaves;
-            sum += b.leaves;
-        }
-        EXPECT_EQ(sum, n);
-    }
+    Checkpoint cp;
+    cp.blocks = {fold(leaves, 0, 8), fold(leaves, 8, 12),
+                 fold(leaves, 12, 13)};
+    const auto back = decode_checkpoint(encode_checkpoint(cp));
+    ASSERT_TRUE(back.has_value());
+    ASSERT_EQ(back->blocks.size(), 3u);
+    EXPECT_EQ(back->blocks[0].leaves, 8u);
+    EXPECT_EQ(back->blocks[1].leaves, 4u);
+    EXPECT_EQ(back->blocks[2].leaves, 1u);
+
+    const auto want = encode_snapshot(merge_snapshots(named(leaves), 1));
+    std::vector<std::size_t> order = {0, 1, 2};
+    do {
+        MergeBlock acc;
+        for (const std::size_t i : order) acc.absorb(back->blocks[i]);
+        EXPECT_EQ(acc.leaves, 13u);
+        EXPECT_EQ(encode_snapshot(acc.snapshot), want)
+            << "order " << order[0] << order[1] << order[2];
+    } while (std::next_permutation(order.begin(), order.end()));
 }
 
 TEST(IncrementalMergeTest, MatchesMergeSnapshotsBytesForEveryN) {
-    // The headline claim: the incremental fold reproduces the exact
-    // pairwise merge tree of merge_snapshots, byte-for-byte — which
-    // only holds if the forest fold order matches, because the double
-    // ingest.seconds sum is tree-shape sensitive.
+    // A sequential fold from the first leaf — the checkpointed merge
+    // walk — gives merge_snapshots' bytes at any lane count.
     const auto all = make_leaves(17, 36);
     for (std::size_t n = 0; n <= all.size(); ++n) {
         const std::vector<IOCovSnapshot> leaves(all.begin(),
                                                 all.begin() + n);
-        const auto want =
-            encode_snapshot(merge_snapshots(named(leaves), 1));
-        IncrementalMerge fold;
-        for (const auto& leaf : leaves) fold.push(leaf);
-        EXPECT_EQ(encode_snapshot(fold.finish()), want) << "n=" << n;
+        const auto got = encode_snapshot(fold(leaves, 0, n).snapshot);
+        for (const unsigned threads : {1u, 4u})
+            EXPECT_EQ(encode_snapshot(merge_snapshots(named(leaves), threads)),
+                      got)
+                << "n=" << n << " threads=" << threads;
     }
 }
 
 TEST(IncrementalMergeTest, ResumeAtEveryPointIsByteIdentical) {
     const auto leaves = make_leaves(11, 37);
-    IncrementalMerge full;
-    for (const auto& leaf : leaves) full.push(leaf);
-    const auto want = encode_snapshot(full.finish());
+    const auto want =
+        encode_snapshot(fold(leaves, 0, leaves.size()).snapshot);
 
-    // Checkpoint after k leaves, restore into a fresh instance, push
-    // the rest: identical bytes for every interruption point.
+    // Checkpoint the fold of the first k leaves as one block, round
+    // trip it through the manifest encoding, fold the rest: identical
+    // bytes for every interruption point.
     for (std::size_t k = 0; k <= leaves.size(); ++k) {
-        IncrementalMerge before;
-        for (std::size_t i = 0; i < k; ++i) before.push(leaves[i]);
-        std::vector<MergeBlock> saved = before.blocks();
+        Checkpoint cp;
+        const MergeBlock before = fold(leaves, 0, k);
+        if (before.leaves > 0) cp.blocks.push_back(before);
+        const auto back = decode_checkpoint(encode_checkpoint(cp));
+        ASSERT_TRUE(back.has_value()) << "k=" << k;
 
-        IncrementalMerge resumed;
-        resumed.restore(std::move(saved));
-        EXPECT_EQ(resumed.leaves(), k);
+        MergeBlock resumed;
+        for (const auto& b : back->blocks) resumed.absorb(b);
+        EXPECT_EQ(resumed.leaves, k);
         for (std::size_t i = k; i < leaves.size(); ++i)
-            resumed.push(leaves[i]);
-        EXPECT_EQ(encode_snapshot(resumed.finish()), want) << "k=" << k;
+            resumed.absorb({1, leaves[i]});
+        EXPECT_EQ(encode_snapshot(resumed.snapshot), want) << "k=" << k;
     }
 }
 
 TEST(IncrementalMergeTest, CheckpointRoundTripPreservesForest) {
-    // The forest survives an encode/decode cycle (what a real resume
-    // does), not just an in-memory restore.
+    // A multi-block list survives an encode/decode cycle unchanged and
+    // resumes to the uninterrupted bytes.
     const auto leaves = make_leaves(7, 38);
-    IncrementalMerge full;
-    for (const auto& leaf : leaves) full.push(leaf);
-    const auto want = encode_snapshot(full.finish());
+    const auto want =
+        encode_snapshot(fold(leaves, 0, leaves.size()).snapshot);
 
-    IncrementalMerge before;
-    for (std::size_t i = 0; i < 5; ++i) before.push(leaves[i]);
     Checkpoint cp;
-    cp.blocks = before.blocks();
+    cp.blocks = {fold(leaves, 0, 4), fold(leaves, 4, 5)};
     const auto back = decode_checkpoint(encode_checkpoint(cp));
     ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->blocks, cp.blocks);
 
-    IncrementalMerge resumed;
-    resumed.restore(back->blocks);
+    MergeBlock resumed;
+    for (const auto& b : back->blocks) resumed.absorb(b);
     for (std::size_t i = 5; i < leaves.size(); ++i)
-        resumed.push(leaves[i]);
-    EXPECT_EQ(encode_snapshot(resumed.finish()), want);
+        resumed.absorb({1, leaves[i]});
+    EXPECT_EQ(resumed.leaves, leaves.size());
+    EXPECT_EQ(encode_snapshot(resumed.snapshot), want);
 }
 
 TEST(IncrementalMergeTest, EmptyFinishIsEmptySnapshot) {
-    IncrementalMerge fold;
-    EXPECT_EQ(fold.leaves(), 0u);
-    EXPECT_EQ(fold.finish(), IOCovSnapshot{});
+    for (const unsigned threads : {1u, 4u})
+        EXPECT_EQ(merge_snapshots({}, threads), IOCovSnapshot{})
+            << threads << " threads";
+    MergeBlock acc;
+    acc.absorb({});
+    EXPECT_EQ(acc, MergeBlock{});
 }
 
 }  // namespace

@@ -236,7 +236,6 @@ TEST(DirIngest, IngestStatsAccumulate) {
     EXPECT_EQ(stats.bytes, a.size() + b.size());
     EXPECT_EQ(stats.events, 2u * 30u * 4u);
     EXPECT_GE(stats.threads, 2u);
-    EXPECT_GT(stats.seconds, 0.0);
 }
 
 }  // namespace

@@ -88,7 +88,6 @@ std::vector<core::NamedSnapshot> fleet_snapshots() {
             iocov.consume_binary(
                 trace::encode_trace(buffer.take_events()));
             auto snap = iocov.snapshot();
-            snap.ingest.seconds = 0;  // telemetry, not golden state
             snap.label = suite;
             snap.timestamp = 3600u * static_cast<std::uint64_t>(1 + i);
             out.push_back({"s" + std::to_string(i) + ".iocs",

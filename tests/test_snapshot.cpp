@@ -1,11 +1,14 @@
 // IOCS snapshot format: bit-identical round trips, torn-tail and
-// corruption diagnostics, version skew, merge algebra (associativity /
-// commutativity fuzz against single-pass ingest), the IOCov::merge /
-// snapshot() public API, and the IngestStats accumulation contract.
+// corruption diagnostics, version skew, legacy files, merge algebra
+// (random order and grouping fuzz against single-pass ingest), the
+// IOCov::merge / snapshot() public API, and the IngestStats
+// accumulation contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -16,6 +19,7 @@
 #include "testers/fixtures.hpp"
 #include "testers/generator.hpp"
 #include "trace/binary_format.hpp"
+#include "trace/detail/wire.hpp"
 #include "trace/sink.hpp"
 #include "vfs/filesystem.hpp"
 
@@ -71,7 +75,6 @@ TEST(Snapshot, RoundTripPreservesIngestStatsAndProvenance) {
     const auto decoded = decode_snapshot(encode_snapshot(snap));
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(decoded->ingest, snap.ingest);
-    EXPECT_EQ(decoded->ingest.seconds, snap.ingest.seconds);  // exact bits
     EXPECT_EQ(decoded->label, "host-a/xfstests");
     EXPECT_EQ(decoded->timestamp, 1754600000u);
     EXPECT_EQ(decoded->filtered_out, snap.filtered_out);
@@ -231,53 +234,116 @@ std::vector<std::vector<trace::TraceEvent>> split_by_pid(
     return parts;
 }
 
+/// Folds leaves[lo, hi) under a random bracketing: split at a random
+/// point, fold both halves, and merge them in a random direction.
+IOCovSnapshot random_fold(const std::vector<NamedSnapshot>& leaves,
+                          std::size_t lo, std::size_t hi, std::mt19937& rng) {
+    if (hi - lo == 1) return leaves[lo].snapshot;
+    const std::size_t mid =
+        std::uniform_int_distribution<std::size_t>(lo + 1, hi - 1)(rng);
+    auto left = random_fold(leaves, lo, mid, rng);
+    auto right = random_fold(leaves, mid, hi, rng);
+    if (rng() & 1) std::swap(left, right);
+    left.merge(right);
+    return left;
+}
+
 TEST(Snapshot, MergeFuzzTreeMergeEqualsSinglePassIngest) {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         const auto events = generator_trace(0.015, seed);
         ASSERT_GT(events.size(), 100u) << "seed " << seed;
 
-        IOCov single(config());
-        single.consume_binary(trace::encode_trace(events));
-        const auto expected = single.snapshot();
-
-        // Vary the split width with the seed so the fuzz covers 2..5
-        // shards, including pids that land empty.
-        const std::size_t n = 2 + seed % 4;
+        // Vary the split width with the seed so the fuzz covers 3..8
+        // shards, including pids that land empty.  The shards share a
+        // label and carry distinct timestamps, so a fold seeded from
+        // IOCovSnapshot{} (which clears the label) fails.
+        const std::size_t n = 3 + seed % 6;
         std::vector<NamedSnapshot> shards;
+        std::uint64_t bytes = 0, allocs = 0;
         for (const auto& part : split_by_pid(events, n)) {
             IOCov shard(config());
             shard.consume_binary(trace::encode_trace(part));
             auto snap = shard.snapshot();
-            // `seconds` is wall-clock telemetry, not coverage state —
-            // and double addition is not associative, so byte-level
-            // algebra below is asserted with it normalized out.
-            snap.ingest.seconds = 0;
+            snap.label = "fleet";
+            snap.timestamp = 5000 + 7 * shards.size();
+            bytes += snap.ingest.bytes;
+            allocs += snap.ingest.hot_loop_allocs;
             shards.push_back({"shard", std::move(snap)});
         }
 
-        // Left fold, right-to-left fold, and the pairwise tree must all
-        // equal the single pass — associativity + commutativity, not
-        // just "some merge works".
-        IOCovSnapshot left = shards.front().snapshot;
-        for (std::size_t i = 1; i < shards.size(); ++i)
-            left.merge(shards[i].snapshot);
-        IOCovSnapshot right = shards.back().snapshot;
-        for (std::size_t i = shards.size() - 1; i-- > 0;) {
-            auto tmp = shards[i].snapshot;
-            tmp.merge(right);
-            right = std::move(tmp);
-        }
-        const auto tree = merge_snapshots(shards, 1);
+        IOCov single(config());
+        single.consume_binary(trace::encode_trace(events));
+        auto expected = single.snapshot();
+        expected.label = "fleet";
+        expected.timestamp = 5000 + 7 * (n - 1);
+        // Input bytes and warm-up allocations are per-input measurements
+        // (each part has its own header and string table, each IOCov its
+        // own warm-up), so they sum over the shards rather than match
+        // the single pass.  Every other field must match exactly.
+        expected.ingest.bytes = bytes;
+        expected.ingest.hot_loop_allocs = allocs;
+        const auto want = encode_snapshot(expected);
 
-        EXPECT_EQ(left.report, expected.report) << "seed " << seed;
-        EXPECT_EQ(right.report, expected.report) << "seed " << seed;
-        EXPECT_EQ(tree.report, expected.report) << "seed " << seed;
-        EXPECT_EQ(left.filtered_out, expected.filtered_out);
-        // Byte-level: same value => same encoding, whatever the fold
-        // shape was.
-        EXPECT_EQ(encode_snapshot(left), encode_snapshot(right));
-        EXPECT_EQ(encode_snapshot(left), encode_snapshot(tree));
+        // Any order and any grouping, and merge_snapshots at any lane
+        // count, must give the single pass's bytes.
+        std::mt19937 rng(static_cast<std::mt19937::result_type>(seed));
+        for (int trial = 0; trial < 6; ++trial) {
+            std::shuffle(shards.begin(), shards.end(), rng);
+            EXPECT_EQ(encode_snapshot(random_fold(shards, 0, n, rng)), want)
+                << "seed " << seed << " trial " << trial;
+            for (const unsigned threads : {1u, 2u, 4u})
+                EXPECT_EQ(encode_snapshot(merge_snapshots(shards, threads)),
+                          want)
+                    << "seed " << seed << " trial " << trial << " threads "
+                    << threads;
+        }
     }
+}
+
+TEST(Snapshot, LegacyNonzeroSecondsSlotLoadsAndReencodesAsZero) {
+    // Older builds stored wall-clock seconds, as the bits of a double,
+    // in the META record's reserved slot.  Forge such a file: set the
+    // slot and recompute the footer checksum.
+    using trace::detail::fnv1a64;
+    using trace::detail::PayloadCursor;
+    using trace::detail::read_u32le;
+    const auto snap = sample_snapshot();
+    const std::string current = encode_snapshot(snap);
+
+    std::size_t slot = 0, footer = 0;
+    for (std::size_t pos = kIocsHeaderSize; pos < current.size();) {
+        const std::uint32_t len = read_u32le(current.data() + pos);
+        const auto tag = static_cast<IocsTag>(current[pos + 4]);
+        if (tag == IocsTag::Meta) {
+            // The slot follows nine varint counters.
+            PayloadCursor c(std::string_view(current).substr(pos + 5));
+            std::uint64_t v = 0;
+            for (int i = 0; i < 9; ++i) ASSERT_TRUE(c.read_varint(v));
+            slot = static_cast<std::size_t>(
+                reinterpret_cast<const char*>(c.p) - current.data());
+        }
+        if (tag == IocsTag::Footer) footer = pos;
+        pos += 4 + len;
+    }
+    ASSERT_GT(slot, 0u);
+    ASSERT_GT(footer, slot);
+    for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(current[slot + i], '\0');
+
+    std::string legacy = current;
+    const auto seconds = std::bit_cast<std::uint64_t>(1.2345);
+    for (std::size_t i = 0; i < 8; ++i)
+        legacy[slot + i] = static_cast<char>(seconds >> (8 * i));
+    const std::uint64_t checksum =
+        fnv1a64(std::string_view(legacy).substr(0, footer));
+    for (std::size_t i = 0; i < 8; ++i)
+        legacy[legacy.size() - 8 + i] = static_cast<char>(checksum >> (8 * i));
+    ASSERT_NE(legacy, current);
+
+    SnapshotError err;
+    const auto decoded = decode_snapshot(legacy, &err);
+    ASSERT_TRUE(decoded.has_value()) << err.to_string();
+    EXPECT_EQ(*decoded, snap);
+    EXPECT_EQ(encode_snapshot(*decoded), current);  // slot written as 0
 }
 
 // ---- IOCov public merge API ------------------------------------------------

@@ -67,8 +67,7 @@ class SnapDir {
 };
 
 /// Eight per-pid shard snapshots of one workload, plus the single-pass
-/// snapshot they must merge back into.  Telemetry seconds are zeroed so
-/// byte-level determinism assertions are exact (see test_snapshot.cpp).
+/// snapshot they must merge back into.
 struct Fleet {
     std::vector<std::pair<std::string, std::string>> files;
     IOCovSnapshot expected;
@@ -84,7 +83,6 @@ Fleet make_fleet(std::uint64_t seed) {
         IOCov shard(config());
         shard.consume_binary(trace::encode_trace(parts[i]));
         auto snap = shard.snapshot();
-        snap.ingest.seconds = 0;
         snap.label = "shard";
         snap.timestamp = 1000 + i;
         fleet.files.push_back(

@@ -33,6 +33,7 @@
 // suite simulators end to end.
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -56,6 +57,7 @@
 #include "core/tcd.hpp"
 #include "core/untested.hpp"
 #include "exec/alloc_hook.hpp"
+#include "exec/thread_pool.hpp"
 #include "host/fault.hpp"
 #include "host/io.hpp"
 #include "host/parse.hpp"
@@ -105,10 +107,13 @@ int usage() {
         "      --threads N work-stealing workers.  Malformed input is\n"
         "      skipped and diagnosed; --max-errors N fails the run when\n"
         "      more than N inputs were dropped, --strict is\n"
-        "      --max-errors 0.  --stats prints ingest throughput and\n"
-        "      steady-state allocation counters.  --snapshot writes the\n"
-        "      final state as a compact binary .iocs snapshot for\n"
-        "      `iocov merge` / `iocov trend`.\n"
+        "      --max-errors 0.  --stats prints what this run decoded\n"
+        "      (events, bytes, files, steady-state allocations) and its\n"
+        "      own wall time; IOCS snapshots and resumed checkpoint\n"
+        "      state are merged, not decoded, and are counted on a\n"
+        "      separate line.  --snapshot writes the final state as a\n"
+        "      compact binary .iocs snapshot for `iocov merge` /\n"
+        "      `iocov trend`.\n"
         "  iocov convert IN OUT\n"
         "      transcode text -> IOCT binary or IOCT binary -> text\n"
         "      (direction inferred from IN's magic)\n"
@@ -118,9 +123,9 @@ int usage() {
         "                [--resume] -o OUT.iocs INPUT...\n"
         "      fleet aggregation: load every .iocs snapshot from the\n"
         "      INPUTs (directories are scanned non-recursively, sorted\n"
-        "      by name), merge them on a deterministic pairwise tree\n"
-        "      (--threads N work-stealing workers; byte-identical output\n"
-        "      at any thread count), and write the merged snapshot to\n"
+        "      by name), merge them (--threads N workers; merge is\n"
+        "      exact, so the output is byte-identical at any thread\n"
+        "      count and input order), and write the merged snapshot to\n"
         "      OUT.iocs.  Unreadable/foreign/version-skewed entries are\n"
         "      diagnosed per file and counted against --max-errors.\n"
         "      --json writes a deterministic per-space summary.\n"
@@ -481,6 +486,23 @@ void print_summary(const core::CoverageReport& report) {
     }
 }
 
+/// Snapshot state an analyze run merged instead of decoding (IOCS
+/// inputs, resumed checkpoint blocks).  `--stats` subtracts it from
+/// IngestStats so the "decoded" lines describe this run alone.
+struct MergedState {
+    std::uint64_t snapshots = 0;
+    core::IngestStats ingest;  ///< summed counters; `threads` unused
+
+    void merge_into(core::IOCov& iocov, const core::IOCovSnapshot& snap) {
+        iocov.merge(snap);
+        ++snapshots;
+        ingest.events += snap.ingest.events;
+        ingest.bytes += snap.ingest.bytes;
+        ingest.files += snap.ingest.files;
+        ingest.hot_loop_allocs += snap.ingest.hot_loop_allocs;
+    }
+};
+
 /// Checkpointed single-directory analyze walk: files are consumed one
 /// at a time in name order (documented bit-identical to the
 /// work-stealing directory ingest), and every --checkpoint-every
@@ -492,7 +514,8 @@ void print_summary(const core::CoverageReport& report) {
 int analyze_checkpointed(core::IOCov& iocov, const char* dir,
                          unsigned threads, const char* checkpoint_path,
                          std::uint64_t checkpoint_every, bool resume,
-                         trace::ParseDiagnostics& reject_diags) {
+                         trace::ParseDiagnostics& reject_diags,
+                         MergedState& merged) {
     auto walk = expand_inputs({dir});
     if (!walk) return kExitIo;
     core::Checkpoint cp;
@@ -503,7 +526,7 @@ int analyze_checkpointed(core::IOCov& iocov, const char* dir,
         return kExitIo;
     const std::size_t start = cp.consumed.size();
     std::uint64_t analyzed = start - cp.rejected;
-    if (!cp.blocks.empty()) iocov.merge(cp.blocks.front().snapshot);
+    for (const auto& b : cp.blocks) merged.merge_into(iocov, b.snapshot);
     cp.blocks.clear();
 
     std::uint64_t since = 0;
@@ -608,6 +631,8 @@ int cmd_analyze(int argc, char** argv) {
                       extended ? core::extended_syscall_registry()
                                : core::syscall_registry());
     trace::ParseDiagnostics reject_diags;
+    MergedState merged;
+    const auto t0 = std::chrono::steady_clock::now();
     if (checkpoint_path) {
         // Checkpointed mode only defines resume semantics for one
         // directory of IOCT traces (the fleet drop-box shape).
@@ -618,7 +643,7 @@ int cmd_analyze(int argc, char** argv) {
         const int rc = analyze_checkpointed(iocov, traces[0], threads,
                                             checkpoint_path,
                                             checkpoint_every, resume,
-                                            reject_diags);
+                                            reject_diags, merged);
         if (rc != kExitOk) return rc;
         traces.clear();
     }
@@ -649,7 +674,7 @@ int cmd_analyze(int argc, char** argv) {
                              err.to_string().c_str());
                 return kExitIo;
             }
-            iocov.merge(*snap);
+            merged.merge_into(iocov, *snap);
             std::printf("%s: merged [IOCS snapshot] (%llu events seen)\n",
                         path,
                         static_cast<unsigned long long>(
@@ -687,6 +712,9 @@ int cmd_analyze(int argc, char** argv) {
                         path, dropped);
         }
     }
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
     // Checkpointed walks keep per-file rejection diagnostics at the
     // CLI layer; fold them in so --max-errors and the printed summary
     // match the directory-ingest behavior.
@@ -707,22 +735,34 @@ int cmd_analyze(int argc, char** argv) {
     print_summary(iocov.report());
     if (stats) {
         const auto& is = iocov.ingest_stats();
-        const double secs = is.seconds > 0 ? is.seconds : 1e-9;
+        const std::uint64_t events = is.events - merged.ingest.events;
+        const std::uint64_t bytes = is.bytes - merged.ingest.bytes;
+        const double secs = wall > 0 ? wall : 1e-9;
         std::printf(
             "\ningest stats (binary paths):\n"
             "  events:   %llu decoded (%.2fM events/s)\n"
             "  bytes:    %llu ingested (%.1f MB/s)\n"
             "  files:    %llu across %u thread(s), %.3fs wall\n",
-            static_cast<unsigned long long>(is.events),
-            static_cast<double>(is.events) / secs / 1e6,
-            static_cast<unsigned long long>(is.bytes),
-            static_cast<double>(is.bytes) / secs / 1e6,
-            static_cast<unsigned long long>(is.files), is.threads, secs);
+            static_cast<unsigned long long>(events),
+            static_cast<double>(events) / secs / 1e6,
+            static_cast<unsigned long long>(bytes),
+            static_cast<double>(bytes) / secs / 1e6,
+            static_cast<unsigned long long>(is.files - merged.ingest.files),
+            threads ? threads : exec::ThreadPool::default_thread_count(),
+            wall);
+        if (merged.snapshots > 0) {
+            std::printf("  snapshots: %llu merged (%llu events, not "
+                        "re-decoded)\n",
+                        static_cast<unsigned long long>(merged.snapshots),
+                        static_cast<unsigned long long>(
+                            merged.ingest.events));
+        }
         if (exec::has_allocation_counting()) {
             std::printf("  allocs:   %llu in the steady-state decode "
                         "loop\n",
                         static_cast<unsigned long long>(
-                            is.hot_loop_allocs));
+                            is.hot_loop_allocs -
+                            merged.ingest.hot_loop_allocs));
         } else {
             std::printf("  allocs:   (allocation counting unavailable "
                         "in this build)\n");
@@ -781,12 +821,11 @@ int finish_merge(core::IOCovSnapshot merged, std::size_t count,
     return kExitOk;
 }
 
-/// Checkpointed merge walk: inputs load serially in the same
-/// deterministic order as the parallel path, fold through an
-/// IncrementalMerge (which reproduces merge_snapshots' exact pairwise
-/// tree, so the final bytes are identical), and every
-/// --checkpoint-every inputs the forest is written to an
-/// atomically-replaced IOCK manifest.
+/// Checkpointed merge walk: inputs load serially in the same order as
+/// the parallel path and fold into one accumulator (merge is exact, so
+/// the final bytes equal merge_snapshots'), and every
+/// --checkpoint-every inputs the accumulator is written as a single
+/// block to an atomically-replaced IOCK manifest.
 int merge_checkpointed(const std::vector<const char*>& inputs,
                        const char* out_path, const char* json_path,
                        const char* label,
@@ -803,13 +842,13 @@ int merge_checkpointed(const std::vector<const char*>& inputs,
                                 core::CheckpointMode::Merge, *walk, cp))
         return kExitIo;
     const std::size_t start = cp.consumed.size();
-    core::IncrementalMerge fold;
-    fold.restore(std::move(cp.blocks));
+    core::MergeBlock fold;
+    for (auto& b : cp.blocks) fold.absorb(std::move(b));
     cp.blocks.clear();
 
     std::uint64_t since = 0;
     auto save_cp = [&]() {
-        cp.blocks = fold.blocks();
+        if (fold.leaves > 0) cp.blocks.push_back(fold);
         core::SnapshotError err;
         const bool ok = core::save_checkpoint_file(checkpoint_path, cp,
                                                    &err);
@@ -827,7 +866,7 @@ int merge_checkpointed(const std::vector<const char*>& inputs,
             std::error_code fec;
             const auto size = std::filesystem::file_size(e.path, fec);
             cp.bytes += fec ? 0 : static_cast<std::uint64_t>(size);
-            fold.push(std::move(*snap));
+            fold.absorb({1, std::move(*snap)});
         } else {
             ++cp.rejected;
             cp.diags.record(0, err.offset, e.name + ": " + err.to_string());
@@ -850,8 +889,8 @@ int merge_checkpointed(const std::vector<const char*>& inputs,
     if (cp.rejected > 0)
         std::fprintf(stderr, "%s", cp.diags.to_string().c_str());
 
-    const auto count = static_cast<std::size_t>(fold.leaves());
-    const int rc = finish_merge(fold.finish(), count,
+    const auto count = static_cast<std::size_t>(fold.leaves);
+    const int rc = finish_merge(std::move(fold.snapshot), count,
                                 static_cast<std::size_t>(cp.rejected),
                                 cp.bytes, out_path, json_path, label,
                                 timestamp);
@@ -919,8 +958,8 @@ int cmd_merge(int argc, char** argv) {
                                   checkpoint_every, resume);
 
     // Collect snapshots in argument order; each directory contributes
-    // its name-sorted contents, so the full sequence — and with it the
-    // pairwise merge tree — is deterministic for a given command line.
+    // its name-sorted contents.  The merged bytes do not depend on that
+    // order; the order of the printed diagnostics does.
     core::SnapshotDirLoad all;
     for (const char* input : inputs) {
         std::error_code dir_ec;
