@@ -200,7 +200,12 @@ void BM_ConsumeTextParallel(benchmark::State& state) {
     }
     state.SetItemsProcessed(state.iterations() * canned_text_lines());
 }
-BENCHMARK(BM_ConsumeTextParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_ConsumeTextParallel)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->UseRealTime();
 
 // --- ingest: trace bytes -> events, text vs IOCT binary ---------------------
 
@@ -384,7 +389,12 @@ void BM_ConsumeBinaryParallel(benchmark::State& state) {
     }
     state.SetItemsProcessed(state.iterations() * canned_text_lines());
 }
-BENCHMARK(BM_ConsumeBinaryParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_ConsumeBinaryParallel)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->UseRealTime();
 
 // --- file-backed ingestion: mmap vs read() copy -----------------------------
 

@@ -1,0 +1,56 @@
+// The one sharded ingest driver behind IOCov's parallel entry points
+// (consume_binary_parallel: one item per pid shard; consume_binary_dir:
+// one per file; consume_text_parallel: one per line chunk, then one per
+// pid shard).  Internal, not public API; tests drive it directly to
+// reach the isolation path.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "core/iocov.hpp"
+
+namespace iocov::core::detail {
+
+struct ShardDriver {
+    struct Item {
+        std::uint64_t weight = 0;  ///< scheduling weight (bytes, records)
+        /// If the item is lost: the records counted as dropped, and where
+        /// its "shard lost" diagnostic is recorded.
+        std::uint64_t records = 0;
+        std::uint64_t line = 0;
+        std::uint64_t offset = 0;
+        /// Non-empty: the item's diagnostics are re-keyed as
+        /// "<label>: <reason>" and appended in item order; empty: they
+        /// merge by input position.
+        std::string label;
+    };
+
+    /// Ingests item `item` into the fresh `shard`; returns the records
+    /// it dropped.  Runs concurrently with other items' bodies.
+    using Body = std::function<std::size_t(std::size_t item, IOCov& shard)>;
+
+    struct Run {
+        std::size_t dropped = 0;  ///< records dropped by bodies and losses
+        unsigned lanes = 1;       ///< lanes the items ran on
+    };
+
+    /// Runs body(i, shard) for every item, each on a fresh IOCov with
+    /// `into`'s filter configuration and registry, so fd state never
+    /// crosses items.  One lane (`n_threads` 1, or one item) runs the
+    /// items inline in order; more run on a work-stealing pool weighted
+    /// by Item::weight (`n_threads` 0 = hardware concurrency).  A body
+    /// that throws loses its item: shards_lost() rises by one,
+    /// Item::records count as dropped, and "shard lost: <what>" is
+    /// recorded at Item::line/offset.  Only the fold's inputs (report,
+    /// counters, diagnostics, dropped count) outlive an item; they fold
+    /// into `into` in item order, through the same fold as
+    /// IOCov::merge, so the result does not depend on scheduling.
+    static Run run(IOCov& into, const std::vector<Item>& items,
+                   unsigned n_threads, const Body& body);
+};
+
+}  // namespace iocov::core::detail

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <iterator>
+#include <sstream>
 
+#include "core/detail/shard_driver.hpp"
 #include "core/snapshot.hpp"
 #include "exec/alloc_hook.hpp"
 #include "exec/thread_pool.hpp"
@@ -17,49 +18,18 @@ namespace {
 /// loop setup, small enough that the SoA scratch stays cache-resident.
 constexpr std::size_t kBatchRows = 512;
 
-/// The shared decode -> filter -> analyze inner loop over a span of
-/// scan refs.  Chunked through the reusable EventBatch/EventScratch so
-/// steady state performs zero heap allocations (tracked per thread via
-/// the exec allocation hook).  Bindings pre-resolve interned syscall
-/// names — bindings[name_id] replaces a per-event hash lookup with a
-/// vector index.
-struct IngestOutcome {
-    std::size_t dropped = 0;
-    std::uint64_t events = 0;    // rows decoded (pre-filter)
-    std::uint64_t filtered = 0;  // rows rejected by the trace filter
-    std::uint64_t allocs = 0;    // heap allocations inside the loop
-};
-
-IngestOutcome ingest_refs(std::string_view data,
-                          const std::vector<std::string_view>& strings,
-                          const trace::EventRef* refs, std::size_t n,
-                          const std::vector<SyscallTable::Binding>& bindings,
-                          trace::TraceFilter& filter, Analyzer& analyzer,
-                          trace::EventBatch& batch,
-                          trace::EventScratch& scratch,
-                          trace::ParseDiagnostics& diags) {
-    IngestOutcome out;
-    const std::uint64_t allocs0 = exec::thread_allocation_count();
-    for (std::size_t i = 0; i < n; i += kBatchRows) {
-        const std::size_t chunk = std::min(kBatchRows, n - i);
-        batch.clear();
-        trace::decode_batch(data, strings, refs + i, chunk, batch,
-                            &out.dropped, &diags);
-        for (std::size_t r = 0; r < batch.rows.size(); ++r) {
-            const trace::TraceEvent& ev =
-                scratch.materialize(batch, r, strings);
-            if (filter.admit(ev))
-                analyzer.consume(ev, bindings[batch.rows[r].name_id]);
-            else
-                ++out.filtered;
-        }
-        out.events += batch.rows.size();
-    }
-    out.allocs = exec::thread_allocation_count() - allocs0;
-    return out;
-}
-
 }  // namespace
+
+IOCov::Tally& IOCov::Tally::operator+=(const Tally& other) {
+    filtered_out += other.filtered_out;
+    shards_lost += other.shards_lost;
+    ingest.events += other.ingest.events;
+    ingest.bytes += other.ingest.bytes;
+    ingest.files += other.ingest.files;
+    ingest.threads = std::max(ingest.threads, other.ingest.threads);
+    ingest.hot_loop_allocs += other.ingest.hot_loop_allocs;
+    return *this;
+}
 
 IOCov::IOCov(trace::FilterConfig filter_config,
              const std::vector<SyscallSpec>& registry)
@@ -71,7 +41,7 @@ IOCov::IOCov(trace::FilterConfig filter_config,
 
 void IOCov::consume(const trace::TraceEvent& event) {
     if (filter_.admit(event)) analyzer_.consume(event);
-    else ++filtered_out_;
+    else ++tally_.filtered_out;
 }
 
 void IOCov::consume_all(const std::vector<trace::TraceEvent>& events) {
@@ -92,22 +62,58 @@ std::size_t IOCov::consume_text(std::istream& in) {
     return dropped;
 }
 
-std::size_t IOCov::consume_binary(std::string_view data) {
-    const auto scan = trace::scan_ioct(data);
-    const auto bindings = analyzer_.table().bind_all(scan.strings);
-    trace::ParseDiagnostics decode_diags;
-    const IngestOutcome outcome =
-        ingest_refs(data, scan.strings, scan.events.data(),
-                    scan.events.size(), bindings, filter_, analyzer_, batch_,
-                    scratch_, decode_diags);
-    filtered_out_ += outcome.filtered;
-    diagnostics_.merge(scan.diags);
-    diagnostics_.merge(decode_diags);
+std::size_t IOCov::ingest_refs(
+    std::string_view data, const std::vector<std::string_view>& strings,
+    const trace::EventRef* refs, std::size_t n,
+    const std::vector<SyscallTable::Binding>& bindings,
+    trace::ParseDiagnostics& diags) {
+    // Chunked through the reusable EventBatch/EventScratch so steady
+    // state performs zero heap allocations (tracked per thread via the
+    // exec allocation hook).
+    std::size_t dropped = 0;
+    std::uint64_t events = 0;
+    std::uint64_t filtered = 0;
+    const std::uint64_t allocs0 = exec::thread_allocation_count();
+    for (std::size_t i = 0; i < n; i += kBatchRows) {
+        const std::size_t chunk = std::min(kBatchRows, n - i);
+        batch_.clear();
+        trace::decode_batch(data, strings, refs + i, chunk, batch_, &dropped,
+                            &diags);
+        for (std::size_t r = 0; r < batch_.rows.size(); ++r) {
+            const trace::TraceEvent& ev =
+                scratch_.materialize(batch_, r, strings);
+            if (filter_.admit(ev))
+                analyzer_.consume(ev, bindings[batch_.rows[r].name_id]);
+            else
+                ++filtered;
+        }
+        events += batch_.rows.size();
+    }
+    tally_.ingest.hot_loop_allocs +=
+        exec::thread_allocation_count() - allocs0;
+    tally_.ingest.events += events;
+    tally_.filtered_out += filtered;
+    return dropped;
+}
 
-    ingest_stats_.events += outcome.events;
-    ingest_stats_.bytes += data.size();
-    ingest_stats_.hot_loop_allocs += outcome.allocs;
-    return scan.dropped + outcome.dropped;
+std::size_t IOCov::ingest_ioct(std::string_view data,
+                               trace::ParseDiagnostics& scan_diags,
+                               trace::ParseDiagnostics& decode_diags) {
+    const auto scan = trace::scan_ioct(data);
+    scan_diags.merge(scan.diags);
+    tally_.ingest.bytes += data.size();
+    return scan.dropped +
+           ingest_refs(data, scan.strings, scan.events.data(),
+                       scan.events.size(),
+                       analyzer_.table().bind_all(scan.strings),
+                       decode_diags);
+}
+
+std::size_t IOCov::consume_binary(std::string_view data) {
+    trace::ParseDiagnostics decode_diags;
+    const std::size_t dropped = ingest_ioct(data, diagnostics_, decode_diags);
+    diagnostics_.merge(decode_diags);
+    return dropped;
 }
 
 std::size_t IOCov::consume_binary_parallel(std::string_view data,
@@ -118,77 +124,42 @@ std::size_t IOCov::consume_binary_parallel(std::string_view data,
     const auto scan = trace::scan_ioct(data);
     const auto bindings = analyzer_.table().bind_all(scan.strings);
 
-    // Shard record references (not events) by pid.  Scan order is file
-    // order, so each pid's event order — the only ordering the stateful
-    // filter depends on — is preserved inside its shard.
-    std::vector<std::vector<trace::EventRef>> shards(n_threads);
-    if (scan.footer) {
-        // The footer's per-pid counts size each shard exactly.
-        std::vector<std::size_t> sizes(n_threads, 0);
-        for (const auto& [pid, count] : scan.footer->pid_events)
-            sizes[pid % n_threads] += count;
-        for (unsigned s = 0; s < n_threads; ++s) shards[s].reserve(sizes[s]);
-    } else {
-        for (auto& shard : shards)
-            shard.reserve(scan.events.size() / n_threads + 1);
-    }
+    // Shard record references (not events) by pid with a counting sort
+    // sized from the scan itself, never from the footer's untrusted
+    // per-pid counts.  Scan order is file order, so each pid's event
+    // order — the only ordering the stateful filter depends on — is
+    // preserved inside its shard.
+    std::vector<std::size_t> begin(n_threads + 1, 0);
+    for (const auto& ref : scan.events) ++begin[ref.pid % n_threads + 1];
+    for (unsigned s = 0; s < n_threads; ++s) begin[s + 1] += begin[s];
+    std::vector<trace::EventRef> refs(scan.events.size());
+    std::vector<std::size_t> next(begin.begin(), begin.end() - 1);
     for (const auto& ref : scan.events)
-        shards[ref.pid % n_threads].push_back(ref);
+        refs[next[ref.pid % n_threads]++] = ref;
 
-    exec::ThreadPool pool(n_threads);
-    std::vector<CoverageReport> reports(shards.size());
-    std::vector<IngestOutcome> outcomes(shards.size());
-    std::vector<trace::ParseDiagnostics> shard_diags(shards.size());
-    std::vector<std::uint8_t> shard_ok(shards.size(), 1);
-    exec::parallel_for(pool, shards.size(), [&](std::size_t s) {
-        // Error isolation: a shard that fails outright (the catch below;
-        // corrupt records are handled per-record and never throw) is
-        // degraded to a counted loss instead of poisoning the analysis.
-        try {
-            trace::TraceFilter filter(filter_config_);
-            Analyzer analyzer(*registry_);
-            trace::EventBatch batch;
-            trace::EventScratch scratch;
-            outcomes[s] = ingest_refs(data, scan.strings, shards[s].data(),
-                                      shards[s].size(), bindings, filter,
-                                      analyzer, batch, scratch,
-                                      shard_diags[s]);
-            reports[s] = analyzer.take_report();
-        } catch (const std::exception& e) {
-            shard_ok[s] = 0;
-            outcomes[s] = IngestOutcome{};
-            outcomes[s].dropped = shards[s].size();
-            shard_diags[s].clear();
-            shard_diags[s].record(
-                0, shards[s].empty() ? 0 : shards[s].front().offset,
-                std::string("shard lost: ") + e.what());
-        }
-    });
-
-    std::size_t total_dropped = scan.dropped;
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-        if (shard_ok[s]) analyzer_.merge_report(reports[s]);
-        else ++shards_lost_;
-        filtered_out_ += outcomes[s].filtered;
-        diagnostics_.merge(shard_diags[s]);
-        total_dropped += outcomes[s].dropped;
-        ingest_stats_.events += outcomes[s].events;
-        ingest_stats_.hot_loop_allocs += outcomes[s].allocs;
+    std::vector<detail::ShardDriver::Item> items(n_threads);
+    for (unsigned s = 0; s < n_threads; ++s) {
+        items[s].weight = items[s].records = begin[s + 1] - begin[s];
+        if (items[s].records) items[s].offset = refs[begin[s]].offset;
     }
+    const auto run = detail::ShardDriver::run(
+        *this, items, n_threads, [&](std::size_t s, IOCov& shard) {
+            return shard.ingest_refs(data, scan.strings,
+                                     refs.data() + begin[s], items[s].records,
+                                     bindings, shard.diagnostics_);
+        });
     diagnostics_.merge(scan.diags);
-    ingest_stats_.bytes += data.size();
-    ingest_stats_.threads = std::max(ingest_stats_.threads, n_threads);
-    return total_dropped;
+    tally_.ingest.bytes += data.size();
+    tally_.ingest.threads = std::max(tally_.ingest.threads, run.lanes);
+    return scan.dropped + run.dropped;
 }
 
 std::optional<std::size_t> IOCov::consume_binary_file(const std::string& path,
                                                       unsigned n_threads) {
     auto mapped = trace::MappedFile::open(path);
     if (!mapped) return std::nullopt;
-    ++ingest_stats_.files;
-    return n_threads == 1 ? consume_binary(mapped->data())
-                          : consume_binary_parallel(mapped->data(),
-                                                    n_threads);
+    ++tally_.ingest.files;
+    return consume_binary_parallel(mapped->data(), n_threads);
 }
 
 std::optional<IOCov::DirIngest> IOCov::consume_binary_dir(
@@ -197,129 +168,51 @@ std::optional<IOCov::DirIngest> IOCov::consume_binary_dir(
 
     std::error_code ec;
     if (!fs::is_directory(dir, ec) || ec) return std::nullopt;
-    struct FileEntry {
-        std::string path;
-        std::string name;
-        std::uint64_t bytes = 0;
-    };
-    std::vector<FileEntry> files;
+    std::vector<detail::ShardDriver::Item> files;
     for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
          it.increment(ec)) {
         std::error_code fec;
         if (!it->is_regular_file(fec) || fec) continue;
-        FileEntry fe;
-        fe.path = it->path().string();
-        fe.name = it->path().filename().string();
+        detail::ShardDriver::Item file;
         const auto size = it->file_size(fec);
-        fe.bytes = fec ? 0 : static_cast<std::uint64_t>(size);
-        files.push_back(std::move(fe));
+        file.weight = fec ? 0 : static_cast<std::uint64_t>(size);
+        file.label = it->path().filename().string();
+        files.push_back(std::move(file));
     }
     if (ec) return std::nullopt;
-    // Name order fixes the merge order (and therefore which diagnostics
+    // Name order fixes the fold order (and therefore which diagnostics
     // survive retention) independent of directory-entry order.
     std::sort(files.begin(), files.end(),
-              [](const FileEntry& a, const FileEntry& b) {
-                  return a.name < b.name;
-              });
+              [](const auto& a, const auto& b) { return a.label < b.label; });
 
-    // Per-file slots, filled by workers in any order and folded in name
-    // order afterwards so the result is independent of scheduling.
-    struct FileResult {
-        enum class Status { Unreadable, NotIoct, Failed, Analyzed };
-        Status status = Status::Unreadable;
-        std::string fail_reason;
-        CoverageReport report;
-        trace::ParseDiagnostics diags;
-        IngestOutcome outcome;
-        std::uint64_t bytes = 0;
-    };
-    std::vector<FileResult> slots(files.size());
-
-    auto run_file = [&](std::size_t i) {
-        FileResult& slot = slots[i];
-        try {
-            auto mapped = trace::MappedFile::open(files[i].path);
-            if (!mapped) return;  // stays Unreadable
-            const std::string_view data = mapped->data();
-            if (!trace::is_ioct(data)) {
-                slot.status = FileResult::Status::NotIoct;
-                return;
+    const Tally before = tally_;
+    const auto run = detail::ShardDriver::run(
+        *this, files, n_threads,
+        [&](std::size_t i, IOCov& shard) -> std::size_t {
+            const auto mapped = trace::MappedFile::open(
+                (fs::path(dir) / files[i].label).string());
+            if (!mapped || !trace::is_ioct(mapped->data())) {
+                shard.diagnostics_.record(
+                    0, 0,
+                    mapped ? "not an IOCT file (bad magic/version)"
+                           : "cannot open file");
+                return 0;
             }
-            const auto scan = trace::scan_ioct(data);
-            const auto bindings = analyzer_.table().bind_all(scan.strings);
-            trace::TraceFilter filter(filter_config_);
-            Analyzer analyzer(*registry_);
-            trace::EventBatch batch;
-            trace::EventScratch scratch;
-            slot.diags.merge(scan.diags);
-            slot.outcome = ingest_refs(data, scan.strings,
-                                       scan.events.data(),
-                                       scan.events.size(), bindings, filter,
-                                       analyzer, batch, scratch, slot.diags);
-            slot.outcome.dropped += scan.dropped;
-            slot.report = analyzer.take_report();
-            slot.bytes = data.size();
-            slot.status = FileResult::Status::Analyzed;
-        } catch (const std::exception& e) {
-            slot.status = FileResult::Status::Failed;
-            slot.fail_reason = e.what();
-        }
-    };
+            ++shard.tally_.ingest.files;
+            // One accumulator: scan drops, then decode drops in record
+            // order.
+            return shard.ingest_ioct(mapped->data(), shard.diagnostics_,
+                                     shard.diagnostics_);
+        });
 
-    if (n_threads == 0) n_threads = exec::ThreadPool::default_thread_count();
-    const unsigned lanes = static_cast<unsigned>(
-        std::min<std::size_t>(n_threads, files.size() ? files.size() : 1));
-    if (lanes <= 1) {
-        for (std::size_t i = 0; i < files.size(); ++i) run_file(i);
-    } else {
-        exec::ThreadPool pool(lanes);
-        std::vector<std::uint64_t> weights(files.size());
-        for (std::size_t i = 0; i < files.size(); ++i)
-            weights[i] = files[i].bytes;
-        exec::parallel_for_stealing(pool, weights, run_file);
-    }
-
+    // Analyzed files counted themselves; the rest were lost or rejected.
     DirIngest result;
-    for (std::size_t i = 0; i < files.size(); ++i) {
-        FileResult& slot = slots[i];
-        const std::string& name = files[i].name;
-        switch (slot.status) {
-            case FileResult::Status::Unreadable:
-                ++result.rejected;
-                diagnostics_.record(0, 0, name + ": cannot open file");
-                break;
-            case FileResult::Status::NotIoct:
-                ++result.rejected;
-                diagnostics_.record(
-                    0, 0, name + ": not an IOCT file (bad magic/version)");
-                break;
-            case FileResult::Status::Failed:
-                ++shards_lost_;
-                diagnostics_.record(
-                    0, 0, name + ": file analysis lost: " + slot.fail_reason);
-                break;
-            case FileResult::Status::Analyzed: {
-                analyzer_.merge_report(slot.report);
-                filtered_out_ += slot.outcome.filtered;
-                ++result.files;
-                result.dropped += slot.outcome.dropped;
-                result.bytes += slot.bytes;
-                // Re-key the file's diagnostics by file name; entries
-                // beyond its retention cap fold into the count.
-                for (const auto& d : slot.diags.entries())
-                    diagnostics_.record(d.line, d.offset,
-                                        name + ": " + d.reason, d.excerpt);
-                diagnostics_.count_only(slot.diags.total() -
-                                        slot.diags.entries().size());
-                ingest_stats_.events += slot.outcome.events;
-                ingest_stats_.hot_loop_allocs += slot.outcome.allocs;
-                break;
-            }
-        }
-    }
-    ingest_stats_.files += result.files;
-    ingest_stats_.bytes += result.bytes;
-    ingest_stats_.threads = std::max(ingest_stats_.threads, lanes);
+    result.files = tally_.ingest.files - before.ingest.files;
+    result.rejected = files.size() - result.files -
+                      (tally_.shards_lost - before.shards_lost);
+    result.dropped = run.dropped;
+    result.bytes = tally_.ingest.bytes - before.ingest.bytes;
+    tally_.ingest.threads = std::max(tally_.ingest.threads, run.lanes);
     return result;
 }
 
@@ -329,54 +222,40 @@ std::size_t IOCov::consume_text_parallel(std::istream& in,
     if (n_threads <= 1) return consume_text(in);
 
     // Chunking needs random access to line boundaries, so slurp the
-    // stream once (the serial path also materializes every event).
-    const std::string text{std::istreambuf_iterator<char>(in),
-                           std::istreambuf_iterator<char>()};
+    // stream once, in bulk (the serial path does the same).
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    const std::string text = std::move(buffer).str();
     // More chunks than workers so one expensive chunk can't serialize
     // the tail of the parse stage.
     const auto chunks = trace::split_line_chunks(text, n_threads * 4);
 
     // Position each chunk within the whole input so diagnostics carry
-    // file-absolute line numbers and byte offsets.
-    std::vector<std::uint64_t> first_line(chunks.size(), 1);
-    std::vector<std::uint64_t> base_offset(chunks.size(), 0);
-    std::vector<std::uint64_t> line_count(chunks.size(), 0);
+    // file-absolute line numbers and byte offsets; a lost chunk drops
+    // every line it held.
+    std::vector<detail::ShardDriver::Item> chunk_items(chunks.size());
+    std::uint64_t line = 1;
     for (std::size_t i = 0; i < chunks.size(); ++i) {
-        base_offset[i] =
-            static_cast<std::uint64_t>(chunks[i].data() - text.data());
-        line_count[i] = static_cast<std::uint64_t>(
+        auto& item = chunk_items[i];
+        item.weight = chunks[i].size();
+        item.records = static_cast<std::uint64_t>(
             std::count(chunks[i].begin(), chunks[i].end(), '\n'));
-        if (!chunks[i].empty() && chunks[i].back() != '\n') ++line_count[i];
-        if (i + 1 < chunks.size())
-            first_line[i + 1] = first_line[i] + line_count[i];
+        if (!chunks[i].empty() && chunks[i].back() != '\n') ++item.records;
+        item.line = line;
+        item.offset =
+            static_cast<std::uint64_t>(chunks[i].data() - text.data());
+        line += item.records;
     }
-
-    exec::ThreadPool pool(n_threads);
     std::vector<std::vector<trace::TraceEvent>> parsed(chunks.size());
-    std::vector<std::size_t> dropped(chunks.size(), 0);
-    std::vector<trace::ParseDiagnostics> chunk_diags(chunks.size());
-    std::vector<std::uint8_t> chunk_ok(chunks.size(), 1);
-    exec::parallel_for(pool, chunks.size(), [&](std::size_t i) {
-        // Error isolation: a chunk whose parse fails outright degrades
-        // to "every line dropped", not a poisoned analysis.  Malformed
-        // lines never throw — this guards worker failures.
-        try {
-            parsed[i] = trace::parse_chunk(chunks[i], &dropped[i],
-                                           &chunk_diags[i], first_line[i],
-                                           base_offset[i]);
-        } catch (const std::exception& e) {
-            chunk_ok[i] = 0;
-            parsed[i].clear();
-            dropped[i] = line_count[i];
-            chunk_diags[i].clear();
-            chunk_diags[i].record(first_line[i], base_offset[i],
-                                  std::string("chunk lost: ") + e.what());
-        }
-    });
-    for (std::size_t i = 0; i < chunks.size(); ++i) {
-        if (!chunk_ok[i]) ++shards_lost_;
-        diagnostics_.merge(chunk_diags[i]);
-    }
+    const auto parse = detail::ShardDriver::run(
+        *this, chunk_items, n_threads, [&](std::size_t i, IOCov& shard) {
+            std::size_t dropped = 0;
+            parsed[i] = trace::parse_chunk(chunks[i], &dropped,
+                                           &shard.diagnostics_,
+                                           chunk_items[i].line,
+                                           chunk_items[i].offset);
+            return dropped;
+        });
 
     // Re-shard by pid.  Scanning the chunks in order preserves each
     // pid's trace order, which is the only ordering the stateful filter
@@ -391,77 +270,107 @@ std::size_t IOCov::consume_text_parallel(std::istream& in,
         chunk_events.clear();
     }
 
-    std::vector<CoverageReport> reports(shards.size());
-    std::vector<std::uint64_t> shard_filtered(shards.size(), 0);
-    std::vector<std::size_t> shard_lost_events(shards.size(), 0);
-    std::vector<trace::ParseDiagnostics> shard_diags(shards.size());
-    std::vector<std::uint8_t> shard_ok(shards.size(), 1);
-    exec::parallel_for(pool, shards.size(), [&](std::size_t s) {
-        try {
-            trace::TraceFilter filter(filter_config_);
-            Analyzer analyzer(*registry_);
-            for (const auto& ev : shards[s]) {
-                if (filter.admit(ev)) analyzer.consume(ev);
-                else ++shard_filtered[s];
-            }
-            reports[s] = analyzer.take_report();
-        } catch (const std::exception& e) {
-            shard_ok[s] = 0;
-            shard_filtered[s] = 0;
-            shard_lost_events[s] = shards[s].size();
-            shard_diags[s].record(0, 0,
-                                  std::string("shard lost: ") + e.what());
-        }
-    });
+    std::vector<detail::ShardDriver::Item> shard_items(n_threads);
+    for (unsigned s = 0; s < n_threads; ++s)
+        shard_items[s].weight = shard_items[s].records = shards[s].size();
+    const auto analyze = detail::ShardDriver::run(
+        *this, shard_items, n_threads, [&](std::size_t s, IOCov& shard) {
+            shard.consume_all(shards[s]);
+            return std::size_t{0};
+        });
+    return parse.dropped + analyze.dropped;
+}
 
-    // Shard-merge order is irrelevant to the result (histogram row order
-    // is canonical), but iterate in shard order anyway for clarity.
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-        if (shard_ok[s]) analyzer_.merge_report(reports[s]);
-        else ++shards_lost_;
-        filtered_out_ += shard_filtered[s];
-        diagnostics_.merge(shard_diags[s]);
+void IOCov::fold(const CoverageReport& report, const Tally& tally,
+                 const trace::ParseDiagnostics& diags,
+                 std::string_view label) {
+    analyzer_.merge_report(report);
+    tally_ += tally;
+    if (label.empty()) {
+        diagnostics_.merge(diags);
+        return;
     }
-    std::size_t total_dropped = 0;
-    for (const auto d : dropped) total_dropped += d;
-    for (const auto d : shard_lost_events) total_dropped += d;
-    return total_dropped;
+    // Entries beyond the part's own retention cap fold into the count.
+    for (const auto& d : diags.entries())
+        diagnostics_.record(d.line, d.offset,
+                            std::string(label) + ": " + d.reason, d.excerpt);
+    diagnostics_.count_only(diags.total() - diags.entries().size());
 }
 
 void IOCov::merge(const IOCov& other) {
-    analyzer_.merge_report(other.report());
-    filtered_out_ += other.filtered_out_;
-    shards_lost_ += other.shards_lost_;
-    diagnostics_.merge(other.diagnostics_);
-    ingest_stats_.events += other.ingest_stats_.events;
-    ingest_stats_.bytes += other.ingest_stats_.bytes;
-    ingest_stats_.files += other.ingest_stats_.files;
-    ingest_stats_.threads =
-        std::max(ingest_stats_.threads, other.ingest_stats_.threads);
-    ingest_stats_.hot_loop_allocs += other.ingest_stats_.hot_loop_allocs;
+    fold(other.report(), other.tally_, other.diagnostics_);
 }
 
 void IOCov::merge(const IOCovSnapshot& snapshot) {
     analyzer_.merge_report(snapshot.report);
-    filtered_out_ += snapshot.filtered_out;
+    tally_ += Tally{snapshot.filtered_out, 0, snapshot.ingest};
     // The producer's per-record reasons are not serialized, only the
     // count — fold it in without displacing locally retained entries.
     diagnostics_.count_only(snapshot.dropped);
-    ingest_stats_.events += snapshot.ingest.events;
-    ingest_stats_.bytes += snapshot.ingest.bytes;
-    ingest_stats_.files += snapshot.ingest.files;
-    ingest_stats_.threads =
-        std::max(ingest_stats_.threads, snapshot.ingest.threads);
-    ingest_stats_.hot_loop_allocs += snapshot.ingest.hot_loop_allocs;
 }
 
 IOCovSnapshot IOCov::snapshot() const {
     IOCovSnapshot snap;
     snap.report = analyzer_.report();
-    snap.filtered_out = filtered_out_;
+    snap.filtered_out = tally_.filtered_out;
     snap.dropped = diagnostics_.total();
-    snap.ingest = ingest_stats_;
+    snap.ingest = tally_.ingest;
     return snap;
 }
 
+namespace detail {
+
+ShardDriver::Run ShardDriver::run(IOCov& into, const std::vector<Item>& items,
+                                  unsigned n_threads, const Body& body) {
+    struct Part {
+        CoverageReport report;
+        IOCov::Tally tally;
+        trace::ParseDiagnostics diags;
+        std::size_t dropped = 0;
+    };
+    std::vector<Part> parts(items.size());
+    auto run_item = [&](std::size_t i) {
+        Part& part = parts[i];
+        try {
+            IOCov shard(into.filter_config_, *into.registry_);
+            part.dropped = body(i, shard);
+            part.report = shard.analyzer_.take_report();
+            part.tally = shard.tally_;
+            part.diags = std::move(shard.diagnostics_);
+        } catch (const std::exception& e) {
+            // Isolation: corrupt input is dropped per record and never
+            // throws, so this guards worker failures (e.g. bad_alloc).
+            // The item degrades to a counted loss of its records instead
+            // of poisoning the whole ingest.
+            part.tally.shards_lost = 1;
+            part.dropped = items[i].records;
+            part.diags.record(items[i].line, items[i].offset,
+                              std::string("shard lost: ") + e.what());
+        }
+    };
+
+    if (n_threads == 0) n_threads = exec::ThreadPool::default_thread_count();
+    const auto lanes = static_cast<unsigned>(std::min<std::size_t>(
+        n_threads, std::max<std::size_t>(items.size(), 1)));
+    if (lanes == 1) {
+        for (std::size_t i = 0; i < items.size(); ++i) run_item(i);
+    } else {
+        std::vector<std::uint64_t> weights(items.size());
+        for (std::size_t i = 0; i < items.size(); ++i)
+            weights[i] = items[i].weight;
+        exec::ThreadPool pool(lanes);
+        exec::parallel_for_stealing(pool, weights, run_item);
+    }
+
+    Run result;
+    result.lanes = lanes;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        into.fold(parts[i].report, parts[i].tally, parts[i].diags,
+                  items[i].label);
+        result.dropped += parts[i].dropped;
+    }
+    return result;
+}
+
+}  // namespace detail
 }  // namespace iocov::core

@@ -47,6 +47,8 @@ struct IngestStats {
 
 struct IOCovSnapshot;  // core/snapshot.hpp
 
+namespace detail { struct ShardDriver; }  // core/detail/shard_driver.hpp
+
 class IOCov {
   public:
     /// `filter_config` selects the file system under test; the default
@@ -68,17 +70,19 @@ class IOCov {
     /// Returns the number of malformed lines skipped.
     std::size_t consume_text(std::istream& in);
 
-    /// Parallel consume_text: the trace is split into line chunks and
-    /// parsed on a thread pool, events are re-sharded by pid, and each
-    /// shard runs filter+analyze in its own worker before the shard
-    /// reports merge back here.  The trace filter's state (watched fds,
-    /// cwd) is keyed strictly by pid, so per-pid order — which sharding
-    /// preserves — is all that determinism needs: on a fresh IOCov this
-    /// produces a report bit-identical to consume_text.  Unlike the
-    /// serial path, filter state does not carry across calls; analyze
-    /// related traces in one call (or serially) if fds span files.
-    /// `n_threads` 0 means hardware concurrency; 1 falls back to the
-    /// serial path.  Returns the number of malformed lines skipped.
+    /// Parallel consume_text, run as two passes of the sharded ingest
+    /// driver (core/detail/shard_driver.hpp): line chunks parse in
+    /// parallel, their events are re-sharded by pid, and each pid shard
+    /// runs filter+analyze on its own fresh IOCov before the driver
+    /// folds the shards back here in shard order.  The trace filter's
+    /// state (watched fds, cwd) is keyed strictly by pid, so per-pid
+    /// order — which sharding preserves — is all that determinism
+    /// needs: on a fresh IOCov this produces a report bit-identical to
+    /// consume_text.  Unlike the serial path, filter state does not
+    /// carry across calls; analyze related traces in one call (or
+    /// serially) if fds span files.  `n_threads` 0 means hardware
+    /// concurrency; 1 falls back to the serial path.  Returns the
+    /// number of malformed lines skipped.
     std::size_t consume_text_parallel(std::istream& in,
                                       unsigned n_threads = 0);
 
@@ -94,20 +98,22 @@ class IOCov {
     /// need to distinguish should sniff with trace::is_ioct first.
     std::size_t consume_binary(std::string_view data);
 
-    /// Parallel consume_binary, mirroring consume_text_parallel: one
-    /// structural scan locates record boundaries and pre-decodes pids,
-    /// events are sharded by pid (the footer's per-pid counts pre-size
-    /// the shards), and each shard decodes + filters + analyzes on its
-    /// own worker before the reports merge.  Bit-identical to
-    /// consume_binary on a fresh IOCov, with the same caveat as the
-    /// text path: filter state does not carry across calls.
+    /// Parallel consume_binary on the same driver: one structural scan
+    /// locates record boundaries and pre-decodes pids, record refs are
+    /// sharded by pid (sized from the scan itself; the footer's per-pid
+    /// counts are untrusted input and size nothing), and each shard
+    /// decodes + filters + analyzes on its own fresh IOCov before the
+    /// shards fold back in shard order.  Bit-identical to consume_binary
+    /// on a fresh IOCov, with the same caveat as the text path: filter
+    /// state does not carry across calls.  `n_threads` 0 means hardware
+    /// concurrency; 1 falls back to consume_binary.
     std::size_t consume_binary_parallel(std::string_view data,
                                         unsigned n_threads = 0);
 
     /// Opens `path` (mmap with a read() fallback) and runs
-    /// consume_binary / consume_binary_parallel on it.  `n_threads` 1
-    /// is serial, 0 auto-detects hardware concurrency.  Returns nullopt
-    /// when the file cannot be opened.
+    /// consume_binary_parallel on it (`n_threads` 1 is serial, 0
+    /// auto-detects hardware concurrency).  Returns nullopt when the
+    /// file cannot be opened.
     std::optional<std::size_t> consume_binary_file(const std::string& path,
                                                    unsigned n_threads = 1);
 
@@ -122,15 +128,15 @@ class IOCov {
     /// Analyzes every regular file in `dir` (sorted by name; not
     /// recursive).  Non-IOCT files are rejected with a per-file
     /// diagnostic, not an error — a trace directory routinely holds a
-    /// README or checksum file.  Files are scheduled onto a
-    /// work-stealing pool weighted by file size (`n_threads` 0 =
-    /// hardware concurrency, 1 = serial); each file gets its own
-    /// filter + analyzer — fd state never crosses files, exactly as if
-    /// each file were a separate `iocov analyze` — and the per-file
-    /// reports merge in name order, so the result is bit-identical to
-    /// ingesting the files sequentially into per-file IOCovs and
-    /// merging, regardless of thread count.  Returns nullopt when
-    /// `dir` cannot be enumerated.
+    /// README or checksum file.  Each file is one item of the sharded
+    /// ingest driver, weighted by file size (`n_threads` 0 = hardware
+    /// concurrency, 1 = serial), and gets its own fresh IOCov — fd
+    /// state never crosses files, exactly as if each file were a
+    /// separate `iocov analyze`.  Files fold back in name order, each
+    /// diagnostic re-keyed as "<name>: <reason>", so the result is
+    /// bit-identical to ingesting the files sequentially into per-file
+    /// IOCovs and merging, regardless of thread count.  Returns nullopt
+    /// when `dir` cannot be enumerated.
     std::optional<DirIngest> consume_binary_dir(const std::string& dir,
                                                 unsigned n_threads = 1);
 
@@ -171,7 +177,7 @@ class IOCov {
 
     const CoverageReport& report() const { return analyzer_.report(); }
 
-    std::uint64_t events_filtered_out() const { return filtered_out_; }
+    std::uint64_t events_filtered_out() const { return tally_.filtered_out; }
 
     /// Where and why input was dropped, accumulated across every
     /// consume_* call: malformed text lines, corrupt IOCT records, and
@@ -185,7 +191,7 @@ class IOCov {
     /// they held are counted into the dropped totals and diagnostics).
     /// A corrupt record never fails a shard — this counts isolation
     /// events, not parse errors.
-    std::uint64_t shards_lost() const { return shards_lost_; }
+    std::uint64_t shards_lost() const { return tally_.shards_lost; }
 
     /// Cumulative binary-ingest throughput/allocation statistics.
     ///
@@ -194,29 +200,61 @@ class IOCov {
     /// Every consume_* call and every merge() adds to the running
     /// totals — counters sum, `threads` keeps the widest value seen —
     /// so after any interleaving of N calls each total equals the sum
-    /// of what the calls would have reported individually.  Snapshots inherit the same semantics: snapshot()
-    /// captures the running totals, and merging a snapshot adds its
-    /// totals in.  To measure one ingestion in isolation, use a fresh
-    /// IOCov and subtract nothing.
-    const IngestStats& ingest_stats() const { return ingest_stats_; }
+    /// of what the calls would have reported individually.  Snapshots
+    /// inherit the same semantics: snapshot() captures the running
+    /// totals, and merging a snapshot adds its totals in.  To measure
+    /// one ingestion in isolation, use a fresh IOCov and subtract
+    /// nothing.
+    const IngestStats& ingest_stats() const { return tally_.ingest; }
 
   private:
-    /// Kept beyond construction so the parallel path can build one
-    /// fresh filter per shard from the same configuration.
+    friend struct detail::ShardDriver;
+
+    /// The counters a fold adds up (see the accumulation contract).
+    struct Tally {
+        std::uint64_t filtered_out = 0;
+        std::uint64_t shards_lost = 0;
+        IngestStats ingest;
+        Tally& operator+=(const Tally& other);
+    };
+
+    /// Folds one finished measurement into this one — another IOCov
+    /// (merge) or one item of the shard driver.  An empty `label`
+    /// merges `diags` by input position; otherwise each entry is
+    /// re-keyed as "<label>: <reason>" and appended in fold order.
+    void fold(const CoverageReport& report, const Tally& tally,
+              const trace::ParseDiagnostics& diags,
+              std::string_view label = {});
+
+    /// Scans one IOCT buffer and ingests every record in it.  Scan drops
+    /// merge into `scan_diags`; decode drops are recorded into
+    /// `decode_diags`, in record order.  Returns the records dropped.
+    std::size_t ingest_ioct(std::string_view data,
+                            trace::ParseDiagnostics& scan_diags,
+                            trace::ParseDiagnostics& decode_diags);
+
+    /// The decode -> filter -> analyze row loop over `n` scan refs.
+    /// `bindings[name_id]` pre-resolves each interned syscall name.
+    /// Returns the records dropped (recorded into `diags`).
+    std::size_t ingest_refs(std::string_view data,
+                            const std::vector<std::string_view>& strings,
+                            const trace::EventRef* refs, std::size_t n,
+                            const std::vector<SyscallTable::Binding>& bindings,
+                            trace::ParseDiagnostics& diags);
+
+    /// Kept beyond construction so the shard driver can build one fresh
+    /// IOCov per item from the same configuration.
     trace::FilterConfig filter_config_;
     const std::vector<SyscallSpec>* registry_;
     trace::TraceFilter filter_;
     Analyzer analyzer_;
     trace::CallbackSink live_sink_;
-    std::uint64_t filtered_out_ = 0;
     trace::ParseDiagnostics diagnostics_;
-    std::uint64_t shards_lost_ = 0;
-    /// Serial-path decode scratch, persistent across consume_binary
-    /// calls so repeated ingestion reuses warm capacity (the parallel
-    /// paths keep per-shard/per-file locals instead).
+    /// Decode scratch, persistent across consume_binary calls so
+    /// repeated ingestion reuses warm capacity.
     trace::EventBatch batch_;
     trace::EventScratch scratch_;
-    IngestStats ingest_stats_;
+    Tally tally_;
 };
 
 }  // namespace iocov::core

@@ -31,9 +31,7 @@ LiveCoverage::PushResult LiveCoverage::push(const std::string& name,
     // exactly as in consume_binary_dir, which is what makes the merged
     // result independent of push order.
     auto shard = fresh();
-    const std::size_t dropped =
-        n_threads == 1 ? shard->consume_binary(ioct)
-                       : shard->consume_binary_parallel(ioct, n_threads);
+    const std::size_t dropped = shard->consume_binary_parallel(ioct, n_threads);
     const std::uint64_t events = shard->ingest_stats().events;
     acc_->merge(*shard);
     delta_->merge(*shard);

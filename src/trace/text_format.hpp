@@ -36,7 +36,8 @@ std::optional<TraceEvent> parse_event(std::string_view line,
 /// Malformed lines are counted into *dropped (if non-null) and skipped,
 /// mirroring how the real analyzer tolerates torn LTTng buffers; each
 /// is also recorded into `diags` (when non-null) with its line number,
-/// byte offset, and parse_event's reason.
+/// byte offset, and parse_event's reason.  Reads the stream whole and
+/// runs parse_chunk over it.
 std::vector<TraceEvent> parse_stream(std::istream& in,
                                      std::size_t* dropped = nullptr,
                                      ParseDiagnostics* diags = nullptr);
@@ -48,8 +49,8 @@ std::vector<TraceEvent> parse_stream(std::istream& in,
 std::vector<std::string_view> split_line_chunks(std::string_view text,
                                                 std::size_t n_chunks);
 
-/// parse_stream over one in-memory chunk: same blank/'#'/malformed-line
-/// handling, no istream.  Each parallel worker runs this on its chunk.
+/// The line walk behind parse_stream, over one in-memory chunk.  Each
+/// parallel worker runs this on its chunk.
 /// `first_line`/`base_offset` position the chunk within the whole
 /// input so diagnostics carry file-absolute line numbers and offsets.
 std::vector<TraceEvent> parse_chunk(std::string_view chunk,

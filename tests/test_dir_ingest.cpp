@@ -13,6 +13,7 @@
 
 #include "core/iocov.hpp"
 #include "trace/binary_format.hpp"
+#include "trace/diagnostics.hpp"
 
 namespace iocov::core {
 namespace {
@@ -236,6 +237,60 @@ TEST(DirIngest, IngestStatsAccumulate) {
     EXPECT_EQ(stats.bytes, a.size() + b.size());
     EXPECT_EQ(stats.events, 2u * 30u * 4u);
     EXPECT_GE(stats.threads, 2u);
+}
+
+
+TEST(DirIngest, DiagnosticsAndStatsDoNotDependOnThreadCount) {
+    const auto clean = trace::encode_trace(file_workload(61, 20));
+    auto torn = trace::encode_trace(file_workload(62, 20));
+    torn.resize(torn.size() - 5);
+    // Corrupt tags (scan drops) and runaway last varints (decode drops)
+    // interleaved in one file, so the file's own retention is exercised
+    // and the directory's total passes the 16-entry cap.
+    auto corrupt = trace::encode_trace(file_workload(63, 30));
+    const auto refs = trace::scan_ioct(corrupt).events;
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+        const auto at = static_cast<std::size_t>(refs[i].offset);
+        if (i % 5 == 0) corrupt[at] = '\xee';
+        else if (i % 7 == 3) corrupt[at + refs[i].length - 1] = '\x80';
+    }
+    TraceDir dir({{"a_clean.ioct", clean},
+                  {"b_torn.ioct", torn},
+                  {"c_corrupt.ioct", corrupt},
+                  {"d_notes.txt", "not a trace\n"}});
+
+    IOCov serial(config());
+    const auto expected = serial.consume_binary_dir(dir.path(), 1);
+    ASSERT_TRUE(expected.has_value());
+    EXPECT_EQ(expected->files, 3u);
+    EXPECT_EQ(expected->rejected, 1u);
+    EXPECT_GT(serial.diagnostics().total(),
+              trace::ParseDiagnostics::kDefaultMaxRetained);
+    EXPECT_EQ(serial.diagnostics().total(), expected->dropped + 1);
+    EXPECT_EQ(serial.ingest_stats().threads, 1u);
+
+    for (const unsigned n : {2u, 4u, 0u}) {
+        IOCov parallel(config());
+        const auto result = parallel.consume_binary_dir(dir.path(), n);
+        ASSERT_TRUE(result.has_value()) << n << " threads";
+        EXPECT_EQ(result->files, expected->files) << n << " threads";
+        EXPECT_EQ(result->rejected, expected->rejected) << n << " threads";
+        EXPECT_EQ(result->dropped, expected->dropped) << n << " threads";
+        EXPECT_EQ(result->bytes, expected->bytes) << n << " threads";
+        EXPECT_EQ(parallel.diagnostics().to_string(),
+                  serial.diagnostics().to_string())
+            << n << " threads";
+        EXPECT_EQ(parallel.report(), serial.report()) << n << " threads";
+        EXPECT_EQ(parallel.events_filtered_out(),
+                  serial.events_filtered_out())
+            << n << " threads";
+        EXPECT_EQ(parallel.shards_lost(), 0u) << n << " threads";
+        // Every ingest statistic but the lane count is thread-independent.
+        auto stats = parallel.ingest_stats();
+        EXPECT_GE(stats.threads, 1u) << n << " threads";
+        stats.threads = serial.ingest_stats().threads;
+        EXPECT_EQ(stats, serial.ingest_stats()) << n << " threads";
+    }
 }
 
 }  // namespace

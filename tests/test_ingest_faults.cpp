@@ -10,7 +10,9 @@
 #include <vector>
 
 #include "core/iocov.hpp"
+#include "core/live.hpp"
 #include "trace/binary_format.hpp"
+#include "trace/detail/wire.hpp"
 #include "trace/diagnostics.hpp"
 #include "trace/text_format.hpp"
 
@@ -169,6 +171,36 @@ TEST(IngestFaults, DiagnosticsAccumulateAcrossConsumeCalls) {
     iocov.consume_text(a);
     iocov.consume_text(b);
     EXPECT_EQ(iocov.diagnostics().total(), 2u);
+}
+
+
+TEST(IngestFaults, ForgedFooterCountsDoNotSizeParallelShards) {
+    // A well-formed footer is still untrusted input: this one claims
+    // 2^50 events for pid 1.  Nothing may be sized from it.
+    std::string data = trace::encode_trace(sample_events(4, 30));
+    std::string footer(1, static_cast<char>(trace::IoctTag::Footer));
+    trace::detail::put_varint(footer, 1);                      // pids
+    trace::detail::put_varint(footer, 1);                      // pid
+    trace::detail::put_varint(footer, std::uint64_t{1} << 50);  // events
+    trace::detail::put_varint(footer, std::uint64_t{1} << 50);  // total
+    trace::detail::put_u32le(data, static_cast<std::uint32_t>(footer.size()));
+    data += footer;
+    const auto scan = trace::scan_ioct(data);
+    ASSERT_TRUE(scan.footer.has_value());
+    ASSERT_EQ(scan.footer->pid_events.size(), 1u);
+    EXPECT_EQ(scan.footer->pid_events[0].second, std::uint64_t{1} << 50);
+
+    core::IOCov serial;
+    const std::size_t serial_dropped = serial.consume_binary(data);
+    core::IOCov parallel;
+    EXPECT_EQ(parallel.consume_binary_parallel(data, 4), serial_dropped);
+    EXPECT_EQ(parallel.report(), serial.report());
+
+    core::LiveCoverage live;
+    const auto pushed = live.push("forged", data, 4);
+    EXPECT_TRUE(pushed.accepted);
+    EXPECT_EQ(pushed.dropped, serial_dropped);
+    EXPECT_EQ(live.read()->state.report, serial.report());
 }
 
 }  // namespace

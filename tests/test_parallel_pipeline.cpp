@@ -14,11 +14,13 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "abi/fcntl.hpp"
 #include "abi/seek.hpp"
 #include "core/coverage.hpp"
+#include "core/detail/shard_driver.hpp"
 #include "core/iocov.hpp"
 #include "exec/thread_pool.hpp"
 #include "syscall/kernel.hpp"
@@ -313,6 +315,123 @@ TEST(ParallelPipeline, MalformedLinesCountedAcrossChunks) {
     EXPECT_EQ(d1, d2);
     EXPECT_GE(d1, 3u);
     EXPECT_EQ(parallel.report(), serial.report());
+}
+
+// ---- the sharded ingest driver ---------------------------------------------
+
+/// Small per-item text traces, each with one malformed line at its own
+/// line number, so every item carries a diagnostic for the fold.
+std::vector<std::string> driver_parts(std::size_t n) {
+    const auto text = multi_pid_text_trace(700);
+    std::vector<std::string> parts;
+    std::size_t pos = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        std::string part;
+        for (std::size_t line = 0; line < 100 && pos < text.size(); ++line) {
+            if (line == i + 2)
+                part += "malformed line in item " + std::to_string(i) + "\n";
+            const std::size_t eol = text.find('\n', pos);
+            part += text.substr(pos, eol + 1 - pos);
+            pos = eol + 1;
+        }
+        parts.push_back(std::move(part));
+    }
+    return parts;
+}
+
+TEST(ShardDriver, LostItemIsIsolatedAndTheRestFoldAsIfItWereAbsent) {
+    const auto parts = driver_parts(5);
+    const auto config = trace::FilterConfig::mount_point("/mnt/test");
+    std::vector<detail::ShardDriver::Item> items(parts.size());
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+        items[i].weight = parts[i].size();
+        items[i].records = 100 + i;
+        items[i].line = 3;
+        items[i].offset = 1000 + i;
+    }
+
+    for (const unsigned lanes : {1u, 4u}) {
+        for (const std::size_t lost : {std::size_t{0}, std::size_t{2},
+                                       std::size_t{4}}) {
+            IOCov got(config);
+            const auto run = detail::ShardDriver::run(
+                got, items, lanes, [&](std::size_t i, IOCov& shard) {
+                    if (i == lost) throw std::runtime_error("injected");
+                    std::istringstream in(parts[i]);
+                    return shard.consume_text(in);
+                });
+
+            // Reference: every other item ingested on its own IOCov and
+            // merged in item order.
+            IOCov expected(config);
+            std::size_t expected_dropped = 0;
+            for (std::size_t i = 0; i < parts.size(); ++i) {
+                if (i == lost) continue;
+                IOCov one(config);
+                std::istringstream in(parts[i]);
+                expected_dropped += one.consume_text(in);
+                expected.merge(one);
+            }
+            trace::ParseDiagnostics expected_diags = expected.diagnostics();
+            trace::ParseDiagnostics lost_diag;
+            lost_diag.record(3, 1000 + lost, "shard lost: injected");
+            expected_diags.merge(lost_diag);
+
+            const auto where = std::to_string(lanes) + " lanes, item " +
+                               std::to_string(lost) + " lost";
+            EXPECT_EQ(run.lanes, lanes) << where;
+            EXPECT_EQ(got.shards_lost(), 1u) << where;
+            EXPECT_EQ(run.dropped, expected_dropped + 100 + lost) << where;
+            EXPECT_EQ(got.report(), expected.report()) << where;
+            EXPECT_EQ(got.events_filtered_out(),
+                      expected.events_filtered_out())
+                << where;
+            EXPECT_EQ(got.ingest_stats(), expected.ingest_stats()) << where;
+            EXPECT_EQ(got.diagnostics().to_string(),
+                      expected_diags.to_string())
+                << where;
+            EXPECT_NE(got.diagnostics().to_string().find(
+                          "line 3, offset " + std::to_string(1000 + lost) +
+                          ": shard lost: injected"),
+                      std::string::npos)
+                << where;
+        }
+    }
+}
+
+TEST(ShardDriver, OneLaneRunsItemsInlineInItemOrder) {
+    const auto config = trace::FilterConfig::mount_point("/mnt/test");
+    std::vector<detail::ShardDriver::Item> items(6);
+    for (std::size_t i = 0; i < items.size(); ++i) items[i].weight = 10 * i;
+
+    IOCov iocov(config);
+    std::vector<std::size_t> order;
+    std::vector<std::thread::id> threads;
+    const auto run = detail::ShardDriver::run(
+        iocov, items, 1, [&](std::size_t i, IOCov&) {
+            order.push_back(i);
+            threads.push_back(std::this_thread::get_id());
+            return i;
+        });
+    EXPECT_EQ(run.lanes, 1u);
+    EXPECT_EQ(run.dropped, 0u + 1 + 2 + 3 + 4 + 5);
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+    for (const auto& id : threads) EXPECT_EQ(id, std::this_thread::get_id());
+
+    // More lanes than items: one lane per item, never an idle worker.
+    IOCov wide(config);
+    EXPECT_EQ(detail::ShardDriver::run(wide, {{}, {}}, 8,
+                                       [](std::size_t, IOCov&) {
+                                           return std::size_t{0};
+                                       })
+                  .lanes,
+              2u);
+    EXPECT_EQ(detail::ShardDriver::run(wide, {}, 8,
+                                       [](std::size_t, IOCov&) {
+                                           return std::size_t{0};
+                                       })
+                  .lanes,
+              1u);
 }
 
 }  // namespace

@@ -704,10 +704,7 @@ int cmd_analyze(int argc, char** argv) {
         } else {
             // --threads shards by pid; pid-sharded analysis is
             // bit-identical to serial for a fresh IOCov per run.
-            const auto dropped = threads == 1
-                                     ? iocov.consume_text(in)
-                                     : iocov.consume_text_parallel(in,
-                                                                   threads);
+            const auto dropped = iocov.consume_text_parallel(in, threads);
             std::printf("%s: analyzed (%zu malformed lines skipped)\n",
                         path, dropped);
         }
