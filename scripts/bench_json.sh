@@ -28,8 +28,10 @@
 # Preflight: the ASan and UBSan gates run first so a benchmark number
 # is never published off a build with a latent memory or UB bug, a
 # Release (NDEBUG) build-and-test pass keeps the throwing size
-# contracts honest where asserts would vanish, and check_perf.sh
-# refuses to publish numbers from a regressed decoder.
+# contracts honest where asserts would vanish, check_perf.sh refuses
+# to publish numbers from a regressed decoder, and check_perf_ab.sh
+# refuses them when the end-to-end perfbench numbers regressed against
+# the parent commit.
 # Set IOCOV_SKIP_SANITIZERS=1 to skip them (e.g. quick local re-runs).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -51,6 +53,8 @@ fi
 
 echo "preflight: perf regression gate"
 ./scripts/check_perf.sh
+echo "preflight: end-to-end perf A/B gate against HEAD~1"
+./scripts/check_perf_ab.sh
 
 OUT="${1:-BENCH_analyzer.json}"
 BUILD=build-release

@@ -22,7 +22,8 @@
 #   4. resumable-ingest byte-identity: `iocov merge`/`iocov analyze`
 #      killed mid-walk and resumed (--checkpoint/--resume) produce
 #      byte-identical artifacts to an uninterrupted run, at --threads
-#      1 and 4, and the manifest is removed on success; two
+#      1 and 4 (for analyze: the report at both, the snapshot and
+#      stderr at 1), and the manifest is removed on success; two
 #      `analyze --snapshot` runs over one input are byte-identical;
 #   5. the live daemon's socket surface: check_serve.sh's faults stage
 #      injects accept/sock-read/sock-write errnos into a running
@@ -72,6 +73,10 @@ done
 for i in 0 1 2 3; do
   cp "$TMP/trace.ioct" "$TMP/traces/t$i.ioct"
 done
+# Damage first in walk order, so its diagnostics are in the manifest
+# a resumed walk starts from.
+head -c 300 "$TMP/trace.ioct" > "$TMP/traces/s0_torn.ioct"
+echo "not a trace" > "$TMP/traces/s1_notes.txt"
 
 WANT="$TMP/want.iocs"     # the new complete artifact
 PRIOR="$TMP/prior.iocs"   # the prior complete artifact being replaced
@@ -225,33 +230,46 @@ for threads in 1 4; do
   done
 done
 
-# analyze DIR/ --resume: the oracle is the saved report (a snapshot
-# also carries ingest statistics, such as warm-up allocations, that
-# depend on how the walk was split; the report does not).
+# analyze DIR/ --resume: the resumed report matches the uninterrupted
+# run's at any --threads; at --threads 1 the snapshot and stderr match
+# too (with more lanes, a snapshot records the widest segment's lane
+# count).
 "$CLI" analyze "$TMP/traces" --threads 1 --save "$TMP/want_report.txt" \
-  >/dev/null
+  --snapshot "$TMP/want_an.iocs" >/dev/null 2>"$TMP/want_an.err"
 IOCOV_SELF_FAULT="stats:$TMP/stats_an.txt" \
   "$CLI" analyze "$TMP/traces" --threads 1 --checkpoint "$CK" \
-  --checkpoint-every 1 --save "$TMP/r.txt" >/dev/null
+  --checkpoint-every 1 --save "$TMP/r.txt" >/dev/null 2>&1
 TOTAL_AN=$(awk '$1 == "total" {print $2}' "$TMP/stats_an.txt")
 rm -f "$CK"
 for threads in 1 4; do
   k=$(( TOTAL_AN / 2 + 1 ))
-  rm -f "$CK" "$TMP/r.txt"; clean_debris
+  rm -f "$CK" "$TMP/r.txt" "$TMP/r.iocs"; clean_debris
   rc=0
   faulted "$CLI" analyze "$TMP/traces" --threads "$threads" \
     --checkpoint "$CK" --checkpoint-every 1 --resume \
-    --self-fault "kill:any:$k" --save "$TMP/r.txt" || rc=$?
+    --self-fault "kill:any:$k" --save "$TMP/r.txt" \
+    --snapshot "$TMP/r.iocs" || rc=$?
   [ "$rc" -eq 137 ] || {
     echo "chaos: analyze kill:any:$k exited $rc" >&2; exit 1
   }
   clean_debris
   "$CLI" analyze "$TMP/traces" --threads "$threads" --checkpoint "$CK" \
-    --resume --save "$TMP/r.txt" >/dev/null
+    --resume --save "$TMP/r.txt" --snapshot "$TMP/r.iocs" \
+    >/dev/null 2>"$TMP/r.err"
   cmp "$TMP/r.txt" "$TMP/want_report.txt" || {
     echo "chaos: resumed analyze report differs (threads=$threads)" >&2
     exit 1
   }
+  if [ "$threads" -eq 1 ]; then
+    cmp "$TMP/r.iocs" "$TMP/want_an.iocs" || {
+      echo "chaos: resumed analyze snapshot differs (threads=1)" >&2
+      exit 1
+    }
+    cmp "$TMP/r.err" "$TMP/want_an.err" || {
+      echo "chaos: resumed analyze stderr differs (threads=1)" >&2
+      exit 1
+    }
+  fi
   [ ! -e "$CK" ] || {
     echo "chaos: manifest not removed after successful analyze" >&2
     exit 1
@@ -261,9 +279,9 @@ done
 # A snapshot holds no wall-clock time, so two runs over the same
 # input write byte-identical snapshots.
 "$CLI" analyze "$TMP/traces" --threads 1 --snapshot "$TMP/run1.iocs" \
-  >/dev/null
+  >/dev/null 2>&1
 "$CLI" analyze "$TMP/traces" --threads 1 --snapshot "$TMP/run2.iocs" \
-  >/dev/null
+  >/dev/null 2>&1
 cmp "$TMP/run1.iocs" "$TMP/run2.iocs" || {
   echo "chaos: two analyze --snapshot runs differ" >&2
   exit 1

@@ -24,7 +24,7 @@ cmake --build "$BUILD" -j --target \
   test_binary_format test_text_format test_batch_decode \
   test_crash_replay test_crash_oracle test_state_diff \
   test_snapshot test_snapshot_merge test_host_io \
-  test_serve test_cli_parse
+  test_serve test_cli_parse test_walk
 ctest --test-dir "$BUILD" \
-  -R 'Fsck|Fault|ScopedFault|Campaign|IngestFaults|Binary|TextFormat|BatchDecode|CrashReplay|CrashOracle|StateDiff|Snapshot|SnapshotMerge|HostIo|Serve|Protocol|LiveCoverage|ParseU|ParseF' \
+  -R 'Fsck|Fault|ScopedFault|Campaign|IngestFaults|Binary|TextFormat|BatchDecode|CrashReplay|CrashOracle|StateDiff|Snapshot|SnapshotMerge|HostIo|Serve|Protocol|LiveCoverage|ParseU|ParseF|Walk' \
   --output-on-failure -j "$(nproc)"

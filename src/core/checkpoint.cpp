@@ -1,6 +1,7 @@
 #include "core/checkpoint.hpp"
 
 #include <cstring>
+#include <filesystem>
 
 #include "host/io.hpp"
 #include "trace/binary_format.hpp"
@@ -270,6 +271,31 @@ std::optional<Checkpoint> load_checkpoint_file(const std::string& path,
         return std::nullopt;
     }
     return decode_checkpoint(mapped->data(), err);
+}
+
+std::optional<Checkpoint> resume_checkpoint(const std::string& path,
+                                            CheckpointMode mode,
+                                            SnapshotError* err) {
+    Checkpoint fresh;
+    fresh.mode = mode;
+    std::error_code ec;
+    if (!std::filesystem::exists(path, ec)) return fresh;
+    auto cp = load_checkpoint_file(path, err);
+    if (!cp) return std::nullopt;
+    if (cp->mode != mode) {
+        // Indexed by CheckpointMode.
+        static const char* const verb[] = {"", "merge", "analyze", "serve"};
+        fail(err, SnapshotError::Kind::Mismatch, 0,
+             std::string("checkpoint was written by `iocov ") +
+                 verb[static_cast<int>(cp->mode)] + "`, not `iocov " +
+                 verb[static_cast<int>(mode)] + "`");
+        return std::nullopt;
+    }
+    MergeBlock state;
+    for (auto& b : cp->blocks) state.absorb(std::move(b));
+    cp->blocks.clear();
+    if (state.leaves > 0) cp->blocks.push_back(std::move(state));
+    return cp;
 }
 
 void MergeBlock::absorb(MergeBlock other) {

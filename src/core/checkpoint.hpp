@@ -128,4 +128,15 @@ bool save_checkpoint_file(const std::string& path, const Checkpoint& cp,
 std::optional<Checkpoint> load_checkpoint_file(const std::string& path,
                                                SnapshotError* err = nullptr);
 
+/// The one resume loader, shared by the analyze and merge walks
+/// (core/walk.hpp) and `iocov serve`.  A missing manifest is a fresh
+/// start: an empty Checkpoint of `mode`.  A manifest written in
+/// another mode fails with Kind::Mismatch.  Every stored block folds
+/// into one, so `blocks` holds at most one.  nullopt (with *err filled
+/// when non-null) on any failure.  Whether `consumed` matches the
+/// current inputs is the caller's check.
+std::optional<Checkpoint> resume_checkpoint(const std::string& path,
+                                            CheckpointMode mode,
+                                            SnapshotError* err = nullptr);
+
 }  // namespace iocov::core

@@ -1,5 +1,5 @@
 // The one sharded ingest driver behind IOCov's parallel entry points
-// (consume_binary_parallel: one item per pid shard; consume_binary_dir:
+// (consume_binary_parallel: one item per pid shard; consume_binary_files:
 // one per file; consume_text_parallel: one per line chunk, then one per
 // pid shard).  Internal, not public API; tests drive it directly to
 // reach the isolation path.
@@ -8,10 +8,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/iocov.hpp"
+#include "core/walk.hpp"
 
 namespace iocov::core::detail {
 
@@ -51,6 +53,13 @@ struct ShardDriver {
     /// IOCov::merge, so the result does not depend on scheduling.
     static Run run(IOCov& into, const std::vector<Item>& items,
                    unsigned n_threads, const Body& body);
+
+    /// One item per IOCT file: weighted by WalkEntry::bytes, labelled
+    /// by WalkEntry::name.  An entry that cannot be opened or is not
+    /// IOCT is rejected with one diagnostic.  The counts cover these
+    /// entries only.
+    static IOCov::DirIngest consume_binary_files(
+        IOCov& into, std::span<const WalkEntry> entries, unsigned n_threads);
 };
 
 }  // namespace iocov::core::detail

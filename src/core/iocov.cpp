@@ -6,6 +6,7 @@
 
 #include "core/detail/shard_driver.hpp"
 #include "core/snapshot.hpp"
+#include "core/walk.hpp"
 #include "exec/alloc_hook.hpp"
 #include "exec/thread_pool.hpp"
 #include "trace/syz_format.hpp"
@@ -164,56 +165,12 @@ std::optional<std::size_t> IOCov::consume_binary_file(const std::string& path,
 
 std::optional<IOCov::DirIngest> IOCov::consume_binary_dir(
     const std::string& dir, unsigned n_threads) {
-    namespace fs = std::filesystem;
-
     std::error_code ec;
-    if (!fs::is_directory(dir, ec) || ec) return std::nullopt;
-    std::vector<detail::ShardDriver::Item> files;
-    for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
-         it.increment(ec)) {
-        std::error_code fec;
-        if (!it->is_regular_file(fec) || fec) continue;
-        detail::ShardDriver::Item file;
-        const auto size = it->file_size(fec);
-        file.weight = fec ? 0 : static_cast<std::uint64_t>(size);
-        file.label = it->path().filename().string();
-        files.push_back(std::move(file));
-    }
-    if (ec) return std::nullopt;
-    // Name order fixes the fold order (and therefore which diagnostics
-    // survive retention) independent of directory-entry order.
-    std::sort(files.begin(), files.end(),
-              [](const auto& a, const auto& b) { return a.label < b.label; });
-
-    const Tally before = tally_;
-    const auto run = detail::ShardDriver::run(
-        *this, files, n_threads,
-        [&](std::size_t i, IOCov& shard) -> std::size_t {
-            const auto mapped = trace::MappedFile::open(
-                (fs::path(dir) / files[i].label).string());
-            if (!mapped || !trace::is_ioct(mapped->data())) {
-                shard.diagnostics_.record(
-                    0, 0,
-                    mapped ? "not an IOCT file (bad magic/version)"
-                           : "cannot open file");
-                return 0;
-            }
-            ++shard.tally_.ingest.files;
-            // One accumulator: scan drops, then decode drops in record
-            // order.
-            return shard.ingest_ioct(mapped->data(), shard.diagnostics_,
-                                     shard.diagnostics_);
-        });
-
-    // Analyzed files counted themselves; the rest were lost or rejected.
-    DirIngest result;
-    result.files = tally_.ingest.files - before.ingest.files;
-    result.rejected = files.size() - result.files -
-                      (tally_.shards_lost - before.shards_lost);
-    result.dropped = run.dropped;
-    result.bytes = tally_.ingest.bytes - before.ingest.bytes;
-    tally_.ingest.threads = std::max(tally_.ingest.threads, run.lanes);
-    return result;
+    if (!std::filesystem::is_directory(dir, ec) || ec) return std::nullopt;
+    const auto entries = list_inputs({dir});
+    if (!entries) return std::nullopt;
+    return detail::ShardDriver::consume_binary_files(*this, *entries,
+                                                     n_threads);
 }
 
 std::size_t IOCov::consume_text_parallel(std::istream& in,
@@ -286,15 +243,8 @@ void IOCov::fold(const CoverageReport& report, const Tally& tally,
                  std::string_view label) {
     analyzer_.merge_report(report);
     tally_ += tally;
-    if (label.empty()) {
-        diagnostics_.merge(diags);
-        return;
-    }
-    // Entries beyond the part's own retention cap fold into the count.
-    for (const auto& d : diags.entries())
-        diagnostics_.record(d.line, d.offset,
-                            std::string(label) + ": " + d.reason, d.excerpt);
-    diagnostics_.count_only(diags.total() - diags.entries().size());
+    if (label.empty()) diagnostics_.merge(diags);
+    else diagnostics_.append(diags, label);
 }
 
 void IOCov::merge(const IOCov& other) {
@@ -307,6 +257,13 @@ void IOCov::merge(const IOCovSnapshot& snapshot) {
     // The producer's per-record reasons are not serialized, only the
     // count — fold it in without displacing locally retained entries.
     diagnostics_.count_only(snapshot.dropped);
+}
+
+void IOCov::resume(const IOCovSnapshot& snapshot,
+                   const trace::ParseDiagnostics& diags) {
+    analyzer_.merge_report(snapshot.report);
+    tally_ += Tally{snapshot.filtered_out, 0, snapshot.ingest};
+    diagnostics_.append(diags);
 }
 
 IOCovSnapshot IOCov::snapshot() const {
@@ -369,6 +326,44 @@ ShardDriver::Run ShardDriver::run(IOCov& into, const std::vector<Item>& items,
                   items[i].label);
         result.dropped += parts[i].dropped;
     }
+    return result;
+}
+
+IOCov::DirIngest ShardDriver::consume_binary_files(
+    IOCov& into, std::span<const WalkEntry> entries, unsigned n_threads) {
+    std::vector<Item> files(entries.size());
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        files[i].weight = entries[i].bytes;
+        files[i].label = entries[i].name;
+    }
+    const IOCov::Tally before = into.tally_;
+    const auto run = ShardDriver::run(
+        into, files, n_threads,
+        [&](std::size_t i, IOCov& shard) -> std::size_t {
+            const auto mapped = trace::MappedFile::open(entries[i].path);
+            if (!mapped || !trace::is_ioct(mapped->data())) {
+                shard.diagnostics_.record(
+                    0, 0,
+                    mapped ? "not an IOCT file (bad magic/version)"
+                           : "cannot open file");
+                return 0;
+            }
+            ++shard.tally_.ingest.files;
+            // One accumulator: scan drops, then decode drops in record
+            // order.
+            return shard.ingest_ioct(mapped->data(), shard.diagnostics_,
+                                     shard.diagnostics_);
+        });
+
+    // Analyzed files counted themselves; the rest were lost or rejected.
+    IOCov::DirIngest result;
+    result.files = into.tally_.ingest.files - before.ingest.files;
+    result.rejected = files.size() - result.files -
+                      (into.tally_.shards_lost - before.shards_lost);
+    result.dropped = run.dropped;
+    result.bytes = into.tally_.ingest.bytes - before.ingest.bytes;
+    into.tally_.ingest.threads =
+        std::max(into.tally_.ingest.threads, run.lanes);
     return result;
 }
 

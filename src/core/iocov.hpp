@@ -123,6 +123,9 @@ class IOCov {
         std::size_t rejected = 0;  ///< entries skipped (not IOCT / unreadable)
         std::size_t dropped = 0;   ///< undecodable records across all files
         std::uint64_t bytes = 0;   ///< bytes analyzed
+        /// Counters a resumed walk (core/walk.hpp) restored from its
+        /// manifest rather than decoded; included in the counts above.
+        IngestStats resumed;
     };
 
     /// Analyzes every regular file in `dir` (sorted by name; not
@@ -165,6 +168,12 @@ class IOCov {
     /// count accumulates into diagnostics().total() count-only (the
     /// per-record reasons live with the original producer).
     void merge(const IOCovSnapshot& snapshot);
+
+    /// Restores a checkpoint manifest: merge(snapshot), except that the
+    /// retained diagnostics saved beside it are appended in order in
+    /// place of its count-only dropped total, which includes them.
+    void resume(const IOCovSnapshot& snapshot,
+                const trace::ParseDiagnostics& diags);
 
     /// Captures the full mergeable state as a snapshot value (report,
     /// filtered/dropped counters, ingest stats).  `label`/`timestamp`

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <filesystem>
 #include <unordered_map>
 
 #include "core/untested.hpp"
@@ -213,9 +212,8 @@ std::string SnapshotError::to_string() const {
         case Kind::Torn:
         case Kind::Corrupt:
             return reason + " (byte " + std::to_string(offset) + ")";
-        case Kind::Io:
-            // reason holds a complete host::IoError::to_string() —
-            // phase, path, strerror and errno are already in it.
+        case Kind::Mismatch:
+        case Kind::Io:  // a full host::IoError::to_string(), errno and all
             return reason;
     }
     return reason;
@@ -413,95 +411,7 @@ std::optional<IOCovSnapshot> load_snapshot_file(const std::string& path,
     return decode_snapshot(mapped->data(), err);
 }
 
-// ---- directory loading + merge ---------------------------------------------
-
-std::optional<SnapshotDirLoad> load_snapshot_dir(const std::string& dir,
-                                                 unsigned n_threads) {
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    if (!fs::is_directory(dir, ec) || ec) return std::nullopt;
-
-    struct FileEntry {
-        std::string path;
-        std::string name;
-        std::uint64_t bytes = 0;
-    };
-    std::vector<FileEntry> files;
-    for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
-         it.increment(ec)) {
-        std::error_code fec;
-        if (!it->is_regular_file(fec) || fec) continue;
-        FileEntry fe;
-        fe.path = it->path().string();
-        fe.name = it->path().filename().string();
-        const auto size = it->file_size(fec);
-        fe.bytes = fec ? 0 : static_cast<std::uint64_t>(size);
-        files.push_back(std::move(fe));
-    }
-    if (ec) return std::nullopt;
-    // Name order is the deterministic key downstream: it decides which
-    // diagnostics survive retention and the order snapshots are listed.
-    std::sort(files.begin(), files.end(),
-              [](const FileEntry& a, const FileEntry& b) {
-                  return a.name < b.name;
-              });
-
-    struct Slot {
-        std::optional<IOCovSnapshot> snapshot;
-        SnapshotError error;
-        std::uint64_t bytes = 0;
-    };
-    std::vector<Slot> slots(files.size());
-    auto load_one = [&](std::size_t i) {
-        Slot& slot = slots[i];
-        try {
-            host::IoError ioerr;
-            auto mapped = trace::MappedFile::open(
-                files[i].path, trace::MappedFile::Mode::Auto, &ioerr);
-            if (!mapped) {
-                slot.error = {SnapshotError::Kind::Io, 0,
-                              "cannot open file: " + ioerr.to_string(), 0,
-                              ioerr.err};
-                return;
-            }
-            slot.bytes = mapped->data().size();
-            slot.snapshot = decode_snapshot(mapped->data(), &slot.error);
-        } catch (const std::exception& e) {
-            slot.snapshot.reset();
-            slot.error = {SnapshotError::Kind::Corrupt, 0,
-                          std::string("load failed: ") + e.what(), 0};
-        }
-    };
-
-    if (n_threads == 0) n_threads = exec::ThreadPool::default_thread_count();
-    const unsigned lanes = static_cast<unsigned>(
-        std::min<std::size_t>(n_threads, files.size() ? files.size() : 1));
-    if (lanes <= 1) {
-        for (std::size_t i = 0; i < files.size(); ++i) load_one(i);
-    } else {
-        exec::ThreadPool pool(lanes);
-        std::vector<std::uint64_t> weights(files.size());
-        for (std::size_t i = 0; i < files.size(); ++i)
-            weights[i] = files[i].bytes;
-        exec::parallel_for_stealing(pool, weights, load_one);
-    }
-
-    SnapshotDirLoad result;
-    for (std::size_t i = 0; i < files.size(); ++i) {
-        Slot& slot = slots[i];
-        if (slot.snapshot) {
-            result.bytes += slot.bytes;
-            result.snapshots.push_back(
-                {files[i].name, std::move(*slot.snapshot)});
-        } else {
-            ++result.rejected;
-            result.diags.record(0, slot.error.offset,
-                                files[i].name + ": " +
-                                    slot.error.to_string());
-        }
-    }
-    return result;
-}
+// ---- merge -----------------------------------------------------------------
 
 IOCovSnapshot merge_snapshots(std::vector<NamedSnapshot> snapshots,
                               unsigned n_threads) {

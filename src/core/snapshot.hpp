@@ -124,6 +124,7 @@ struct SnapshotError {
         Torn,         ///< truncated: missing/incomplete footer
         Corrupt,      ///< structural damage (checksum, bad record, ...)
         Io,           ///< host I/O failure (open/read/write/sync/rename)
+        Mismatch,     ///< a manifest of another walk (mode or inputs)
     };
     Kind kind = Kind::Corrupt;
     std::uint64_t offset = 0;    ///< byte offset of the failure

@@ -197,10 +197,9 @@ host::IoStatus Server::listen_tcp() {
 }
 
 host::IoStatus Server::restore_from_checkpoint() {
-    if (::access(opts_.checkpoint_path.c_str(), F_OK) != 0)
-        return std::nullopt;  // no manifest: fresh start
     core::SnapshotError err;
-    auto cp = core::load_checkpoint_file(opts_.checkpoint_path, &err);
+    auto cp = core::resume_checkpoint(opts_.checkpoint_path,
+                                      core::CheckpointMode::Serve, &err);
     if (!cp) {
         std::fprintf(stderr, "iocov: %s: %s\n",
                      opts_.checkpoint_path.c_str(),
@@ -208,17 +207,9 @@ host::IoStatus Server::restore_from_checkpoint() {
         return host::IoError{host::IoPhase::Open, EINVAL,
                              opts_.checkpoint_path};
     }
-    if (cp->mode != core::CheckpointMode::Serve) {
-        std::fprintf(stderr,
-                     "iocov: %s: checkpoint was not written by "
-                     "`iocov serve`\n",
-                     opts_.checkpoint_path.c_str());
-        return host::IoError{host::IoPhase::Open, EINVAL,
-                             opts_.checkpoint_path};
-    }
-    core::MergeBlock state;
-    for (auto& b : cp->blocks) state.absorb(std::move(b));
-    live_.restore(state.snapshot, std::move(cp->consumed));
+    live_.restore(cp->blocks.empty() ? core::IOCovSnapshot{}
+                                     : cp->blocks[0].snapshot,
+                  std::move(cp->consumed));
     stats_.pushes_accepted = live_.epoch();
     stats_.pushes_rejected = cp->rejected;
     stats_.shard_bytes = cp->bytes;
@@ -597,8 +588,10 @@ void Server::write_checkpoint() {
     cp.rejected = stats_.pushes_rejected;
     cp.bytes = stats_.shard_bytes;
     cp.diags = diags_;
-    cp.blocks.push_back({static_cast<std::uint64_t>(cp.consumed.size()),
-                         live_.read()->state});
+    // A block folds at least one push; before the first there is none.
+    if (!cp.consumed.empty())
+        cp.blocks.push_back({static_cast<std::uint64_t>(cp.consumed.size()),
+                             live_.read()->state});
     core::SnapshotError err;
     if (!core::save_checkpoint_file(opts_.checkpoint_path, cp, &err)) {
         diags_.record(0, 0,

@@ -29,6 +29,16 @@ void ParseDiagnostics::merge(const ParseDiagnostics& other) {
     if (entries_.size() > max_retained_) entries_.resize(max_retained_);
 }
 
+void ParseDiagnostics::append(const ParseDiagnostics& other,
+                              std::string_view label) {
+    for (const auto& d : other.entries_)
+        record(d.line, d.offset,
+               label.empty() ? d.reason
+                             : std::string(label) + ": " + d.reason,
+               d.excerpt);
+    count_only(other.total_ - other.entries_.size());
+}
+
 std::string ParseDiagnostics::to_string() const {
     if (total_ == 0) return "no parse diagnostics";
     std::string out = std::to_string(total_) + " input(s) dropped\n";

@@ -53,6 +53,13 @@ class ParseDiagnostics {
     /// every candidate for the global first K survives until the merge.
     void merge(const ParseDiagnostics& other);
 
+    /// Appends `other`'s entries after this one's, in order, each
+    /// reason re-keyed as "<label>: <reason>" when `label` is non-empty.
+    /// Entries past the retention cap, and `other`'s own overflow, are
+    /// only counted — so appending the parts of a sequential input in
+    /// order retains what recording the whole input would have.
+    void append(const ParseDiagnostics& other, std::string_view label = {});
+
     /// Total drops recorded, including those beyond the retention cap.
     std::uint64_t total() const { return total_; }
 

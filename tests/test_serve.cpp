@@ -23,6 +23,7 @@
 
 #include "abi/fcntl.hpp"
 #include "abi/seek.hpp"
+#include "core/checkpoint.hpp"
 #include "core/iocov.hpp"
 #include "core/live.hpp"
 #include "core/report_io.hpp"
@@ -789,6 +790,43 @@ TEST_F(Serve, CheckpointRestartRepushConvergesToUninterruptedReport) {
             << "kill + resume + re-push must converge bit-identically";
         client->stop();
         daemon.join();
+    }
+}
+
+TEST_F(Serve, StopBeforeAnyPushWritesAResumableManifest) {
+    const auto ck = path("serve.iock");
+    for (int run = 0; run < 2; ++run) {
+        core::LiveCoverage live;
+        ServeOptions opts;
+        opts.unix_path = path("sock");
+        opts.checkpoint_path = ck;
+        opts.resume = run > 0;
+        DaemonFixture daemon(live, opts);
+        ASSERT_EQ(daemon.start_status(), std::nullopt)
+            << "run " << run << ": " << daemon.start_status()->to_string();
+        EXPECT_EQ(live.epoch(), 0u);
+        daemon.server().request_stop();
+        daemon.join();
+        ASSERT_TRUE(fs::exists(ck));
+    }
+}
+
+TEST_F(Serve, ResumeRefusesAManifestOfAnotherMode) {
+    const auto ck = path("walk.iock");
+    for (const auto mode :
+         {core::CheckpointMode::Merge, core::CheckpointMode::Analyze}) {
+        core::Checkpoint cp;
+        cp.mode = mode;
+        cp.consumed = {"a.iocs"};
+        ASSERT_TRUE(core::save_checkpoint_file(ck, cp));
+        core::LiveCoverage live;
+        ServeOptions opts;
+        opts.unix_path = path("sock");
+        opts.checkpoint_path = ck;
+        opts.resume = true;
+        Server server(live, opts);
+        EXPECT_NE(server.start(), std::nullopt);
+        EXPECT_EQ(live.epoch(), 0u);
     }
 }
 

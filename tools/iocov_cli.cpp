@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "bugstudy/study.hpp"
-#include "core/checkpoint.hpp"
 #include "core/combos.hpp"
 #include "trace/binary_format.hpp"
 #include "trace/text_format.hpp"
@@ -56,6 +55,7 @@
 #include "core/snapshot.hpp"
 #include "core/tcd.hpp"
 #include "core/untested.hpp"
+#include "core/walk.hpp"
 #include "exec/alloc_hook.hpp"
 #include "exec/thread_pool.hpp"
 #include "host/fault.hpp"
@@ -219,11 +219,13 @@ int usage() {
         "artifact, never a torn file.\n"
         "\n"
         "checkpoints: `merge --checkpoint FILE` and (single-directory)\n"
-        "`analyze --checkpoint FILE` write a resumable IOCK manifest\n"
-        "every N consumed inputs (--checkpoint-every N, default 8);\n"
-        "--resume continues an interrupted walk from the manifest and\n"
-        "produces byte-identical final output.  The manifest is removed\n"
-        "on success.\n"
+        "`analyze --checkpoint FILE` run the same walk on --threads N\n"
+        "workers in segments of --checkpoint-every N inputs (default\n"
+        "8), writing a resumable IOCK manifest after each but the last;\n"
+        "--resume continues an interrupted walk.  The output is byte-\n"
+        "identical to an uncheckpointed run's (a snapshot records the\n"
+        "widest segment's worker count).  The manifest is removed once\n"
+        "the walk completes.\n"
         "\n"
         "strictness: numeric flag operands are parsed whole — junk,\n"
         "embedded signs, overflow, or a missing operand is a usage\n"
@@ -243,28 +245,13 @@ int usage() {
     return kExitUsage;
 }
 
-/// Sniffs the IOCT magic without reading the whole file.
-bool file_is_ioct(const char* path) {
+/// The first bytes of `path`, enough to sniff a magic and version
+/// without reading the whole file.
+std::string file_head(const char* path) {
     std::ifstream in(path, std::ios::binary);
     char head[8] = {};
     in.read(head, sizeof head);
-    return in.gcount() > 0 &&
-           trace::is_ioct(std::string_view(
-               head, static_cast<std::size_t>(in.gcount())));
-}
-
-/// Sniffs the IOCS snapshot magic (any version — version skew is
-/// reported as a structured error at load time, not silently treated
-/// as a text trace).
-bool file_is_iocs(const char* path) {
-    std::ifstream in(path, std::ios::binary);
-    char head[8] = {};
-    in.read(head, sizeof head);
-    return in.gcount() >= 5 &&
-           core::iocs_version(std::string_view(
-                                  head,
-                                  static_cast<std::size_t>(in.gcount())))
-               .has_value();
+    return std::string(head, static_cast<std::size_t>(in.gcount()));
 }
 
 std::optional<core::CoverageReport> load(const char* path) {
@@ -291,7 +278,7 @@ bool write_artifact(const char* path, std::string_view data) {
     return true;
 }
 
-// ---- strict numeric flag parsing --------------------------------------
+// ---- strict flag parsing ----------------------------------------------
 //
 // Every numeric operand goes through host::parse_* (whole-string,
 // overflow-checked).  The historical strtoul/atof sites silently
@@ -312,6 +299,17 @@ const char* flag_operand(int argc, char** argv, int& i, const char* name,
         return nullptr;
     }
     return argv[++i];
+}
+
+/// Matches `--name VALUE` for a string operand (`out` is a
+/// `const char*` or a std::string).
+template <class String>
+bool flag_str(int argc, char** argv, int& i, const char* name, String& out,
+              bool& bad) {
+    if (std::strcmp(argv[i], name) != 0) return false;
+    if (const char* text = flag_operand(argc, argv, i, name, bad))
+        out = text;
+    return true;
 }
 
 bool flag_u64(int argc, char** argv, int& i, const char* name,
@@ -370,98 +368,6 @@ bool flag_u64_opt(int argc, char** argv, int& i, const char* name,
     return true;
 }
 
-/// One input of a checkpointed walk.
-struct WalkEntry {
-    std::string path;  ///< what to open; also the manifest key
-    std::string name;  ///< diagnostic label (file name for dir entries)
-};
-
-/// Expands merge/analyze INPUTs into the deterministic serial walk the
-/// checkpoint manifest records: file arguments stay in argument order,
-/// each directory argument contributes its regular files sorted by
-/// name.  nullopt (with a printed error) when a directory cannot be
-/// enumerated.
-std::optional<std::vector<WalkEntry>> expand_inputs(
-    const std::vector<const char*>& inputs) {
-    std::vector<WalkEntry> walk;
-    for (const char* input : inputs) {
-        std::error_code ec;
-        if (std::filesystem::is_directory(input, ec) && !ec) {
-            std::vector<WalkEntry> entries;
-            std::error_code dec;
-            for (std::filesystem::directory_iterator it(input, dec), end;
-                 !dec && it != end; it.increment(dec)) {
-                std::error_code fec;
-                if (!it->is_regular_file(fec) || fec) continue;
-                entries.push_back({it->path().string(),
-                                   it->path().filename().string()});
-            }
-            if (dec) {
-                std::fprintf(stderr, "iocov: cannot open directory %s\n",
-                             input);
-                return std::nullopt;
-            }
-            std::sort(entries.begin(), entries.end(),
-                      [](const WalkEntry& a, const WalkEntry& b) {
-                          return a.name < b.name;
-                      });
-            for (auto& e : entries) walk.push_back(std::move(e));
-        } else {
-            walk.push_back({input, input});
-        }
-    }
-    return walk;
-}
-
-/// Loads a manifest for --resume when one exists (no manifest = fresh
-/// start, so kill-loops can pass --resume unconditionally).  Validates
-/// mode and that the consumed list is a prefix of the current walk —
-/// anything else means the inputs changed under the manifest, and
-/// resuming would double- or mis-count.  Returns false on a printed,
-/// fatal mismatch.
-bool load_resume_checkpoint(const char* checkpoint_path,
-                            core::CheckpointMode mode,
-                            const std::vector<WalkEntry>& walk,
-                            core::Checkpoint& cp) {
-    std::error_code ec;
-    if (!std::filesystem::exists(checkpoint_path, ec) || ec) return true;
-    core::SnapshotError err;
-    auto loaded = core::load_checkpoint_file(checkpoint_path, &err);
-    if (!loaded) {
-        std::fprintf(stderr, "iocov: %s: %s\n", checkpoint_path,
-                     err.to_string().c_str());
-        return false;
-    }
-    if (loaded->mode != mode) {
-        std::fprintf(stderr,
-                     "iocov: %s: checkpoint was written by `iocov %s`, "
-                     "not this command\n",
-                     checkpoint_path,
-                     loaded->mode == core::CheckpointMode::Merge
-                         ? "merge"
-                         : loaded->mode == core::CheckpointMode::Serve
-                               ? "serve"
-                               : "analyze");
-        return false;
-    }
-    const bool prefix =
-        loaded->consumed.size() <= walk.size() &&
-        std::equal(loaded->consumed.begin(), loaded->consumed.end(),
-                   walk.begin(),
-                   [](const std::string& a, const WalkEntry& b) {
-                       return a == b.path;
-                   });
-    if (!prefix) {
-        std::fprintf(stderr,
-                     "iocov: %s: checkpoint does not match the current "
-                     "inputs (%zu consumed; inputs changed?)\n",
-                     checkpoint_path, loaded->consumed.size());
-        return false;
-    }
-    cp = std::move(*loaded);
-    return true;
-}
-
 void print_summary(const core::CoverageReport& report) {
     std::printf("events: %llu tracked / %llu seen\n\n",
                 static_cast<unsigned long long>(report.events_tracked),
@@ -486,6 +392,19 @@ void print_summary(const core::CoverageReport& report) {
     }
 }
 
+/// Shared --checkpoint/--checkpoint-every/--resume parsing for the
+/// analyze and merge walks.
+bool checkpoint_flag(int argc, char** argv, int& i,
+                     core::Checkpointing& checkpointing, bool& bad) {
+    if (!std::strcmp(argv[i], "--resume")) {
+        checkpointing.resume = true;
+        return true;
+    }
+    return flag_str(argc, argv, i, "--checkpoint", checkpointing.path, bad) ||
+           flag_u64(argc, argv, i, "--checkpoint-every", checkpointing.every,
+                    bad);
+}
+
 /// Snapshot state an analyze run merged instead of decoding (IOCS
 /// inputs, resumed checkpoint blocks).  `--stats` subtracts it from
 /// IngestStats so the "decoded" lines describe this run alone.
@@ -493,88 +412,14 @@ struct MergedState {
     std::uint64_t snapshots = 0;
     core::IngestStats ingest;  ///< summed counters; `threads` unused
 
-    void merge_into(core::IOCov& iocov, const core::IOCovSnapshot& snap) {
-        iocov.merge(snap);
+    void add(const core::IngestStats& merged) {
         ++snapshots;
-        ingest.events += snap.ingest.events;
-        ingest.bytes += snap.ingest.bytes;
-        ingest.files += snap.ingest.files;
-        ingest.hot_loop_allocs += snap.ingest.hot_loop_allocs;
+        ingest.events += merged.events;
+        ingest.bytes += merged.bytes;
+        ingest.files += merged.files;
+        ingest.hot_loop_allocs += merged.hot_loop_allocs;
     }
 };
-
-/// Checkpointed single-directory analyze walk: files are consumed one
-/// at a time in name order (documented bit-identical to the
-/// work-stealing directory ingest), and every --checkpoint-every
-/// consumed entries the analyzer state is snapshotted into an
-/// atomically-written IOCK manifest.  `reject_diags` collects the
-/// per-file rejection diagnostics the directory ingest would have
-/// recorded internally.  Returns kExitOk to continue into the shared
-/// reporting tail.
-int analyze_checkpointed(core::IOCov& iocov, const char* dir,
-                         unsigned threads, const char* checkpoint_path,
-                         std::uint64_t checkpoint_every, bool resume,
-                         trace::ParseDiagnostics& reject_diags,
-                         MergedState& merged) {
-    auto walk = expand_inputs({dir});
-    if (!walk) return kExitIo;
-    core::Checkpoint cp;
-    cp.mode = core::CheckpointMode::Analyze;
-    if (resume &&
-        !load_resume_checkpoint(checkpoint_path,
-                                core::CheckpointMode::Analyze, *walk, cp))
-        return kExitIo;
-    const std::size_t start = cp.consumed.size();
-    std::uint64_t analyzed = start - cp.rejected;
-    for (const auto& b : cp.blocks) merged.merge_into(iocov, b.snapshot);
-    cp.blocks.clear();
-
-    std::uint64_t since = 0;
-    auto save_cp = [&]() {
-        cp.blocks.clear();
-        if (analyzed > 0) cp.blocks.push_back({analyzed, iocov.snapshot()});
-        core::SnapshotError err;
-        if (!core::save_checkpoint_file(checkpoint_path, cp, &err)) {
-            std::fprintf(stderr, "iocov: %s: %s\n", checkpoint_path,
-                         err.to_string().c_str());
-            return false;
-        }
-        return true;
-    };
-    for (std::size_t i = start; i < walk->size(); ++i) {
-        const auto& e = (*walk)[i];
-        if (file_is_ioct(e.path.c_str())) {
-            const auto dropped = iocov.consume_binary_file(e.path, threads);
-            if (!dropped) {
-                std::fprintf(stderr, "iocov: cannot open %s\n",
-                             e.path.c_str());
-                return kExitIo;
-            }
-            ++analyzed;
-        } else {
-            ++cp.rejected;
-            std::ifstream probe(e.path, std::ios::binary);
-            cp.diags.record(0, 0,
-                            e.name + (probe ? ": not an IOCT file (bad "
-                                              "magic/version)"
-                                            : ": cannot open file"));
-        }
-        cp.consumed.push_back(e.path);
-        if (++since >= checkpoint_every && i + 1 < walk->size()) {
-            since = 0;
-            if (!save_cp()) return kExitIo;
-        }
-    }
-    std::printf("%s: analyzed %llu IOCT files (%llu non-IOCT rejected, "
-                "checkpointed)\n",
-                dir, static_cast<unsigned long long>(analyzed),
-                static_cast<unsigned long long>(cp.rejected));
-    reject_diags = cp.diags;
-    // The walk completed; the manifest has served its purpose.
-    std::error_code ec;
-    std::filesystem::remove(checkpoint_path, ec);
-    return kExitOk;
-}
 
 int cmd_analyze(int argc, char** argv) {
     std::string mount = "/mnt/test";
@@ -588,14 +433,11 @@ int cmd_analyze(int argc, char** argv) {
     // records, lost shards) the run tolerates before failing.  Default
     // is unbounded, matching the historical skip-and-continue behavior.
     std::optional<std::uint64_t> max_errors;
-    const char* checkpoint_path = nullptr;
-    std::uint64_t checkpoint_every = 8;
-    bool resume = false;
+    core::Checkpointing checkpointing;
     std::vector<const char*> traces;
     bool bad = false;
     for (int i = 0; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--mount") && i + 1 < argc) {
-            mount = argv[++i];
+        if (flag_str(argc, argv, i, "--mount", mount, bad)) {
         } else if (!std::strcmp(argv[i], "--syz")) {
             syz = true;
         } else if (!std::strcmp(argv[i], "--extended")) {
@@ -608,63 +450,59 @@ int cmd_analyze(int argc, char** argv) {
             max_errors = 0;
         } else if (flag_u64_opt(argc, argv, i, "--max-errors", max_errors,
                                 bad)) {
-        } else if (!std::strcmp(argv[i], "--checkpoint") && i + 1 < argc) {
-            checkpoint_path = argv[++i];
-        } else if (flag_u64(argc, argv, i, "--checkpoint-every",
-                            checkpoint_every, bad)) {
-            if (checkpoint_every == 0) checkpoint_every = 1;
-        } else if (!std::strcmp(argv[i], "--resume")) {
-            resume = true;
-        } else if (!std::strcmp(argv[i], "--save") && i + 1 < argc) {
-            save_path = argv[++i];
-        } else if (!std::strcmp(argv[i], "--snapshot") && i + 1 < argc) {
-            snapshot_path = argv[++i];
+        } else if (checkpoint_flag(argc, argv, i, checkpointing, bad)) {
+        } else if (flag_str(argc, argv, i, "--save", save_path, bad)) {
+        } else if (flag_str(argc, argv, i, "--snapshot", snapshot_path, bad)) {
         } else {
             traces.push_back(argv[i]);
         }
         if (bad) return kExitUsage;
     }
     if (traces.empty()) return usage();
-    if (resume && !checkpoint_path) return usage();
+    if (checkpointing.resume && checkpointing.path.empty()) return usage();
 
     core::IOCov iocov(trace::FilterConfig::mount_point(mount),
                       extended ? core::extended_syscall_registry()
                                : core::syscall_registry());
-    trace::ParseDiagnostics reject_diags;
     MergedState merged;
+    // Checkpointed mode only defines resume semantics for one directory
+    // of IOCT traces (the fleet drop-box shape).
+    std::error_code dir_ec;
+    if (!checkpointing.path.empty() &&
+        (syz || traces.size() != 1 ||
+         !std::filesystem::is_directory(traces[0], dir_ec) || dir_ec))
+        return usage();
     const auto t0 = std::chrono::steady_clock::now();
-    if (checkpoint_path) {
-        // Checkpointed mode only defines resume semantics for one
-        // directory of IOCT traces (the fleet drop-box shape).
-        std::error_code dir_ec;
-        if (syz || traces.size() != 1 ||
-            !std::filesystem::is_directory(traces[0], dir_ec) || dir_ec)
-            return usage();
-        const int rc = analyze_checkpointed(iocov, traces[0], threads,
-                                            checkpoint_path,
-                                            checkpoint_every, resume,
-                                            reject_diags, merged);
-        if (rc != kExitOk) return rc;
-        traces.clear();
-    }
     for (const char* path : traces) {
-        std::error_code dir_ec;
         if (!syz && std::filesystem::is_directory(path, dir_ec)) {
-            // Directory of IOCT traces: work-stealing multi-file
-            // ingestion, bit-identical to analyzing the files one by
-            // one in name order (each file gets its own filter state).
-            const auto dir = iocov.consume_binary_dir(path, threads);
-            if (!dir) {
+            // Directory of IOCT traces: the work-stealing walk,
+            // bit-identical to analyzing the files one by one in name
+            // order (each file gets its own filter state), however
+            // --checkpoint cuts it into segments.
+            const auto entries = core::list_inputs({path});
+            if (!entries) {
                 std::fprintf(stderr, "iocov: cannot open directory %s\n",
                              path);
                 return kExitIo;
             }
+            core::SnapshotError err;
+            const auto dir = core::analyze_walk(iocov, *entries, threads,
+                                                checkpointing, &err);
+            if (!dir) {  // only the manifest can fail the walk
+                std::fprintf(stderr, "iocov: %s: %s\n",
+                             checkpointing.path.c_str(),
+                             err.to_string().c_str());
+                return kExitIo;
+            }
+            if (dir->resumed.files > 0) merged.add(dir->resumed);
             std::printf("%s: analyzed %zu IOCT files (%zu non-IOCT "
                         "rejected, %zu torn records skipped)\n",
                         path, dir->files, dir->rejected, dir->dropped);
             continue;
         }
-        if (!syz && file_is_iocs(path)) {
+        // An IOCS snapshot of any version: a version this build cannot
+        // read is a structured error at load, not a text trace.
+        if (!syz && core::iocs_version(file_head(path))) {
             // IOCS coverage snapshot: the analyzer state itself — merge
             // it directly, no event re-ingest.
             core::SnapshotError err;
@@ -674,14 +512,15 @@ int cmd_analyze(int argc, char** argv) {
                              err.to_string().c_str());
                 return kExitIo;
             }
-            merged.merge_into(iocov, *snap);
+            iocov.merge(*snap);
+            merged.add(snap->ingest);
             std::printf("%s: merged [IOCS snapshot] (%llu events seen)\n",
                         path,
                         static_cast<unsigned long long>(
                             snap->report.events_seen));
             continue;
         }
-        if (!syz && file_is_ioct(path)) {
+        if (!syz && trace::is_ioct(file_head(path))) {
             // IOCT binary trace: mmap'd zero-copy ingestion.
             const auto dropped = iocov.consume_binary_file(path, threads);
             if (!dropped) {
@@ -712,11 +551,9 @@ int cmd_analyze(int argc, char** argv) {
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
-    // Checkpointed walks keep per-file rejection diagnostics at the
-    // CLI layer; fold them in so --max-errors and the printed summary
-    // match the directory-ingest behavior.
-    trace::ParseDiagnostics diags = iocov.diagnostics();
-    diags.merge(reject_diags);
+    // Listed by position, as analyze has always printed them.
+    trace::ParseDiagnostics diags;
+    diags.merge(iocov.diagnostics());
     if (max_errors && diags.total() > *max_errors) {
         std::fprintf(stderr,
                      "iocov: error budget exceeded (%llu dropped > "
@@ -784,130 +621,13 @@ int cmd_analyze(int argc, char** argv) {
     return kExitOk;
 }
 
-/// Emits the merged snapshot + optional JSON summary; shared by the
-/// plain and checkpointed merge paths.
-int finish_merge(core::IOCovSnapshot merged, std::size_t count,
-                 std::size_t rejected, std::uint64_t bytes,
-                 const char* out_path, const char* json_path,
-                 const char* label,
-                 std::optional<std::uint64_t> timestamp) {
-    if (label) merged.label = label;
-    if (timestamp) merged.timestamp = *timestamp;
-    core::SnapshotError serr;
-    if (!core::save_snapshot_file(out_path, merged, &serr)) {
-        std::fprintf(stderr, "iocov: %s: %s\n", out_path,
-                     serr.to_string().c_str());
-        return kExitIo;
-    }
-    std::printf("%s: merged %zu snapshots (%zu rejected, %llu events "
-                "seen)\n",
-                out_path, count, rejected,
-                static_cast<unsigned long long>(merged.report.events_seen));
-    if (json_path) {
-        // Reconstruct the load-shaped struct the summary renders from
-        // (snapshots were consumed by the merge; only counts matter).
-        core::SnapshotDirLoad shape;
-        shape.snapshots.resize(count);
-        shape.rejected = rejected;
-        shape.bytes = bytes;
-        if (!write_artifact(json_path,
-                            core::merge_summary_json(shape, merged)))
-            return kExitIo;
-        std::printf("json summary saved to %s\n", json_path);
-    }
-    return kExitOk;
-}
-
-/// Checkpointed merge walk: inputs load serially in the same order as
-/// the parallel path and fold into one accumulator (merge is exact, so
-/// the final bytes equal merge_snapshots'), and every
-/// --checkpoint-every inputs the accumulator is written as a single
-/// block to an atomically-replaced IOCK manifest.
-int merge_checkpointed(const std::vector<const char*>& inputs,
-                       const char* out_path, const char* json_path,
-                       const char* label,
-                       std::optional<std::uint64_t> timestamp,
-                       std::optional<std::uint64_t> max_errors,
-                       const char* checkpoint_path,
-                       std::uint64_t checkpoint_every, bool resume) {
-    auto walk = expand_inputs(inputs);
-    if (!walk) return kExitIo;
-    core::Checkpoint cp;
-    cp.mode = core::CheckpointMode::Merge;
-    if (resume &&
-        !load_resume_checkpoint(checkpoint_path,
-                                core::CheckpointMode::Merge, *walk, cp))
-        return kExitIo;
-    const std::size_t start = cp.consumed.size();
-    core::MergeBlock fold;
-    for (auto& b : cp.blocks) fold.absorb(std::move(b));
-    cp.blocks.clear();
-
-    std::uint64_t since = 0;
-    auto save_cp = [&]() {
-        if (fold.leaves > 0) cp.blocks.push_back(fold);
-        core::SnapshotError err;
-        const bool ok = core::save_checkpoint_file(checkpoint_path, cp,
-                                                   &err);
-        if (!ok)
-            std::fprintf(stderr, "iocov: %s: %s\n", checkpoint_path,
-                         err.to_string().c_str());
-        cp.blocks.clear();
-        return ok;
-    };
-    for (std::size_t i = start; i < walk->size(); ++i) {
-        const auto& e = (*walk)[i];
-        core::SnapshotError err;
-        auto snap = core::load_snapshot_file(e.path, &err);
-        if (snap) {
-            std::error_code fec;
-            const auto size = std::filesystem::file_size(e.path, fec);
-            cp.bytes += fec ? 0 : static_cast<std::uint64_t>(size);
-            fold.absorb({1, std::move(*snap)});
-        } else {
-            ++cp.rejected;
-            cp.diags.record(0, err.offset, e.name + ": " + err.to_string());
-        }
-        cp.consumed.push_back(e.path);
-        if (++since >= checkpoint_every && i + 1 < walk->size()) {
-            since = 0;
-            if (!save_cp()) return kExitIo;
-        }
-    }
-    if (max_errors && cp.rejected > *max_errors) {
-        std::fprintf(stderr,
-                     "iocov: error budget exceeded (%llu rejected > "
-                     "--max-errors %llu)\n%s",
-                     static_cast<unsigned long long>(cp.rejected),
-                     static_cast<unsigned long long>(*max_errors),
-                     cp.diags.to_string().c_str());
-        return kExitFindings;
-    }
-    if (cp.rejected > 0)
-        std::fprintf(stderr, "%s", cp.diags.to_string().c_str());
-
-    const auto count = static_cast<std::size_t>(fold.leaves);
-    const int rc = finish_merge(std::move(fold.snapshot), count,
-                                static_cast<std::size_t>(cp.rejected),
-                                cp.bytes, out_path, json_path, label,
-                                timestamp);
-    if (rc == kExitOk) {
-        // The walk completed; the manifest has served its purpose.
-        std::error_code ec;
-        std::filesystem::remove(checkpoint_path, ec);
-    }
-    return rc;
-}
-
 int cmd_merge(int argc, char** argv) {
     unsigned threads = 0;  // auto
     std::optional<std::uint64_t> max_errors;
     const char* out_path = nullptr;
     const char* json_path = nullptr;
     const char* label = nullptr;
-    const char* checkpoint_path = nullptr;
-    std::uint64_t checkpoint_every = 8;
-    bool resume = false;
+    core::Checkpointing checkpointing;
     std::optional<std::uint64_t> timestamp;
     std::vector<const char*> inputs;
     bool bad = false;
@@ -917,9 +637,8 @@ int cmd_merge(int argc, char** argv) {
             max_errors = 0;
         else if (flag_u64_opt(argc, argv, i, "--max-errors", max_errors,
                               bad)) {
-        } else if (!std::strcmp(argv[i], "--label") && i + 1 < argc)
-            label = argv[++i];
-        else if (flag_u64_opt(argc, argv, i, "--timestamp", timestamp,
+        } else if (flag_str(argc, argv, i, "--label", label, bad)) {
+        } else if (flag_u64_opt(argc, argv, i, "--timestamp", timestamp,
                               bad)) {
             if (timestamp && *timestamp == 0) {
                 // 0 is the "unset" sentinel inside a snapshot: `trend`
@@ -932,77 +651,73 @@ int cmd_merge(int argc, char** argv) {
                              "timestamp\n");
                 bad = true;
             }
-        } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc)
-            json_path = argv[++i];
-        else if (!std::strcmp(argv[i], "--checkpoint") && i + 1 < argc)
-            checkpoint_path = argv[++i];
-        else if (flag_u64(argc, argv, i, "--checkpoint-every",
-                          checkpoint_every, bad)) {
-            if (checkpoint_every == 0) checkpoint_every = 1;
-        } else if (!std::strcmp(argv[i], "--resume"))
-            resume = true;
-        else if (!std::strcmp(argv[i], "-o") && i + 1 < argc)
-            out_path = argv[++i];
-        else
+        } else if (flag_str(argc, argv, i, "--json", json_path, bad)) {
+        } else if (checkpoint_flag(argc, argv, i, checkpointing, bad)) {
+        } else if (flag_str(argc, argv, i, "-o", out_path, bad)) {
+        } else
             inputs.push_back(argv[i]);
         if (bad) return kExitUsage;
     }
     if (!out_path || inputs.empty()) return usage();
-    if (resume && !checkpoint_path) return usage();
-    if (checkpoint_path)
-        return merge_checkpointed(inputs, out_path, json_path, label,
-                                  timestamp, max_errors, checkpoint_path,
-                                  checkpoint_every, resume);
+    if (checkpointing.resume && checkpointing.path.empty()) return usage();
 
-    // Collect snapshots in argument order; each directory contributes
-    // its name-sorted contents.  The merged bytes do not depend on that
-    // order; the order of the printed diagnostics does.
-    core::SnapshotDirLoad all;
-    for (const char* input : inputs) {
-        std::error_code dir_ec;
-        if (std::filesystem::is_directory(input, dir_ec)) {
-            auto dir = core::load_snapshot_dir(input, threads);
-            if (!dir) {
-                std::fprintf(stderr, "iocov: cannot open directory %s\n",
-                             input);
-                return kExitIo;
-            }
-            for (auto& ns : dir->snapshots)
-                all.snapshots.push_back(std::move(ns));
-            all.rejected += dir->rejected;
-            all.bytes += dir->bytes;
-            all.diags.merge(dir->diags);
-            continue;
-        }
-        core::SnapshotError err;
-        auto snap = core::load_snapshot_file(input, &err);
-        if (snap) {
-            all.bytes += std::filesystem::file_size(input, dir_ec);
-            all.snapshots.push_back(
-                {std::filesystem::path(input).filename().string(),
-                 std::move(*snap)});
-        } else {
-            ++all.rejected;
-            all.diags.record(0, err.offset,
-                             std::string(input) + ": " + err.to_string());
-        }
+    // Snapshots load in walk order: argument order, each directory
+    // contributing its name-sorted contents.  The merged bytes do not
+    // depend on that order; which diagnostics are retained does.
+    std::string failed;
+    const auto entries = core::list_inputs({inputs.begin(), inputs.end()},
+                                           &failed);
+    if (!entries) {
+        std::fprintf(stderr, "iocov: cannot open directory %s\n",
+                     failed.c_str());
+        return kExitIo;
     }
-    if (max_errors && all.rejected > *max_errors) {
+    core::SnapshotError err;
+    auto walk = core::merge_walk(*entries, threads, checkpointing, &err);
+    if (!walk) {  // only the manifest can fail the walk
+        std::fprintf(stderr, "iocov: %s: %s\n", checkpointing.path.c_str(),
+                     err.to_string().c_str());
+        return kExitIo;
+    }
+    if (max_errors && walk->rejected > *max_errors) {
         std::fprintf(stderr,
-                     "iocov: error budget exceeded (%zu rejected > "
+                     "iocov: error budget exceeded (%llu rejected > "
                      "--max-errors %llu)\n%s",
-                     all.rejected,
+                     static_cast<unsigned long long>(walk->rejected),
                      static_cast<unsigned long long>(*max_errors),
-                     all.diags.to_string().c_str());
+                     walk->diags.to_string().c_str());
         return kExitFindings;
     }
-    if (all.rejected > 0)
-        std::fprintf(stderr, "%s", all.diags.to_string().c_str());
+    if (walk->rejected > 0)
+        std::fprintf(stderr, "%s", walk->diags.to_string().c_str());
 
-    const std::size_t count = all.snapshots.size();
-    auto merged = core::merge_snapshots(std::move(all.snapshots), threads);
-    return finish_merge(std::move(merged), count, all.rejected, all.bytes,
-                        out_path, json_path, label, timestamp);
+    core::MergeBlock merged;
+    for (auto& b : walk->blocks) merged.absorb(std::move(b));
+    if (label) merged.snapshot.label = label;
+    if (timestamp) merged.snapshot.timestamp = *timestamp;
+    if (!core::save_snapshot_file(out_path, merged.snapshot, &err)) {
+        std::fprintf(stderr, "iocov: %s: %s\n", out_path,
+                     err.to_string().c_str());
+        return kExitIo;
+    }
+    std::printf("%s: merged %llu snapshots (%llu rejected, %llu events "
+                "seen)\n",
+                out_path, static_cast<unsigned long long>(merged.leaves),
+                static_cast<unsigned long long>(walk->rejected),
+                static_cast<unsigned long long>(
+                    merged.snapshot.report.events_seen));
+    if (json_path) {
+        // The summary renders only the load's counts.
+        core::SnapshotDirLoad shape;
+        shape.snapshots.resize(static_cast<std::size_t>(merged.leaves));
+        shape.rejected = static_cast<std::size_t>(walk->rejected);
+        shape.bytes = walk->bytes;
+        if (!write_artifact(json_path,
+                            core::merge_summary_json(shape, merged.snapshot)))
+            return kExitIo;
+        std::printf("json summary saved to %s\n", json_path);
+    }
+    return kExitOk;
 }
 
 int cmd_trend(int argc, char** argv) {
@@ -1028,9 +743,8 @@ int cmd_trend(int argc, char** argv) {
             opts.by_label = true;
         else if (flag_f64(argc, argv, i, "--target", opts.target, bad)) {
         } else if (flag_u32(argc, argv, i, "--threads", threads, bad)) {
-        } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc)
-            json_path = argv[++i];
-        else
+        } else if (flag_str(argc, argv, i, "--json", json_path, bad)) {
+        } else
             dir = argv[i];
         if (bad) return kExitUsage;
     }
@@ -1062,8 +776,7 @@ int cmd_serve(int argc, char** argv) {
     bool bad = false;
     for (int i = 0; i < argc; ++i) {
         std::uint64_t port = 0;
-        if (!std::strcmp(argv[i], "--socket") && i + 1 < argc) {
-            opts.unix_path = argv[++i];
+        if (flag_str(argc, argv, i, "--socket", opts.unix_path, bad)) {
         } else if (flag_u64(argc, argv, i, "--tcp", port, bad)) {
             if (!bad && port > 65535) {
                 std::fprintf(stderr,
@@ -1075,20 +788,18 @@ int cmd_serve(int argc, char** argv) {
                 opts.tcp_port = static_cast<int>(port);
                 have_tcp = true;
             }
-        } else if (!std::strcmp(argv[i], "--mount") && i + 1 < argc) {
-            mount = argv[++i];
+        } else if (flag_str(argc, argv, i, "--mount", mount, bad)) {
         } else if (!std::strcmp(argv[i], "--extended")) {
             extended = true;
         } else if (flag_u32(argc, argv, i, "--threads", opts.threads,
                             bad)) {
-        } else if (!std::strcmp(argv[i], "--delta-dir") && i + 1 < argc) {
-            opts.delta_dir = argv[++i];
+        } else if (flag_str(argc, argv, i, "--delta-dir", opts.delta_dir,
+                            bad)) {
         } else if (flag_u64(argc, argv, i, "--delta-every",
                             opts.delta_every, bad)) {
-        } else if (!std::strcmp(argv[i], "--label") && i + 1 < argc) {
-            opts.delta_label = argv[++i];
-        } else if (!std::strcmp(argv[i], "--checkpoint") && i + 1 < argc) {
-            opts.checkpoint_path = argv[++i];
+        } else if (flag_str(argc, argv, i, "--label", opts.delta_label, bad)) {
+        } else if (flag_str(argc, argv, i, "--checkpoint",
+                            opts.checkpoint_path, bad)) {
         } else if (flag_u64(argc, argv, i, "--checkpoint-every",
                             opts.checkpoint_every, bad)) {
             if (opts.checkpoint_every == 0) opts.checkpoint_every = 1;
@@ -1152,8 +863,7 @@ bool client_flag(int argc, char** argv, int& i, serve::Endpoint& ep,
                  std::uint64_t& timeout_ms, bool& matched, bool& bad) {
     matched = true;
     std::uint64_t port = 0;
-    if (!std::strcmp(argv[i], "--socket") && i + 1 < argc) {
-        ep.unix_path = argv[++i];
+    if (flag_str(argc, argv, i, "--socket", ep.unix_path, bad)) {
     } else if (flag_u64(argc, argv, i, "--tcp", port, bad)) {
         if (!bad && (port == 0 || port > 65535)) {
             std::fprintf(stderr,
@@ -1240,11 +950,9 @@ int cmd_query(int argc, char** argv) {
             return kExitUsage;
         if (matched) continue;
         if (flag_f64(argc, argv, i, "--target", target, bad)) {
-        } else if (!std::strcmp(argv[i], "--arg") && i + 1 < argc)
-            arg = argv[++i];
-        else if (!std::strcmp(argv[i], "--save") && i + 1 < argc)
-            save_path = argv[++i];
-        else if (what)
+        } else if (flag_str(argc, argv, i, "--arg", arg, bad)) {
+        } else if (flag_str(argc, argv, i, "--save", save_path, bad)) {
+        } else if (what)
             return usage();
         else
             what = argv[i];
@@ -1305,7 +1013,7 @@ int cmd_convert(int argc, char** argv) {
     const char* in_path = argv[0];
     const char* out_path = argv[1];
 
-    if (file_is_ioct(in_path)) {
+    if (trace::is_ioct(file_head(in_path))) {
         // IOCT binary -> text.
         host::IoError ioerr;
         auto mapped = trace::MappedFile::open(
@@ -1413,9 +1121,8 @@ int cmd_tcd(int argc, char** argv) {
     bool bad = false;
     for (int i = 0; i < argc; ++i) {
         if (flag_f64(argc, argv, i, "--target", target, bad)) {
-        } else if (!std::strcmp(argv[i], "--arg") && i + 1 < argc)
-            arg = argv[++i];
-        else path = argv[i];
+        } else if (flag_str(argc, argv, i, "--arg", arg, bad)) {
+        } else path = argv[i];
         if (bad) return kExitUsage;
     }
     if (!path) return usage();
@@ -1439,9 +1146,8 @@ int cmd_demo(int argc, char** argv) {
     double scale = 0.01;
     bool bad = false;
     for (int i = 0; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--suite") && i + 1 < argc)
-            suite = argv[++i];
-        else if (flag_f64(argc, argv, i, "--scale", scale, bad)) {
+        if (flag_str(argc, argv, i, "--suite", suite, bad)) {
+        } else if (flag_f64(argc, argv, i, "--scale", scale, bad)) {
         }
         if (bad) return kExitUsage;
     }
@@ -1465,9 +1171,8 @@ int cmd_campaign(int argc, char** argv) {
     const char* save_path = nullptr;
     bool bad = false;
     for (int i = 0; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--suite") && i + 1 < argc)
-            cfg.suite = argv[++i];
-        else if (flag_f64(argc, argv, i, "--scale", cfg.scale, bad)) {
+        if (flag_str(argc, argv, i, "--suite", cfg.suite, bad)) {
+        } else if (flag_f64(argc, argv, i, "--scale", cfg.scale, bad)) {
         } else if (flag_u64(argc, argv, i, "--seed", cfg.seed, bad)) {
         } else if (flag_u32(argc, argv, i, "--samples",
                             cfg.occurrences_per_point, bad)) {
@@ -1476,13 +1181,11 @@ int cmd_campaign(int argc, char** argv) {
                             bad)) {
         } else if (flag_u32(argc, argv, i, "--permille",
                             cfg.chaos_permille, bad)) {
-        } else if (!std::strcmp(argv[i], "--mount") && i + 1 < argc)
-            cfg.mount = argv[++i];
-        else if (!std::strcmp(argv[i], "--extended"))
+        } else if (flag_str(argc, argv, i, "--mount", cfg.mount, bad)) {
+        } else if (!std::strcmp(argv[i], "--extended"))
             cfg.extended_registry = true;
-        else if (!std::strcmp(argv[i], "--save") && i + 1 < argc)
-            save_path = argv[++i];
-        else
+        else if (flag_str(argc, argv, i, "--save", save_path, bad)) {
+        } else
             return usage();
         if (bad) return kExitUsage;
     }
@@ -1512,9 +1215,8 @@ int cmd_guide(int argc, char** argv) {
     const char* save_path = nullptr;
     bool bad = false;
     for (int i = 0; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--suite") && i + 1 < argc)
-            cfg.suite = argv[++i];
-        else if (flag_f64(argc, argv, i, "--scale", cfg.scale, bad)) {
+        if (flag_str(argc, argv, i, "--suite", cfg.suite, bad)) {
+        } else if (flag_f64(argc, argv, i, "--scale", cfg.scale, bad)) {
         } else if (flag_u64(argc, argv, i, "--seed", cfg.seed, bad)) {
         } else if (flag_u32(argc, argv, i, "--rounds", cfg.max_rounds,
                             bad)) {
@@ -1523,15 +1225,12 @@ int cmd_guide(int argc, char** argv) {
         } else if (flag_u64(argc, argv, i, "--per-gap", cfg.calls_per_gap,
                             bad)) {
         } else if (flag_f64(argc, argv, i, "--target", cfg.target, bad)) {
-        } else if (!std::strcmp(argv[i], "--mount") && i + 1 < argc)
-            cfg.mount = argv[++i];
-        else if (!std::strcmp(argv[i], "--extended"))
+        } else if (flag_str(argc, argv, i, "--mount", cfg.mount, bad)) {
+        } else if (!std::strcmp(argv[i], "--extended"))
             cfg.extended_registry = true;
-        else if (!std::strcmp(argv[i], "--baseline") && i + 1 < argc)
-            baseline_path = argv[++i];
-        else if (!std::strcmp(argv[i], "--save") && i + 1 < argc)
-            save_path = argv[++i];
-        else
+        else if (flag_str(argc, argv, i, "--baseline", baseline_path, bad)) {
+        } else if (flag_str(argc, argv, i, "--save", save_path, bad)) {
+        } else
             return usage();
         if (bad) return kExitUsage;
     }
@@ -1567,9 +1266,9 @@ int cmd_crashtest(int argc, char** argv) {
     for (int i = 0; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--list")) {
             list = true;
-        } else if (!std::strcmp(argv[i], "--workloads") && i + 1 < argc) {
+        } else if (std::string arg;
+                   flag_str(argc, argv, i, "--workloads", arg, bad)) {
             // Comma-separated workload names.
-            std::string arg = argv[++i];
             std::size_t pos = 0;
             while (pos <= arg.size()) {
                 const std::size_t comma = arg.find(',', pos);
@@ -1592,8 +1291,7 @@ int cmd_crashtest(int argc, char** argv) {
                             bad)) {
         } else if (flag_u64_opt(argc, argv, i, "--inject-skip-barrier",
                                 cfg.inject_skip_barrier, bad)) {
-        } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
-            json_path = argv[++i];
+        } else if (flag_str(argc, argv, i, "--json", json_path, bad)) {
         } else {
             return usage();
         }
@@ -1711,8 +1409,11 @@ int main(int argc, char** argv) {
     host::FaultHook::configure_from_env();
     std::vector<char*> args;
     for (int i = 0; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--self-fault") && i + 1 < argc) {
-            if (auto err = host::FaultHook::configure(argv[++i])) {
+        const char* spec = nullptr;
+        bool bad = false;
+        if (flag_str(argc, argv, i, "--self-fault", spec, bad)) {
+            if (bad) return kExitUsage;
+            if (auto err = host::FaultHook::configure(spec)) {
                 std::fprintf(stderr, "iocov: --self-fault: %s\n",
                              err->c_str());
                 return kExitUsage;
