@@ -27,7 +27,7 @@ cmake --build "$BUILD" -j --target \
   test_batch_decode test_dir_ingest \
   test_crash_replay test_crash_oracle test_crashtest \
   test_snapshot test_snapshot_merge test_host_io test_checkpoint \
-  test_serve test_cli_parse test_walk
+  test_serve test_cli_parse test_walk test_format_bytes
 ctest --test-dir "$BUILD" \
-  -R 'Binary|TextFormat|MappedFile|BatchDecode|DirIngest|CrashReplay|CrashOracle|CrashTest|Snapshot|SnapshotMerge|HostIo|Checkpoint|IncrementalMerge|Serve|Protocol|LiveCoverage|ParseU|ParseF|Walk' \
+  -R 'Binary|TextFormat|MappedFile|BatchDecode|DirIngest|CrashReplay|CrashOracle|CrashTest|Snapshot|SnapshotMerge|HostIo|Checkpoint|IncrementalMerge|Serve|Protocol|LiveCoverage|ParseU|ParseF|Walk|FormatBytes' \
   --output-on-failure -j "$(nproc)"

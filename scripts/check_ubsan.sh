@@ -4,7 +4,8 @@
 #   ./scripts/check_ubsan.sh [BUILD_DIR]    # default build-ubsan
 #
 # Fault campaigns steer the kernel model down its rarest error paths,
-# and the decoders (IOCT trace and IOCS snapshot alike) chew on
+# and the decoders (IOCT trace, IOCS snapshot and IOCK checkpoint
+# alike, plus their pinned encodings) chew on
 # deliberately corrupted bytes — both are where latent UB (signed
 # overflow in varint math, bad shifts, invalid enum loads) would
 # hide.  This configures a full
@@ -24,7 +25,7 @@ cmake --build "$BUILD" -j --target \
   test_binary_format test_text_format test_batch_decode \
   test_crash_replay test_crash_oracle test_state_diff \
   test_snapshot test_snapshot_merge test_host_io \
-  test_serve test_cli_parse test_walk
+  test_serve test_cli_parse test_walk test_checkpoint test_format_bytes
 ctest --test-dir "$BUILD" \
-  -R 'Fsck|Fault|ScopedFault|Campaign|IngestFaults|Binary|TextFormat|BatchDecode|CrashReplay|CrashOracle|StateDiff|Snapshot|SnapshotMerge|HostIo|Serve|Protocol|LiveCoverage|ParseU|ParseF|Walk' \
+  -R 'Fsck|Fault|ScopedFault|Campaign|IngestFaults|Binary|TextFormat|BatchDecode|CrashReplay|CrashOracle|StateDiff|Snapshot|SnapshotMerge|HostIo|Serve|Protocol|LiveCoverage|ParseU|ParseF|Walk|Checkpoint|IncrementalMerge|FormatBytes' \
   --output-on-failure -j "$(nproc)"

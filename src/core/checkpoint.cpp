@@ -1,50 +1,39 @@
 #include "core/checkpoint.hpp"
 
-#include <cstring>
 #include <filesystem>
 
-#include "host/io.hpp"
-#include "trace/binary_format.hpp"
+#include "core/detail/sealed.hpp"
 #include "trace/detail/wire.hpp"
 
 namespace iocov::core {
 namespace {
 
-using trace::detail::fnv1a64;
+using detail::fail;
 using trace::detail::PayloadCursor;
-using trace::detail::put_u32le;
-using trace::detail::put_u64le;
+using trace::detail::put_record;
 using trace::detail::put_varint;
-using trace::detail::read_u32le;
+using Kind = SnapshotError::Kind;
 
-bool fail(SnapshotError* err, SnapshotError::Kind kind, std::uint64_t offset,
-          std::string reason) {
-    if (err) {
-        err->kind = kind;
-        err->offset = offset;
-        err->reason = std::move(reason);
-        err->found_version = 0;
-        err->io_errno = 0;
-    }
-    return false;
-}
-
-void put_record(std::string& out, std::string_view payload) {
-    put_u32le(out, static_cast<std::uint32_t>(payload.size()));
-    out.append(payload);
-}
+// A manifest is always named by the user, so a foreign file and a
+// version skew are both damage.
+constexpr detail::SealedFormat kIock{
+    .magic = kIockMagic,
+    .version = kIockVersion,
+    .footer_tag = static_cast<std::uint8_t>(IockTag::Footer),
+    .noun = "checkpoint",
+    .foreign = Kind::Corrupt,
+    .skew = Kind::Corrupt,
+};
 
 }  // namespace
 
 bool is_iock(std::string_view data) {
-    return data.size() >= sizeof kIockMagic &&
-           std::memcmp(data.data(), kIockMagic, sizeof kIockMagic) == 0;
+    return trace::detail::has_magic(data, kIockMagic);
 }
 
 std::string encode_checkpoint(const Checkpoint& cp) {
-    std::string out(kIockHeaderSize, '\0');
-    std::memcpy(out.data(), kIockMagic, sizeof kIockMagic);
-    out[4] = static_cast<char>(kIockVersion);
+    std::string out =
+        trace::detail::container_header(kIockMagic, kIockVersion);
 
     std::string payload;
     payload.push_back(static_cast<char>(IockTag::Meta));
@@ -81,85 +70,39 @@ std::string encode_checkpoint(const Checkpoint& cp) {
         put_record(out, payload);
     }
 
-    payload.clear();
-    payload.push_back(static_cast<char>(IockTag::Footer));
-    put_varint(payload, cp.consumed.size());
-    put_varint(payload, cp.diags.entries().size());
-    put_varint(payload, cp.blocks.size());
-    put_u64le(payload, fnv1a64(out));
-    put_record(out, payload);
+    detail::seal(out, kIock,
+                 {cp.consumed.size(), cp.diags.entries().size(),
+                  cp.blocks.size()});
     return out;
 }
 
 std::optional<Checkpoint> decode_checkpoint(std::string_view data,
                                             SnapshotError* err) {
-    using Kind = SnapshotError::Kind;
-    if (!is_iock(data)) {
-        fail(err, Kind::Corrupt, 0, "not an IOCK checkpoint (bad magic)");
-        return std::nullopt;
-    }
-    if (data.size() < kIockHeaderSize) {
-        fail(err, Kind::Torn, data.size(), "torn checkpoint header");
-        return std::nullopt;
-    }
-    const auto version = static_cast<std::uint8_t>(data[4]);
-    if (version != kIockVersion) {
-        fail(err, Kind::Corrupt, 4,
-             "checkpoint version skew: file is v" + std::to_string(version) +
-                 ", this build reads v" + std::to_string(kIockVersion));
-        return std::nullopt;
-    }
-
     Checkpoint cp;
     std::uint64_t diag_total = 0;
-    std::uint64_t footer_names = 0, footer_diags = 0, footer_blocks = 0;
     std::size_t n_diags = 0;
-    bool saw_meta = false, saw_footer = false;
-    std::size_t pos = kIockHeaderSize;
-    while (pos < data.size()) {
-        if (saw_footer) {
-            fail(err, Kind::Corrupt, pos, "data after checkpoint footer");
-            return std::nullopt;
-        }
-        if (data.size() - pos < 4) {
-            fail(err, Kind::Torn, pos, "torn checkpoint record prefix");
-            return std::nullopt;
-        }
-        const std::uint32_t len = read_u32le(data.data() + pos);
-        const std::size_t record_start = pos;
-        pos += 4;
-        if (len == 0 || len > data.size() - pos) {
-            fail(err, Kind::Torn, record_start, "torn checkpoint record");
-            return std::nullopt;
-        }
-        const std::string_view body = data.substr(pos, len);
-        pos += len;
-        PayloadCursor c(body.substr(1));
-        switch (static_cast<IockTag>(static_cast<std::uint8_t>(body[0]))) {
+    bool saw_meta = false;
+    auto on_record = [&](const trace::detail::Record& rec) {
+        PayloadCursor c(rec.body());
+        switch (static_cast<IockTag>(rec.tag())) {
             case IockTag::Meta: {
                 std::uint8_t mode = 0;
                 const bool ok =
                     !saw_meta && c.read_u8(mode) &&
-                    (mode == static_cast<std::uint8_t>(
-                                 CheckpointMode::Merge) ||
-                     mode == static_cast<std::uint8_t>(
-                                 CheckpointMode::Analyze) ||
-                     mode == static_cast<std::uint8_t>(
-                                 CheckpointMode::Serve)) &&
+                    mode >= static_cast<std::uint8_t>(CheckpointMode::Merge) &&
+                    mode <= static_cast<std::uint8_t>(CheckpointMode::Serve) &&
                     c.read_varint(cp.rejected) && c.read_varint(cp.bytes) &&
                     c.read_varint(diag_total) && c.done();
-                if (!ok) {
-                    fail(err, Kind::Corrupt, record_start,
-                         "malformed checkpoint meta record");
-                    return std::nullopt;
-                }
+                if (!ok)
+                    return fail(err, Kind::Corrupt, rec.start,
+                                "malformed checkpoint meta record");
                 cp.mode = static_cast<CheckpointMode>(mode);
                 saw_meta = true;
-                break;
+                return true;
             }
             case IockTag::Name:
-                cp.consumed.emplace_back(body.substr(1));
-                break;
+                cp.consumed.emplace_back(rec.body());
+                return true;
             case IockTag::Diag: {
                 trace::ParseDiagnostic d;
                 std::string reason, excerpt;
@@ -167,22 +110,18 @@ std::optional<Checkpoint> decode_checkpoint(std::string_view data,
                                 c.read_varint(d.offset) &&
                                 c.read_string(reason) &&
                                 c.read_string(excerpt) && c.done();
-                if (!ok) {
-                    fail(err, Kind::Corrupt, record_start,
-                         "malformed checkpoint diagnostic record");
-                    return std::nullopt;
-                }
+                if (!ok)
+                    return fail(err, Kind::Corrupt, rec.start,
+                                "malformed checkpoint diagnostic record");
                 ++n_diags;
                 cp.diags.record(d.line, d.offset, reason, excerpt);
-                break;
+                return true;
             }
             case IockTag::Block: {
                 MergeBlock b;
-                if (!c.read_varint(b.leaves) || b.leaves == 0) {
-                    fail(err, Kind::Corrupt, record_start,
-                         "malformed checkpoint block record");
-                    return std::nullopt;
-                }
+                if (!c.read_varint(b.leaves) || b.leaves == 0)
+                    return fail(err, Kind::Corrupt, rec.start,
+                                "malformed checkpoint block record");
                 const std::string_view iocs = c.rest();
                 auto snap = decode_snapshot(iocs, err);
                 if (!snap) {
@@ -194,43 +133,22 @@ std::optional<Checkpoint> decode_checkpoint(std::string_view data,
                         err->reason =
                             "embedded block snapshot: " + err->reason;
                     }
-                    return std::nullopt;
+                    return false;
                 }
                 b.snapshot = std::move(*snap);
                 cp.blocks.push_back(std::move(b));
-                break;
-            }
-            case IockTag::Footer: {
-                std::uint64_t checksum = 0;
-                if (!c.read_varint(footer_names) ||
-                    !c.read_varint(footer_diags) ||
-                    !c.read_varint(footer_blocks) ||
-                    !c.read_u64le(checksum) || !c.done()) {
-                    fail(err, Kind::Corrupt, record_start,
-                         "malformed checkpoint footer record");
-                    return std::nullopt;
-                }
-                if (checksum != fnv1a64(data.substr(0, record_start))) {
-                    fail(err, Kind::Corrupt, record_start,
-                         "checkpoint checksum mismatch (file damaged)");
-                    return std::nullopt;
-                }
-                saw_footer = true;
-                break;
+                return true;
             }
             default:
-                fail(err, Kind::Corrupt, record_start,
-                     "unknown checkpoint record tag");
-                return std::nullopt;
+                return fail(err, Kind::Corrupt, rec.start,
+                            "unknown record tag");
         }
-    }
-    if (!saw_footer) {
-        fail(err, Kind::Torn, data.size(),
-             "torn checkpoint: footer checksum missing");
+    };
+    std::uint64_t counts[3] = {};  // footer: names, diagnostics, blocks
+    if (!detail::read_sealed(data, kIock, counts, err, on_record))
         return std::nullopt;
-    }
-    if (!saw_meta || footer_names != cp.consumed.size() ||
-        footer_diags != n_diags || footer_blocks != cp.blocks.size() ||
+    if (!saw_meta || counts[0] != cp.consumed.size() ||
+        counts[1] != n_diags || counts[2] != cp.blocks.size() ||
         diag_total < n_diags) {
         fail(err, Kind::Corrupt, data.size(),
              saw_meta ? "footer counts disagree with checkpoint records"
@@ -243,34 +161,12 @@ std::optional<Checkpoint> decode_checkpoint(std::string_view data,
 
 bool save_checkpoint_file(const std::string& path, const Checkpoint& cp,
                           SnapshotError* err) {
-    const std::string bytes = encode_checkpoint(cp);
-    if (auto ioerr = host::write_file_atomic(path, bytes)) {
-        if (err) {
-            err->kind = SnapshotError::Kind::Io;
-            err->offset = 0;
-            err->reason = ioerr->to_string();
-            err->io_errno = ioerr->err;
-        }
-        return false;
-    }
-    return true;
+    return detail::save_artifact(path, encode_checkpoint(cp), err);
 }
 
 std::optional<Checkpoint> load_checkpoint_file(const std::string& path,
                                                SnapshotError* err) {
-    host::IoError ioerr;
-    auto mapped = trace::MappedFile::open(path, trace::MappedFile::Mode::Auto,
-                                          &ioerr);
-    if (!mapped) {
-        if (err) {
-            err->kind = SnapshotError::Kind::Io;
-            err->offset = 0;
-            err->reason = "cannot open file: " + ioerr.to_string();
-            err->io_errno = ioerr.err;
-        }
-        return std::nullopt;
-    }
-    return decode_checkpoint(mapped->data(), err);
+    return detail::load_artifact(path, err, decode_checkpoint);
 }
 
 std::optional<Checkpoint> resume_checkpoint(const std::string& path,

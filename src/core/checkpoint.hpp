@@ -16,19 +16,18 @@
 // folds every stored block, so older manifests that hold several
 // blocks resume to the same bytes.
 //
-// File layout (all integers little-endian; spec in DESIGN.md §12):
+// File layout: the sealed record container (DESIGN.md §6.0) with magic
+// "IOCK" and these tags (spec in DESIGN.md §12):
 //
-//   header   16 bytes: "IOCK" magic, version, flags, reserved
-//   records  length-prefixed (u32 LE payload length, payload = tag+body):
-//       0x01 META    mode byte (1 = merge, 2 = analyze), varint
-//                    rejected count, input bytes, total diagnostics
+//       0x01 META    mode byte (1 = merge, 2 = analyze, 3 = serve),
+//                    varint rejected count, input bytes, total
+//                    diagnostics
 //       0x02 NAME    one consumed input name, in processing order
 //       0x03 DIAG    one retained diagnostic: varint line, offset,
 //                    then length-prefixed reason and excerpt
 //       0x04 BLOCK   partial merge state: varint leaf count, then a
 //                    complete embedded IOCS snapshot
-//       0x05 FOOTER  name/diag/block counts + FNV-1a-64 checksum of
-//                    every byte before the footer's length prefix
+//       0x05 FOOTER  sealed: name/diag/block counts
 //
 // Like IOCS, a manifest is *state*: decode is all-or-nothing, and any
 // truncation or bit flip surfaces as a structured SnapshotError rather
@@ -51,7 +50,6 @@ namespace iocov::core {
 
 inline constexpr char kIockMagic[4] = {'I', 'O', 'C', 'K'};
 inline constexpr std::uint8_t kIockVersion = 1;
-inline constexpr std::size_t kIockHeaderSize = 16;
 
 enum class IockTag : std::uint8_t {
     Meta = 0x01,

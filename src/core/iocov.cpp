@@ -21,14 +21,19 @@ constexpr std::size_t kBatchRows = 512;
 
 }  // namespace
 
+IngestStats& IngestStats::operator+=(const IngestStats& other) {
+    events += other.events;
+    bytes += other.bytes;
+    files += other.files;
+    threads = std::max(threads, other.threads);
+    hot_loop_allocs += other.hot_loop_allocs;
+    return *this;
+}
+
 IOCov::Tally& IOCov::Tally::operator+=(const Tally& other) {
     filtered_out += other.filtered_out;
     shards_lost += other.shards_lost;
-    ingest.events += other.ingest.events;
-    ingest.bytes += other.ingest.bytes;
-    ingest.files += other.ingest.files;
-    ingest.threads = std::max(ingest.threads, other.ingest.threads);
-    ingest.hot_loop_allocs += other.ingest.hot_loop_allocs;
+    ingest += other.ingest;
     return *this;
 }
 

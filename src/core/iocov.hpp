@@ -42,6 +42,9 @@ struct IngestStats {
     /// always 0 when exec::has_allocation_counting() is false).
     std::uint64_t hot_loop_allocs = 0;
 
+    /// The one fold: counters add, `threads` keeps the maximum.
+    IngestStats& operator+=(const IngestStats& other);
+
     friend bool operator==(const IngestStats&, const IngestStats&) = default;
 };
 

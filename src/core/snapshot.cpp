@@ -1,97 +1,60 @@
 #include "core/snapshot.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <unordered_map>
 
+#include "core/detail/sealed.hpp"
 #include "core/untested.hpp"
 #include "exec/thread_pool.hpp"
-#include "host/io.hpp"
-#include "trace/binary_format.hpp"
 #include "trace/detail/wire.hpp"
 
 namespace iocov::core {
 namespace {
 
-using trace::detail::fnv1a64;
 using trace::detail::PayloadCursor;
-using trace::detail::put_u32le;
+using trace::detail::put_record;
 using trace::detail::put_u64le;
 using trace::detail::put_varint;
-using trace::detail::read_u32le;
+using trace::detail::StringTable;
+using Kind = SnapshotError::Kind;
 
-std::string iocs_header() {
-    std::string h(kIocsHeaderSize, '\0');
-    std::memcpy(h.data(), kIocsMagic, sizeof kIocsMagic);
-    h[4] = static_cast<char>(kIocsVersion);
-    return h;
-}
+// A foreign file and a version skew keep their own kinds, so `iocov
+// merge` can tell a README from a snapshot it cannot read.
+constexpr detail::SealedFormat kIocs{
+    .magic = kIocsMagic,
+    .version = kIocsVersion,
+    .footer_tag = static_cast<std::uint8_t>(IocsTag::Footer),
+    .noun = "snapshot",
+    .foreign = Kind::NotIocs,
+    .skew = Kind::VersionSkew,
+};
+
+static_assert(kIocsHeaderSize == trace::detail::kHeaderSize);
+static_assert(static_cast<std::uint8_t>(IocsTag::Str) ==
+              trace::detail::kStrTag);
 
 // ---- encoding --------------------------------------------------------------
 
-/// Interns strings on first use, emitting STR records inline (ids are
-/// implicit appearance order, exactly like IOCT's table).
-class StringInterner {
-  public:
-    explicit StringInterner(std::string& out) : out_(out) {}
-
-    std::uint64_t id(std::string_view s) {
-        auto it = ids_.find(s);
-        if (it != ids_.end()) return it->second;
-        const std::uint64_t id = ids_.size();
-        ids_.emplace(std::string(s), id);
-        put_u32le(out_, static_cast<std::uint32_t>(1 + s.size()));
-        out_.push_back(static_cast<char>(IocsTag::Str));
-        out_.append(s);
-        return id;
-    }
-
-  private:
-    struct Hash {
-        using is_transparent = void;
-        std::size_t operator()(std::string_view s) const {
-            return std::hash<std::string_view>{}(s);
-        }
-    };
-    std::string& out_;
-    std::unordered_map<std::string, std::uint64_t, Hash, std::equal_to<>>
-        ids_;
-};
-
-void put_histogram(std::string& payload, StringInterner& strings,
+void put_histogram(std::string& payload, std::string& out,
+                   StringTable& strings,
                    const stats::PartitionHistogram& hist) {
     put_varint(payload, hist.rows().size());
     put_varint(payload, hist.declared_count());
     for (const auto& row : hist.rows()) {
-        put_varint(payload, strings.id(row.label));
+        put_varint(payload, strings.intern(out, row.label));
         put_varint(payload, row.count);
     }
 }
 
-void put_record(std::string& out, std::string_view payload) {
-    put_u32le(out, static_cast<std::uint32_t>(payload.size()));
-    out.append(payload);
-}
-
 // ---- decoding --------------------------------------------------------------
-
-bool fail(SnapshotError* err, SnapshotError::Kind kind, std::uint64_t offset,
-          std::string reason, std::uint8_t found_version = 0) {
-    if (err) {
-        err->kind = kind;
-        err->offset = offset;
-        err->reason = std::move(reason);
-        err->found_version = found_version;
-    }
-    return false;
-}
 
 bool read_histogram(PayloadCursor& c,
                     const std::vector<std::string_view>& strings,
                     stats::PartitionHistogram& out) {
     std::uint64_t rows = 0, declared = 0;
+    // Spaces are tens of labels, and a row takes at least 2 bytes: cap
+    // forged sizes before they size the reserve below.
     if (!c.read_varint(rows) || !c.read_varint(declared) || declared > rows ||
-        rows > (1u << 24))  // spaces are tens of labels; cap forged sizes
+        rows > (1u << 24) || rows > c.rest().size() / 2)
         return false;
     std::vector<stats::PartitionCount> pc;
     pc.reserve(rows);
@@ -116,12 +79,11 @@ bool read_histogram(PayloadCursor& c,
 
 bool is_iocs(std::string_view data) {
     return data.size() >= kIocsHeaderSize &&
-           std::memcmp(data.data(), kIocsMagic, sizeof kIocsMagic) == 0;
+           trace::detail::has_magic(data, kIocsMagic);
 }
 
 std::optional<std::uint8_t> iocs_version(std::string_view data) {
-    if (data.size() < 5 ||
-        std::memcmp(data.data(), kIocsMagic, sizeof kIocsMagic) != 0)
+    if (data.size() < 5 || !trace::detail::has_magic(data, kIocsMagic))
         return std::nullopt;
     return static_cast<std::uint8_t>(data[4]);
 }
@@ -132,18 +94,15 @@ void IOCovSnapshot::merge(const IOCovSnapshot& other) {
     report.merge(other.report);
     filtered_out += other.filtered_out;
     dropped += other.dropped;
-    ingest.events += other.ingest.events;
-    ingest.bytes += other.ingest.bytes;
-    ingest.files += other.ingest.files;
-    ingest.threads = std::max(ingest.threads, other.ingest.threads);
-    ingest.hot_loop_allocs += other.ingest.hot_loop_allocs;
+    ingest += other.ingest;
     if (label != other.label) label.clear();
     timestamp = std::max(timestamp, other.timestamp);
 }
 
 std::string encode_snapshot(const IOCovSnapshot& snapshot) {
-    std::string out = iocs_header();
-    StringInterner strings(out);
+    std::string out =
+        trace::detail::container_header(kIocsMagic, kIocsVersion);
+    StringTable strings;
 
     {
         std::string payload;
@@ -160,7 +119,7 @@ std::string encode_snapshot(const IOCovSnapshot& snapshot) {
         // Reserved 8-byte slot (it once held wall-clock seconds):
         // written 0, ignored on read.
         put_u64le(payload, 0);
-        put_varint(payload, strings.id(snapshot.label));
+        put_varint(payload, strings.intern(out, snapshot.label));
         put_varint(payload, snapshot.timestamp);
         put_record(out, payload);
     }
@@ -168,35 +127,27 @@ std::string encode_snapshot(const IOCovSnapshot& snapshot) {
     for (const auto& in : snapshot.report.inputs) {
         std::string payload;
         payload.push_back(static_cast<char>(IocsTag::Input));
-        put_varint(payload, strings.id(in.base));
-        put_varint(payload, strings.id(in.key));
+        put_varint(payload, strings.intern(out, in.base));
+        put_varint(payload, strings.intern(out, in.key));
         payload.push_back(static_cast<char>(in.cls));
-        put_histogram(payload, strings, in.hist);
-        put_histogram(payload, strings, in.combo_cardinality);
-        put_histogram(payload, strings, in.combo_cardinality_rdonly);
-        put_histogram(payload, strings, in.pairs);
+        put_histogram(payload, out, strings, in.hist);
+        put_histogram(payload, out, strings, in.combo_cardinality);
+        put_histogram(payload, out, strings, in.combo_cardinality_rdonly);
+        put_histogram(payload, out, strings, in.pairs);
         put_record(out, payload);
     }
     for (const auto& o : snapshot.report.outputs) {
         std::string payload;
         payload.push_back(static_cast<char>(IocsTag::Output));
-        put_varint(payload, strings.id(o.base));
+        put_varint(payload, strings.intern(out, o.base));
         payload.push_back(static_cast<char>(o.success));
-        put_histogram(payload, strings, o.hist);
+        put_histogram(payload, out, strings, o.hist);
         put_record(out, payload);
     }
 
-    {
-        // Checksum covers header + every record before the footer; the
-        // footer's own length prefix and payload are excluded so the
-        // checksum is computable in one pass while writing.
-        std::string payload;
-        payload.push_back(static_cast<char>(IocsTag::Footer));
-        put_varint(payload, snapshot.report.inputs.size());
-        put_varint(payload, snapshot.report.outputs.size());
-        put_u64le(payload, fnv1a64(out));
-        put_record(out, payload);
-    }
+    detail::seal(out, kIocs,
+                 {snapshot.report.inputs.size(),
+                  snapshot.report.outputs.size()});
     return out;
 }
 
@@ -221,52 +172,16 @@ std::string SnapshotError::to_string() const {
 
 std::optional<IOCovSnapshot> decode_snapshot(std::string_view data,
                                              SnapshotError* err) {
-    using Kind = SnapshotError::Kind;
-    if (data.size() < kIocsHeaderSize ||
-        std::memcmp(data.data(), kIocsMagic, sizeof kIocsMagic) != 0) {
-        fail(err, Kind::NotIocs, 0, "not an IOCS snapshot (bad magic)");
-        return std::nullopt;
-    }
-    const auto version = static_cast<std::uint8_t>(data[4]);
-    if (version != kIocsVersion) {
-        fail(err, Kind::VersionSkew, 4, "snapshot version skew", version);
-        return std::nullopt;
-    }
-
+    using detail::fail;
     IOCovSnapshot snap;
     std::vector<std::string_view> strings;
-    bool saw_meta = false, saw_footer = false;
-    std::uint64_t footer_inputs = 0, footer_outputs = 0;
-
-    std::size_t pos = kIocsHeaderSize;
-    while (pos < data.size()) {
-        const std::size_t record_start = pos;
-        if (saw_footer) {
-            fail(err, Kind::Corrupt, record_start,
-                 "trailing bytes after footer");
-            return std::nullopt;
-        }
-        if (data.size() - pos < 4) {
-            fail(err, Kind::Torn, record_start,
-                 "torn snapshot: truncated record length prefix");
-            return std::nullopt;
-        }
-        const std::uint32_t len = read_u32le(data.data() + pos);
-        pos += 4;
-        if (len == 0 || len > data.size() - pos) {
-            fail(err, len == 0 ? Kind::Corrupt : Kind::Torn, record_start,
-                 len == 0 ? "zero-length record"
-                          : "torn snapshot: record length exceeds "
-                            "remaining bytes");
-            return std::nullopt;
-        }
-        const std::string_view payload = data.substr(pos, len);
-        pos += len;
-        PayloadCursor c(payload.substr(1));
-        switch (static_cast<IocsTag>(payload[0])) {
+    bool saw_meta = false;
+    auto on_record = [&](const trace::detail::Record& rec) {
+        PayloadCursor c(rec.body());
+        switch (static_cast<IocsTag>(rec.tag())) {
             case IocsTag::Str:
-                strings.push_back(payload.substr(1));
-                break;
+                strings.push_back(rec.body());
+                return true;
             case IocsTag::Meta: {
                 std::uint64_t threads = 0, reserved = 0, label_id = 0;
                 const bool ok =
@@ -282,15 +197,13 @@ std::optional<IOCovSnapshot> decode_snapshot(std::string_view data,
                     c.read_u64le(reserved) && c.read_varint(label_id) &&
                     label_id < strings.size() &&
                     c.read_varint(snap.timestamp) && c.done();
-                if (!ok) {
-                    fail(err, Kind::Corrupt, record_start,
-                         "malformed meta record");
-                    return std::nullopt;
-                }
+                if (!ok)
+                    return fail(err, Kind::Corrupt, rec.start,
+                                "malformed meta record");
                 snap.ingest.threads = static_cast<unsigned>(threads);
                 snap.label.assign(strings[label_id]);
                 saw_meta = true;
-                break;
+                return true;
             }
             case IocsTag::Input: {
                 ArgCoverage in;
@@ -307,16 +220,14 @@ std::optional<IOCovSnapshot> decode_snapshot(std::string_view data,
                     read_histogram(c, strings,
                                    in.combo_cardinality_rdonly) &&
                     read_histogram(c, strings, in.pairs) && c.done();
-                if (!ok) {
-                    fail(err, Kind::Corrupt, record_start,
-                         "malformed input-space record");
-                    return std::nullopt;
-                }
+                if (!ok)
+                    return fail(err, Kind::Corrupt, rec.start,
+                                "malformed input-space record");
                 in.base.assign(strings[base_id]);
                 in.key.assign(strings[key_id]);
                 in.cls = static_cast<ArgClass>(cls);
                 snap.report.inputs.push_back(std::move(in));
-                break;
+                return true;
             }
             case IocsTag::Output: {
                 OutputCoverage o;
@@ -327,45 +238,24 @@ std::optional<IOCovSnapshot> decode_snapshot(std::string_view data,
                     c.read_u8(success) &&
                     success <= static_cast<std::uint8_t>(SuccessKind::NewFd) &&
                     read_histogram(c, strings, o.hist) && c.done();
-                if (!ok) {
-                    fail(err, Kind::Corrupt, record_start,
-                         "malformed output-space record");
-                    return std::nullopt;
-                }
+                if (!ok)
+                    return fail(err, Kind::Corrupt, rec.start,
+                                "malformed output-space record");
                 o.base.assign(strings[base_id]);
                 o.success = static_cast<SuccessKind>(success);
                 snap.report.outputs.push_back(std::move(o));
-                break;
-            }
-            case IocsTag::Footer: {
-                std::uint64_t checksum = 0;
-                if (!c.read_varint(footer_inputs) ||
-                    !c.read_varint(footer_outputs) ||
-                    !c.read_u64le(checksum) || !c.done()) {
-                    fail(err, Kind::Corrupt, record_start,
-                         "malformed footer record");
-                    return std::nullopt;
-                }
-                if (checksum != fnv1a64(data.substr(0, record_start))) {
-                    fail(err, Kind::Corrupt, record_start,
-                         "snapshot checksum mismatch (file damaged)");
-                    return std::nullopt;
-                }
-                saw_footer = true;
-                break;
+                return true;
             }
             default:
-                fail(err, Kind::Corrupt, record_start, "unknown record tag");
-                return std::nullopt;
+                return fail(err, Kind::Corrupt, rec.start,
+                            "unknown record tag");
         }
-    }
-    if (!saw_footer) {
-        fail(err, Kind::Torn, data.size(),
-             "torn snapshot: footer checksum missing");
+    };
+    std::uint64_t spaces[2] = {};  // footer: input and output space counts
+    if (!detail::read_sealed(data, kIocs, spaces, err, on_record))
         return std::nullopt;
-    }
-    if (!saw_meta || footer_inputs != snap.report.inputs.size() ||
-        footer_outputs != snap.report.outputs.size()) {
+    if (!saw_meta || spaces[0] != snap.report.inputs.size() ||
+        spaces[1] != snap.report.outputs.size()) {
         fail(err, Kind::Corrupt, data.size(),
              saw_meta ? "footer space counts disagree with records"
                       : "snapshot has no meta record");
@@ -377,38 +267,12 @@ std::optional<IOCovSnapshot> decode_snapshot(std::string_view data,
 bool save_snapshot_file(const std::string& path,
                         const IOCovSnapshot& snapshot,
                         SnapshotError* err) {
-    // A snapshot is all-or-nothing state (see decode); the write must
-    // match: never truncate the previous artifact before the new bytes
-    // are durable.  write_file_atomic publishes via rename, so a crash
-    // or failure at any point leaves the prior complete file in place.
-    const std::string bytes = encode_snapshot(snapshot);
-    if (auto ioerr = host::write_file_atomic(path, bytes)) {
-        if (err) {
-            err->kind = SnapshotError::Kind::Io;
-            err->offset = 0;
-            err->reason = ioerr->to_string();
-            err->io_errno = ioerr->err;
-        }
-        return false;
-    }
-    return true;
+    return detail::save_artifact(path, encode_snapshot(snapshot), err);
 }
 
 std::optional<IOCovSnapshot> load_snapshot_file(const std::string& path,
                                                 SnapshotError* err) {
-    host::IoError ioerr;
-    auto mapped = trace::MappedFile::open(path, trace::MappedFile::Mode::Auto,
-                                          &ioerr);
-    if (!mapped) {
-        if (err) {
-            err->kind = SnapshotError::Kind::Io;
-            err->offset = 0;
-            err->reason = "cannot open file: " + ioerr.to_string();
-            err->io_errno = ioerr.err;
-        }
-        return std::nullopt;
-    }
-    return decode_snapshot(mapped->data(), err);
+    return detail::load_artifact(path, err, decode_snapshot);
 }
 
 // ---- merge -----------------------------------------------------------------

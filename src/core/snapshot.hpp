@@ -18,12 +18,12 @@
 // == ingest(A+B), and a directory of snapshots folds in any order and
 // grouping on any thread count to the same bytes.
 //
-// File layout (all integers little-endian; full spec in DESIGN.md §10):
+// File layout: the sealed record container (DESIGN.md §6.0: 16-byte
+// header, u32-length-prefixed tagged records, a FOOTER checksummed
+// over every byte before it) with magic "IOCS" and these tags (full
+// spec in DESIGN.md §10.1):
 //
-//   header   16 bytes: "IOCS" magic, version, flags, reserved
-//   records  length-prefixed (u32 LE payload length, payload = tag+body):
-//       0x01 STR     string-table entry; ids are implicit (0, 1, 2, ...
-//                    in order of appearance), always defined before use
+//       0x01 STR     the container's string table
 //       0x02 META    varint counters (events seen/tracked, filtered,
 //                    dropped, ingest stats), 8 reserved bytes (written
 //                    0, ignored on read), label string-id, timestamp
@@ -33,8 +33,7 @@
 //                    (label-id, count) varint pairs
 //       0x04 OUTPUT  one OutputCoverage: base-id, success-kind byte,
 //                    one histogram
-//       0x05 FOOTER  space counts + FNV-1a-64 checksum of every byte
-//                    before the footer's length prefix; must be last
+//       0x05 FOOTER  sealed: input and output space counts
 //
 // Unlike IOCT (a stream where every intact prefix record is useful), a
 // snapshot is a *state*: loading half of one would silently undercount

@@ -20,9 +20,9 @@ constexpr std::uint8_t kTypeUint = static_cast<std::uint8_t>(ArgType::Uint);
 constexpr std::uint8_t kTypeStr = static_cast<std::uint8_t>(ArgType::Str);
 
 using detail::PayloadCursor;
-using detail::put_u32le;
+using detail::put_record;
 using detail::put_varint;
-using detail::read_u32le;
+using detail::RecordReader;
 using detail::unzigzag64;
 using detail::zigzag64;
 
@@ -32,39 +32,40 @@ constexpr std::uint64_t kMaxArgs = 64;
 
 constexpr std::size_t kSinkFlushBytes = 64 * 1024;
 
+static_assert(kIoctHeaderSize == detail::kHeaderSize);
+static_assert(static_cast<std::uint8_t>(IoctTag::Str) == detail::kStrTag);
+
+/// A stream's name for each framing failure; the scan drops the torn
+/// tail and stops.
+const char* torn_reason(RecordReader::Status status) {
+    switch (status) {
+        case RecordReader::Status::TornPrefix:
+            return "torn record length prefix";
+        case RecordReader::Status::ZeroLength:
+            return "zero-length record";
+        default:
+            return "record length exceeds remaining bytes";
+    }
+}
+
 }  // namespace
 
 bool is_ioct(std::string_view data) {
-    return data.size() > 4 &&
-           std::memcmp(data.data(), kIoctMagic, sizeof kIoctMagic) == 0 &&
+    return data.size() > 4 && detail::has_magic(data, kIoctMagic) &&
            static_cast<std::uint8_t>(data[4]) == kIoctVersion;
 }
 
 std::string ioct_header() {
-    std::string h(kIoctHeaderSize, '\0');
-    std::memcpy(h.data(), kIoctMagic, sizeof kIoctMagic);
-    h[4] = static_cast<char>(kIoctVersion);
-    return h;
+    return detail::container_header(kIoctMagic, kIoctVersion);
 }
 
 // ---- BinaryWriter ----------------------------------------------------------
 
 BinaryWriter::BinaryWriter() : buffer_(ioct_header()) {}
 
-std::uint32_t BinaryWriter::intern(std::string_view s) {
-    auto it = string_ids_.find(s);
-    if (it != string_ids_.end()) return it->second;
-    const auto id = static_cast<std::uint32_t>(string_ids_.size());
-    string_ids_.emplace(std::string(s), id);
-    put_u32le(buffer_, static_cast<std::uint32_t>(1 + s.size()));
-    buffer_.push_back(static_cast<char>(IoctTag::Str));
-    buffer_.append(s);
-    return id;
-}
-
 void BinaryWriter::write_event(const TraceEvent& event) {
     // Intern first: STR records must precede the EVT referencing them.
-    const std::uint32_t name_id = intern(event.syscall);
+    const std::uint32_t name_id = strings_.intern(buffer_, event.syscall);
 
     std::string payload;
     payload.push_back(static_cast<char>(IoctTag::Event));
@@ -75,7 +76,7 @@ void BinaryWriter::write_event(const TraceEvent& event) {
     put_varint(payload, zigzag64(event.ret));
     put_varint(payload, event.args.size());
     for (const auto& arg : event.args) {
-        put_varint(payload, intern(arg.name));
+        put_varint(payload, strings_.intern(buffer_, arg.name));
         if (const auto* i = std::get_if<std::int64_t>(&arg.value)) {
             payload.push_back(static_cast<char>(kTypeInt));
             put_varint(payload, zigzag64(*i));
@@ -84,12 +85,11 @@ void BinaryWriter::write_event(const TraceEvent& event) {
             put_varint(payload, *u);
         } else {
             payload.push_back(static_cast<char>(kTypeStr));
-            put_varint(payload,
-                       intern(std::get<std::string>(arg.value)));
+            const auto& s = std::get<std::string>(arg.value);
+            put_varint(payload, strings_.intern(buffer_, s));
         }
     }
-    put_u32le(buffer_, static_cast<std::uint32_t>(payload.size()));
-    buffer_.append(payload);
+    put_record(buffer_, payload);
 
     ++total_events_;
     ++pid_counts_[event.pid];
@@ -110,8 +110,7 @@ void BinaryWriter::finish() {
         put_varint(payload, count);
     }
     put_varint(payload, total_events_);
-    put_u32le(buffer_, static_cast<std::uint32_t>(payload.size()));
-    buffer_.append(payload);
+    put_record(buffer_, payload);
 }
 
 std::string encode_trace(const std::vector<TraceEvent>& events) {
@@ -166,43 +165,35 @@ IoctScan scan_ioct(std::string_view data) {
         scan.diags.record(0, offset, reason);
     };
 
-    std::size_t pos = kIoctHeaderSize;
-    while (pos < data.size()) {
-        const std::size_t record_start = pos;
-        if (data.size() - pos < 4) {
-            drop(record_start, "torn record length prefix");
+    RecordReader records{data};
+    detail::Record rec;
+    for (RecordReader::Status status;
+         (status = records.next(rec)) != RecordReader::Status::End;) {
+        if (status != RecordReader::Status::Ok) {
+            drop(rec.start, torn_reason(status));
             break;
         }
-        const std::uint32_t len = read_u32le(data.data() + pos);
-        pos += 4;
-        if (len == 0 || len > data.size() - pos) {
-            drop(record_start,
-                 len == 0 ? "zero-length record"
-                          : "record length exceeds remaining bytes");
-            break;
-        }
-        const std::string_view payload = data.substr(pos, len);
-        pos += len;
-        switch (static_cast<IoctTag>(payload[0])) {
+        switch (static_cast<IoctTag>(rec.tag())) {
             case IoctTag::Str:
-                scan.strings.push_back(payload.substr(1));
+                scan.strings.push_back(rec.body());
                 break;
             case IoctTag::Event: {
-                PayloadCursor c(payload.substr(1));
+                PayloadCursor c(rec.body());
                 std::uint64_t seq = 0, pid = 0;
                 if (!c.read_varint(seq) || !c.read_varint(pid) ||
                     pid > UINT32_MAX) {
-                    drop(record_start, "truncated event header");
+                    drop(rec.start, "truncated event header");
                     break;
                 }
                 scan.events.push_back(
-                    {static_cast<std::uint64_t>(payload.data() -
+                    {static_cast<std::uint64_t>(rec.payload.data() -
                                                 data.data()),
-                     len, static_cast<std::uint32_t>(pid)});
+                     static_cast<std::uint32_t>(rec.payload.size()),
+                     static_cast<std::uint32_t>(pid)});
                 break;
             }
             case IoctTag::Footer: {
-                PayloadCursor c(payload.substr(1));
+                PayloadCursor c(rec.body());
                 IoctFooter footer;
                 std::uint64_t n = 0;
                 bool ok = c.read_varint(n) && n <= UINT32_MAX;
@@ -218,12 +209,12 @@ IoctScan scan_ioct(std::string_view data) {
                 if (ok)
                     scan.footer = std::move(footer);
                 else
-                    drop(record_start, "malformed footer");
+                    drop(rec.start, "malformed footer");
                 break;
             }
             default:
                 // Unknown tag; the length prefix lets us resync.
-                drop(record_start, "unknown record tag");
+                drop(rec.start, "unknown record tag");
                 break;
         }
     }

@@ -10,24 +10,23 @@
 // of varints referencing it — decodable into a reusable scratch
 // TraceEvent with no per-event allocation after warm-up.
 //
-// File layout (all integers little-endian; full spec in DESIGN.md §6):
+// File layout: the record container of trace/detail/wire.hpp (16-byte
+// header, u32-length-prefixed tagged records; DESIGN.md §6.0) with
+// magic "IOCT" and these tags (full spec in DESIGN.md §6.1):
 //
-//   header   16 bytes: "IOCT" magic, version, flags, reserved
-//   records  a sequence of length-prefixed records:
-//              u32 LE payload length, then payload = tag byte + body
-//       0x01 STR     string-table entry; ids are implicit (0, 1, 2, ...
-//                    in order of appearance), always defined before use
+//       0x01 STR     the container's string table (implicit ids,
+//                    always defined before use)
 //       0x02 EVT     one TraceEvent: varint seq/pid/tid/name-id,
 //                    zigzag ret, varint argc, then per arg a name-id,
 //                    a type byte, and a varint/zigzag/string-id value
-//       0x03 FOOTER  per-pid record counts (shard pre-sizing) + total;
-//                    written last by BinarySink::finish()
+//       0x03 FOOTER  per-pid record counts + total, unsealed; written
+//                    last by BinarySink::finish()
 //
-// Because string definitions precede their first use and the footer is
-// optional on read, a torn file (crashed tracer, truncated copy) still
-// yields every intact prefix record; the reader drops the torn tail and
-// reports it via `dropped`, mirroring parse_stream's semantics for
-// malformed text lines.
+// IOCT is a stream: string definitions precede their first use and the
+// footer is optional on read, so a torn file (crashed tracer,
+// truncated copy) still yields every intact prefix record; the reader
+// drops the torn tail and reports it via `dropped`, mirroring
+// parse_stream's semantics for malformed text lines.
 #pragma once
 
 #include <cstddef>
@@ -41,6 +40,7 @@
 
 #include "host/io.hpp"
 
+#include "trace/detail/wire.hpp"
 #include "trace/diagnostics.hpp"
 #include "trace/event.hpp"
 #include "trace/sink.hpp"
@@ -94,24 +94,9 @@ class BinaryWriter {
     /// previously emitted STR entries.
     void drain_buffer() { buffer_.clear(); }
 
-    std::uint64_t events_written() const { return total_events_; }
-
   private:
-    /// Transparent hash so intern() can probe with a string_view
-    /// without materializing a std::string per lookup.
-    struct StringHash {
-        using is_transparent = void;
-        std::size_t operator()(std::string_view s) const {
-            return std::hash<std::string_view>{}(s);
-        }
-    };
-
-    std::uint32_t intern(std::string_view s);
-
     std::string buffer_;
-    std::unordered_map<std::string, std::uint32_t, StringHash,
-                       std::equal_to<>>
-        string_ids_;
+    detail::StringTable strings_;
     /// pid -> event-record count, for the footer's shard-pre-sizing
     /// index (sorted into the footer so identical traces encode
     /// identically).

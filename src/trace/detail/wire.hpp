@@ -9,11 +9,18 @@
 //   u32/u64   fixed-width little-endian (record length prefixes,
 //             checksums, the IOCS reserved slot)
 //   fnv1a64   the IOCS/IOCK footer checksum
+//
+// The record container IOCT, IOCS and IOCK share (DESIGN.md §6.0) is
+// framed here too; IOCS and IOCK seal it with core/detail/sealed.hpp.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 
 namespace iocov::trace::detail {
 
@@ -138,6 +145,93 @@ struct PayloadCursor {
                    static_cast<std::size_t>(len));
         p += len;
         return true;
+    }
+};
+
+// ---- the record container --------------------------------------------------
+
+/// Header: 4-byte magic, version byte, 11 zero bytes.
+inline constexpr std::size_t kHeaderSize = 16;
+/// STR record tag, in the formats that have a string table.
+inline constexpr std::uint8_t kStrTag = 0x01;
+
+inline std::string container_header(const char (&magic)[4],
+                                    std::uint8_t version) {
+    std::string h(kHeaderSize, '\0');
+    std::memcpy(h.data(), magic, sizeof magic);
+    h[4] = static_cast<char>(version);
+    return h;
+}
+
+inline bool has_magic(std::string_view data, const char (&magic)[4]) {
+    return data.size() >= sizeof magic &&
+           std::memcmp(data.data(), magic, sizeof magic) == 0;
+}
+
+/// u32 LE payload length, then the payload (tag byte + body).
+inline void put_record(std::string& out, std::string_view payload) {
+    put_u32le(out, static_cast<std::uint32_t>(payload.size()));
+    out.append(payload);
+}
+
+/// The interning STR writer.  Ids are implicit (appearance order); a
+/// string's STR record goes to `out` on first use, so every definition
+/// precedes its first reference.
+class StringTable {
+  public:
+    std::uint32_t intern(std::string& out, std::string_view s) {
+        auto it = ids_.find(s);
+        if (it != ids_.end()) return it->second;
+        const auto id = static_cast<std::uint32_t>(ids_.size());
+        ids_.emplace(std::string(s), id);
+        put_u32le(out, static_cast<std::uint32_t>(1 + s.size()));
+        out.push_back(static_cast<char>(kStrTag));
+        out.append(s);
+        return id;
+    }
+
+  private:
+    struct Hash {  // transparent: probe with a string_view, no copy
+        using is_transparent = void;
+        std::size_t operator()(std::string_view s) const {
+            return std::hash<std::string_view>{}(s);
+        }
+    };
+    std::unordered_map<std::string, std::uint32_t, Hash, std::equal_to<>>
+        ids_;
+};
+
+struct Record {
+    std::size_t start = 0;     ///< offset of the length prefix
+    std::string_view payload;  ///< tag byte + body, never empty
+
+    std::uint8_t tag() const { return static_cast<std::uint8_t>(payload[0]); }
+    std::string_view body() const { return payload.substr(1); }
+};
+
+/// The one record splitter, inline and allocation-free.  Each format
+/// names the failures: IOCT drops the torn tail, IOCS/IOCK refuse the
+/// file.
+struct RecordReader {
+    enum class Status : std::uint8_t {
+        Ok, End, TornPrefix, ZeroLength, Overrun
+    };
+
+    std::string_view data;
+    std::size_t pos = kHeaderSize;
+
+    /// The next record into `rec`; on a failure only `rec.start` is set
+    /// and the reader does not advance.
+    Status next(Record& rec) {
+        if (pos >= data.size()) return Status::End;
+        rec.start = pos;
+        if (data.size() - pos < 4) return Status::TornPrefix;
+        const std::uint32_t len = read_u32le(data.data() + pos);
+        if (len == 0) return Status::ZeroLength;
+        if (len > data.size() - pos - 4) return Status::Overrun;
+        rec.payload = data.substr(pos + 4, len);
+        pos += 4 + static_cast<std::size_t>(len);
+        return Status::Ok;
     }
 };
 

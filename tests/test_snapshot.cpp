@@ -4,8 +4,12 @@
 // IOCov::merge / snapshot() public API, and the IngestStats
 // accumulation contract.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
 #include <bit>
 #include <cstdint>
 #include <random>
@@ -188,6 +192,56 @@ TEST(Snapshot, NotIocsInputIsRejectedWithoutReadingFurther) {
     EXPECT_EQ(err.kind, SnapshotError::Kind::NotIocs);
     EXPECT_FALSE(is_iocs("IOCT whatever"));
     EXPECT_EQ(iocs_version("IOCT whatever"), std::nullopt);
+}
+
+#ifndef IOCOV_SANITIZED
+/// Decodes `bytes` with 256 MiB of address space to spare, then exits
+/// 0 if the decoder refused them as corrupt (an uncaught bad_alloc
+/// aborts instead).
+[[noreturn]] void exit_refused_under_limit(const std::string& bytes) {
+    std::ifstream statm("/proc/self/statm");
+    std::uint64_t pages = 0;
+    statm >> pages;
+    const rlim_t limit =
+        pages * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE)) +
+        (rlim_t{256} << 20);
+    const rlimit rl{limit, limit};
+    ::setrlimit(RLIMIT_AS, &rl);
+    SnapshotError err;
+    const bool refused = !decode_snapshot(bytes, &err) &&
+                         err.kind == SnapshotError::Kind::Corrupt;
+    std::_Exit(refused ? 0 : 1);
+}
+#endif
+
+TEST(Snapshot, ForgedHistogramRowCountDoesNotSizeAnAllocation) {
+#ifdef IOCOV_SANITIZED
+    GTEST_SKIP() << "an address-space limit does not fit sanitizer shadow "
+                    "memory";
+#else
+    using trace::detail::put_u32le;
+    using trace::detail::put_varint;
+    // A well-formed prefix whose first histogram claims 2^24 rows (the
+    // old cap, about 640 MB of rows) in a payload that holds 3 bytes.
+    std::string forged(kIocsHeaderSize, '\0');
+    forged.replace(0, 4, "IOCS");
+    forged[4] = static_cast<char>(kIocsVersion);
+    put_u32le(forged, 2);
+    forged += "\x01" "a";  // STR 0
+    std::string input(1, static_cast<char>(IocsTag::Input));
+    put_varint(input, 0);  // base id
+    put_varint(input, 0);  // key id
+    input.push_back(0);    // class
+    put_varint(input, std::uint64_t{1} << 24);  // rows
+    put_varint(input, 0);                       // declared
+    input.append(3, '\0');
+    put_u32le(forged, static_cast<std::uint32_t>(input.size()));
+    forged += input;
+    // Sizing those rows under the limit throws bad_alloc out of the
+    // decoder; the record must be refused first.
+    EXPECT_EXIT(exit_refused_under_limit(forged),
+                ::testing::ExitedWithCode(0), "");
+#endif
 }
 
 // ---- merge semantics -------------------------------------------------------

@@ -414,10 +414,7 @@ struct MergedState {
 
     void add(const core::IngestStats& merged) {
         ++snapshots;
-        ingest.events += merged.events;
-        ingest.bytes += merged.bytes;
-        ingest.files += merged.files;
-        ingest.hot_loop_allocs += merged.hot_loop_allocs;
+        ingest += merged;
     }
 };
 
@@ -461,9 +458,10 @@ int cmd_analyze(int argc, char** argv) {
     if (traces.empty()) return usage();
     if (checkpointing.resume && checkpointing.path.empty()) return usage();
 
-    core::IOCov iocov(trace::FilterConfig::mount_point(mount),
-                      extended ? core::extended_syscall_registry()
-                               : core::syscall_registry());
+    const auto filter = trace::FilterConfig::mount_point(mount);
+    const auto& registry = extended ? core::extended_syscall_registry()
+                                    : core::syscall_registry();
+    core::IOCov iocov(filter, registry);
     MergedState merged;
     // Checkpointed mode only defines resume semantics for one directory
     // of IOCT traces (the fleet drop-box shape).
@@ -520,33 +518,39 @@ int cmd_analyze(int argc, char** argv) {
                             snap->report.events_seen));
             continue;
         }
+        // Every trace file starts from fresh filter state, as each file
+        // of a directory walk does, so fds never cross files and the
+        // report does not depend on --threads.
+        core::IOCov file(filter, registry);
         if (!syz && trace::is_ioct(file_head(path))) {
             // IOCT binary trace: mmap'd zero-copy ingestion.
-            const auto dropped = iocov.consume_binary_file(path, threads);
+            const auto dropped = file.consume_binary_file(path, threads);
             if (!dropped) {
                 std::fprintf(stderr, "iocov: cannot open %s\n", path);
                 return kExitIo;
             }
             std::printf("%s: analyzed [IOCT] (%zu torn records skipped)\n",
                         path, *dropped);
-            continue;
-        }
-        std::ifstream in(path);
-        if (!in) {
-            std::fprintf(stderr, "iocov: cannot open %s\n", path);
-            return kExitIo;
-        }
-        if (syz) {
-            const auto parsed = iocov.consume_syz(in);
-            std::printf("%s: %zu syscalls parsed (input coverage only)\n",
-                        path, parsed);
         } else {
-            // --threads shards by pid; pid-sharded analysis is
-            // bit-identical to serial for a fresh IOCov per run.
-            const auto dropped = iocov.consume_text_parallel(in, threads);
-            std::printf("%s: analyzed (%zu malformed lines skipped)\n",
-                        path, dropped);
+            std::ifstream in(path);
+            if (!in) {
+                std::fprintf(stderr, "iocov: cannot open %s\n", path);
+                return kExitIo;
+            }
+            if (syz) {
+                const auto parsed = file.consume_syz(in);
+                std::printf("%s: %zu syscalls parsed (input coverage "
+                            "only)\n",
+                            path, parsed);
+            } else {
+                // --threads shards by pid; pid-sharded analysis is
+                // bit-identical to serial for a fresh IOCov per file.
+                const auto dropped = file.consume_text_parallel(in, threads);
+                std::printf("%s: analyzed (%zu malformed lines skipped)\n",
+                            path, dropped);
+            }
         }
+        iocov.merge(file);
     }
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
@@ -1044,13 +1048,8 @@ int cmd_convert(int argc, char** argv) {
     }
     std::size_t dropped = 0;
     const auto events = trace::parse_stream(in, &dropped);
-    std::ostringstream out;
-    {
-        trace::BinarySink sink(out);
-        for (const auto& ev : events) sink.emit(ev);
-        sink.finish();
-    }
-    if (!write_artifact(out_path, out.str())) return kExitIo;
+    if (!write_artifact(out_path, trace::encode_trace(events)))
+        return kExitIo;
     std::printf("%s -> %s: %zu events to IOCT (%zu malformed lines "
                 "dropped)\n",
                 in_path, out_path, events.size(), dropped);
