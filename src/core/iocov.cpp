@@ -125,7 +125,10 @@ std::size_t IOCov::consume_binary(std::string_view data) {
 std::size_t IOCov::consume_binary_parallel(std::string_view data,
                                            unsigned n_threads) {
     if (n_threads == 0) n_threads = exec::ThreadPool::default_thread_count();
-    if (n_threads <= 1) return consume_binary(data);
+    if (n_threads <= 1) {
+        filter_.reset();  // each call starts fresh, as its shards do
+        return consume_binary(data);
+    }
 
     const auto scan = trace::scan_ioct(data);
     const auto bindings = analyzer_.table().bind_all(scan.strings);
@@ -181,7 +184,10 @@ std::optional<IOCov::DirIngest> IOCov::consume_binary_dir(
 std::size_t IOCov::consume_text_parallel(std::istream& in,
                                          unsigned n_threads) {
     if (n_threads == 0) n_threads = exec::ThreadPool::default_thread_count();
-    if (n_threads <= 1) return consume_text(in);
+    if (n_threads <= 1) {
+        filter_.reset();  // each call starts fresh, as its shards do
+        return consume_text(in);
+    }
 
     // Chunking needs random access to line boundaries, so slurp the
     // stream once, in bulk (the serial path does the same).

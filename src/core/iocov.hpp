@@ -82,9 +82,11 @@ class IOCov {
     /// order — which sharding preserves — is all that determinism
     /// needs: on a fresh IOCov this produces a report bit-identical to
     /// consume_text.  Unlike the serial path, filter state does not
-    /// carry across calls; analyze related traces in one call (or
-    /// serially) if fds span files.  `n_threads` 0 means hardware
-    /// concurrency; 1 falls back to the serial path.  Returns the
+    /// carry across calls, at any `n_threads`: each call starts from
+    /// fresh filter state, so its result does not depend on the thread
+    /// count.  Analyze related traces in one call (or serially) if fds
+    /// span files.  `n_threads` 0 means hardware concurrency; 1 resets
+    /// the filter and falls back to the serial path.  Returns the
     /// number of malformed lines skipped.
     std::size_t consume_text_parallel(std::istream& in,
                                       unsigned n_threads = 0);
@@ -107,9 +109,10 @@ class IOCov {
     /// counts are untrusted input and size nothing), and each shard
     /// decodes + filters + analyzes on its own fresh IOCov before the
     /// shards fold back in shard order.  Bit-identical to consume_binary
-    /// on a fresh IOCov, with the same caveat as the text path: filter
-    /// state does not carry across calls.  `n_threads` 0 means hardware
-    /// concurrency; 1 falls back to consume_binary.
+    /// on a fresh IOCov, with the same contract as the text path: each
+    /// call starts from fresh filter state.  `n_threads` 0 means
+    /// hardware concurrency; 1 resets the filter and falls back to
+    /// consume_binary.
     std::size_t consume_binary_parallel(std::string_view data,
                                         unsigned n_threads = 0);
 

@@ -113,7 +113,8 @@ int usage() {
         "      state are merged, not decoded, and are counted on a\n"
         "      separate line.  --snapshot writes the final state as a\n"
         "      compact binary .iocs snapshot for `iocov merge` /\n"
-        "      `iocov trend`.\n"
+        "      `iocov trend`.  Every trace file starts from fresh fd\n"
+        "      state, so the result does not depend on --threads.\n"
         "  iocov convert IN OUT\n"
         "      transcode text -> IOCT binary or IOCT binary -> text\n"
         "      (direction inferred from IN's magic)\n"
@@ -458,10 +459,9 @@ int cmd_analyze(int argc, char** argv) {
     if (traces.empty()) return usage();
     if (checkpointing.resume && checkpointing.path.empty()) return usage();
 
-    const auto filter = trace::FilterConfig::mount_point(mount);
-    const auto& registry = extended ? core::extended_syscall_registry()
-                                    : core::syscall_registry();
-    core::IOCov iocov(filter, registry);
+    core::IOCov iocov(trace::FilterConfig::mount_point(mount),
+                      extended ? core::extended_syscall_registry()
+                               : core::syscall_registry());
     MergedState merged;
     // Checkpointed mode only defines resume semantics for one directory
     // of IOCT traces (the fleet drop-box shape).
@@ -518,39 +518,33 @@ int cmd_analyze(int argc, char** argv) {
                             snap->report.events_seen));
             continue;
         }
-        // Every trace file starts from fresh filter state, as each file
-        // of a directory walk does, so fds never cross files and the
-        // report does not depend on --threads.
-        core::IOCov file(filter, registry);
         if (!syz && trace::is_ioct(file_head(path))) {
             // IOCT binary trace: mmap'd zero-copy ingestion.
-            const auto dropped = file.consume_binary_file(path, threads);
+            const auto dropped = iocov.consume_binary_file(path, threads);
             if (!dropped) {
                 std::fprintf(stderr, "iocov: cannot open %s\n", path);
                 return kExitIo;
             }
             std::printf("%s: analyzed [IOCT] (%zu torn records skipped)\n",
                         path, *dropped);
-        } else {
-            std::ifstream in(path);
-            if (!in) {
-                std::fprintf(stderr, "iocov: cannot open %s\n", path);
-                return kExitIo;
-            }
-            if (syz) {
-                const auto parsed = file.consume_syz(in);
-                std::printf("%s: %zu syscalls parsed (input coverage "
-                            "only)\n",
-                            path, parsed);
-            } else {
-                // --threads shards by pid; pid-sharded analysis is
-                // bit-identical to serial for a fresh IOCov per file.
-                const auto dropped = file.consume_text_parallel(in, threads);
-                std::printf("%s: analyzed (%zu malformed lines skipped)\n",
-                            path, dropped);
-            }
+            continue;
         }
-        iocov.merge(file);
+        std::ifstream in(path);
+        if (!in) {
+            std::fprintf(stderr, "iocov: cannot open %s\n", path);
+            return kExitIo;
+        }
+        if (syz) {
+            const auto parsed = iocov.consume_syz(in);
+            std::printf("%s: %zu syscalls parsed (input coverage only)\n",
+                        path, parsed);
+        } else {
+            // --threads shards by pid; pid-sharded analysis is
+            // bit-identical to serial for a fresh IOCov per run.
+            const auto dropped = iocov.consume_text_parallel(in, threads);
+            std::printf("%s: analyzed (%zu malformed lines skipped)\n",
+                        path, dropped);
+        }
     }
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
