@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 
 #include "host/fault.hpp"
 #include "trace/detail/wire.hpp"

@@ -8,10 +8,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <random>
 #include <string>
 #include <vector>
@@ -222,7 +222,7 @@ TEST(Snapshot, ForgedHistogramRowCountDoesNotSizeAnAllocation) {
     using trace::detail::put_u32le;
     using trace::detail::put_varint;
     // A well-formed prefix whose first histogram claims 2^24 rows (the
-    // old cap, about 640 MB of rows) in a payload that holds 3 bytes.
+    // row cap, about 640 MB of rows) in a payload that holds 3 bytes.
     std::string forged(kIocsHeaderSize, '\0');
     forged.replace(0, 4, "IOCS");
     forged[4] = static_cast<char>(kIocsVersion);
