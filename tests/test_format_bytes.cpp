@@ -73,6 +73,94 @@ core::IOCovSnapshot fixed_snapshot() {
     return snap;
 }
 
+/// A second fixed trace that reaches every kind of label a report
+/// builds on the fly rather than declares: an undocumented errno (mkdir
+/// EIO), an unknown errno (E?4000), a read returning 2^40, 2^40-sized
+/// counts and offsets, multi-flag opens (flag pairs), creat's implied
+/// flags, fchdir's implied via-fd path and every path class.
+std::vector<TraceEvent> dynamic_label_trace() {
+    std::uint64_t seq = 0;
+    auto ev = [&](const char* name, std::vector<Arg> args, std::int64_t ret) {
+        return TraceEvent{seq++, 7, 7, name, std::move(args), ret};
+    };
+    auto chdir = [&](std::string path, std::int64_t ret) {
+        return ev("chdir", {{"pathname", std::move(path)}}, ret);
+    };
+    const std::int64_t big = std::int64_t{1} << 40;
+    std::vector<TraceEvent> out = {
+        ev("mkdir", {{"pathname", std::string("d")},
+                     {"mode", std::uint64_t{0755}}}, -5),
+        ev("mkdir", {{"pathname", std::string("e")},
+                     {"mode", std::uint64_t{0}}}, -4000),
+        ev("read", {{"fd", std::int64_t{3}},
+                    {"count", std::uint64_t(big)}}, big),
+        ev("write", {{"fd", std::int64_t{3}},
+                     {"count", std::uint64_t(big)}}, -28),
+        ev("open", {{"pathname", std::string("/mnt/test/f")},
+                    {"flags", std::uint64_t{02003101}},
+                    {"mode", std::uint64_t{0644}}}, 3),
+        ev("openat", {{"dfd", std::int64_t{-100}},
+                      {"pathname", std::string("g")},
+                      {"flags", std::uint64_t{04040002}},
+                      {"mode", std::uint64_t{0}}}, -22),
+        ev("creat", {{"pathname", std::string("h")},
+                     {"mode", std::uint64_t{04600}}}, 4),
+        ev("fchdir", {{"fd", std::int64_t{3}}}, 0),
+        ev("lseek", {{"fd", std::int64_t{3}}, {"offset", big},
+                     {"whence", std::int64_t{4}}}, big),
+        ev("setxattr", {{"pathname", std::string("/mnt/test/f")},
+                        {"name", std::string("user.x")},
+                        {"size", std::uint64_t{70000}},
+                        {"flags", std::int64_t{3}}}, -7),
+        ev("close", {{"fd", std::int64_t{-100}}}, -9),
+        ev("close", {{"fd", std::int64_t{2000}}}, -3000),
+        chdir("/mnt/test", 0),
+        chdir("sub", -2),
+        chdir(".", 0),
+        chdir("..", 0),
+        chdir("/mnt/test/a/", -20),
+        chdir("/" + std::string(300, 'n'), -36),
+        chdir(std::string(5000, 'p'), -36),
+        chdir("<fault>", -14),
+        chdir("", -2),
+    };
+    return out;
+}
+
+/// The same kinds for the extended registry's extra syscalls and the
+/// positional-I/O offset it tracks.
+std::vector<TraceEvent> extended_trace() {
+    std::uint64_t seq = 0;
+    auto ev = [&](const char* name, std::vector<Arg> args, std::int64_t ret) {
+        return TraceEvent{seq++, 9, 9, name, std::move(args), ret};
+    };
+    return {
+        ev("pread64", {{"fd", std::int64_t{3}}, {"count", std::uint64_t{512}},
+                       {"pos", std::uint64_t{1} << 40}}, 512),
+        ev("unlink", {{"pathname", std::string("/mnt/test/x")}}, 0),
+        ev("rmdir", {{"pathname", std::string("d/")}}, -39),
+        ev("rename", {{"oldpath", std::string("../y")},
+                      {"newpath", std::string("z")}}, -18),
+        ev("symlink", {{"target", std::string("t")},
+                       {"linkpath", std::string("<fault>")}}, -5),
+        ev("link", {{"oldpath", std::string("")},
+                    {"newpath", std::string("w")}}, -2),
+        ev("fsync", {{"fd", std::int64_t{1}}}, -4095),
+        ev("fdatasync", {{"fd", std::int64_t{5}}}, 0),
+    };
+}
+
+core::IOCovSnapshot analyzed_snapshot(
+    const std::vector<TraceEvent>& events,
+    const std::vector<core::SyscallSpec>& registry) {
+    core::Analyzer analyzer(registry);
+    analyzer.consume_all(events);
+    core::IOCovSnapshot snap;
+    snap.report = analyzer.report();
+    snap.label = "dynamic";
+    return snap;
+}
+
 core::Checkpoint fixed_checkpoint() {
     core::Checkpoint cp;
     cp.mode = core::CheckpointMode::Analyze;
@@ -108,6 +196,31 @@ TEST(FormatBytes, IoctTraceIsPinned) {
 TEST(FormatBytes, IocsSnapshotIsPinned) {
     expect_pinned(core::encode_snapshot(fixed_snapshot()),
                   {3984, 0x511393bba86a6bd9ULL});
+}
+
+TEST(FormatBytes, IocsDynamicLabelsArePinned) {
+    const auto snap =
+        analyzed_snapshot(dynamic_label_trace(), core::syscall_registry());
+    // The trace reaches what it claims to.
+    const auto& r = snap.report;
+    EXPECT_EQ(r.find_output("mkdir")->hist.count("EIO"), 1u);
+    EXPECT_EQ(r.find_output("mkdir")->hist.count("E?4000"), 1u);
+    EXPECT_EQ(r.find_output("read")->hist.count("OK:2^40"), 1u);
+    EXPECT_EQ(r.find_output("lseek")->hist.count("OK:2^40"), 1u);
+    EXPECT_EQ(r.find_input("write", "count")->hist.count("2^40"), 1u);
+    EXPECT_EQ(r.find_input("open", "flags")->pairs.count("O_CREAT+O_TRUNC"),
+              2u);
+    EXPECT_EQ(r.find_input("chdir", "pathname")->hist.untested(),
+              std::vector<std::string>{"contains-symlinkish"});
+    expect_pinned(core::encode_snapshot(snap), {4286, 0x28f1e001bff1a7b5ULL});
+}
+
+TEST(FormatBytes, IocsExtendedRegistryIsPinned) {
+    const auto snap = analyzed_snapshot(extended_trace(),
+                                        core::extended_syscall_registry());
+    EXPECT_EQ(snap.report.find_input("read", "pos")->hist.count("2^40"), 1u);
+    EXPECT_EQ(snap.report.find_output("fsync")->hist.count("E?4095"), 1u);
+    expect_pinned(core::encode_snapshot(snap), {4670, 0xef331692c8e2c383ULL});
 }
 
 TEST(FormatBytes, IockCheckpointIsPinned) {
