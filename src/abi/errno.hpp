@@ -71,6 +71,11 @@ constexpr std::int64_t fail(Err e) { return -static_cast<std::int64_t>(e); }
 /// True if a raw syscall return indicates success.
 constexpr bool is_ok(std::int64_t ret) { return ret >= 0; }
 
+/// The kernel's MAX_ERRNO: a failing syscall returns -1..-kMaxErrno.
+/// Anything lower is not an errno at all — only a corrupt or forged
+/// trace carries one.
+inline constexpr std::int64_t kMaxErrno = 4095;
+
 /// Extracts the errno from a failing return (precondition: ret < 0).
 constexpr Err err_of(std::int64_t ret) { return static_cast<Err>(-ret); }
 

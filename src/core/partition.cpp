@@ -272,6 +272,9 @@ std::string OutputPartitioner::label_for(std::int64_t ret) const {
                 return ok_size_label(ret);
         }
     }
+    // Below -MAX_ERRNO is no errno: one shared label, so hostile traces
+    // of distinct huge negatives cannot grow the histogram per value.
+    if (ret < -abi::kMaxErrno) return "E?>4095";
     return abi::err_name(abi::err_of(ret));
 }
 

@@ -46,21 +46,22 @@ void PartitionHistogram::declare(std::string label) {
 }
 
 void PartitionHistogram::add(std::string_view label, std::uint64_t n) {
-    for (auto& row : rows_) {
-        if (row.label == label) {
-            row.count += n;
+    const auto tail = rows_.begin() + static_cast<std::ptrdiff_t>(declared_);
+    for (auto it = rows_.begin(); it != tail; ++it) {
+        if (it->label == label) {
+            it->count += n;
             return;
         }
     }
-    // New dynamic label: keep the tail after the declared block sorted so
-    // the row order never depends on event or shard-merge order.
-    const auto tail = rows_.begin() + static_cast<std::ptrdiff_t>(declared_);
+    // The dynamic tail is kept sorted, so the row order never depends on
+    // event or shard-merge order and a lookup there is a binary search.
     const auto pos = std::lower_bound(
         tail, rows_.end(), label,
         [](const PartitionCount& row, std::string_view l) {
             return row.label < l;
         });
-    rows_.insert(pos, {std::string(label), n});
+    if (pos != rows_.end() && pos->label == label) pos->count += n;
+    else rows_.insert(pos, {std::string(label), n});
 }
 
 std::uint64_t PartitionHistogram::count(std::string_view label) const {

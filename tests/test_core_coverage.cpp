@@ -116,6 +116,26 @@ TEST(Analyzer, OutputPartitionsSuccessAndErrno) {
     EXPECT_EQ(out->hist.count("ENOSPC"), 0u);
 }
 
+TEST(Analyzer, ReturnsBelowMaxErrnoShareOneOutputLabel) {
+    // Linux never returns below -4095 (MAX_ERRNO); a forged trace of
+    // distinct such values must not grow the histogram per value.
+    Analyzer a;
+    const std::size_t declared =
+        a.report().find_output("mkdir")->hist.rows().size();
+    TraceEvent ev;
+    ev.syscall = "mkdir";
+    for (std::int64_t i = 0; i < 10000; ++i) {
+        ev.ret = -4096 - i * 7919;
+        a.consume(ev);
+    }
+    ev.ret = -4095;  // still an errno, if an unknown one
+    a.consume(ev);
+    const auto& hist = a.report().find_output("mkdir")->hist;
+    EXPECT_EQ(hist.rows().size(), declared + 2);
+    EXPECT_EQ(hist.count("E?>4095"), 10000u);
+    EXPECT_EQ(hist.count("E?4095"), 1u);
+}
+
 TEST(Analyzer, UntrackedSyscallsCountedButNotPartitioned) {
     Analyzer a;
     TraceEvent ev;
