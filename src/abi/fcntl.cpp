@@ -28,36 +28,55 @@ const std::vector<OpenFlagInfo>& open_flag_table() {
     return kTable;
 }
 
-std::size_t decompose_open_flags(std::uint32_t flags, std::string_view* out,
-                                 std::size_t cap) {
+namespace {
+
+std::uint16_t index_of(std::uint32_t bits, bool access_mode) {
+    const auto& table = open_flag_table();
+    for (std::size_t i = 0; i < table.size(); ++i)
+        if (table[i].bits == bits && table[i].access_mode == access_mode)
+            return static_cast<std::uint16_t>(i);
+    return 0;
+}
+
+}  // namespace
+
+std::size_t open_flag_indices(std::uint32_t flags, std::uint16_t* out,
+                              std::size_t cap) {
+    static const std::uint16_t kRdonly = index_of(O_RDONLY, true);
+    static const std::uint16_t kWronly = index_of(O_WRONLY, true);
+    static const std::uint16_t kRdwr = index_of(O_RDWR, true);
+    static const std::uint16_t kSync = index_of(O_SYNC, false);
+    static const std::uint16_t kTmpfile = index_of(O_TMPFILE, false);
     std::size_t n = 0;
-    auto emit = [&](std::string_view name) {
-        if (n < cap) out[n++] = name;
+    auto emit = [&](std::uint16_t index) {
+        if (n < cap) out[n++] = index;
     };
     // Access mode: exactly one of O_RDONLY / O_WRONLY / O_RDWR.  The
     // kernel treats mode 3 as invalid; we report it as O_RDWR for
     // coverage purposes (the syscall layer rejects it with EINVAL).
     switch (flags & O_ACCMODE) {
-        case O_WRONLY: emit("O_WRONLY"); break;
-        case O_RDONLY: emit("O_RDONLY"); break;
-        default: emit("O_RDWR"); break;
+        case O_WRONLY: emit(kWronly); break;
+        case O_RDONLY: emit(kRdonly); break;
+        default: emit(kRdwr); break;
     }
     std::uint32_t rest = flags & ~O_ACCMODE;
     // Composite flags first so O_SYNC absorbs O_DSYNC and O_TMPFILE
     // absorbs O_DIRECTORY, matching how the kernel distinguishes them.
     if ((rest & O_SYNC) == O_SYNC) {
-        emit("O_SYNC");
+        emit(kSync);
         rest &= ~static_cast<std::uint32_t>(O_SYNC);
     }
     if ((rest & O_TMPFILE) == O_TMPFILE) {
-        emit("O_TMPFILE");
+        emit(kTmpfile);
         rest &= ~static_cast<std::uint32_t>(O_TMPFILE);
     }
-    for (const auto& info : open_flag_table()) {
+    const auto& table = open_flag_table();
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        const auto& info = table[i];
         if (info.access_mode || info.bits == O_SYNC || info.bits == O_TMPFILE)
             continue;
         if ((rest & info.bits) == info.bits) {
-            emit(info.name);
+            emit(static_cast<std::uint16_t>(i));
             rest &= ~info.bits;
         }
     }
@@ -65,10 +84,13 @@ std::size_t decompose_open_flags(std::uint32_t flags, std::string_view* out,
 }
 
 std::vector<std::string> decompose_open_flags(std::uint32_t flags) {
-    std::string_view names[kMaxOpenFlagLabels];
+    std::uint16_t indices[kMaxOpenFlagLabels];
     const std::size_t n =
-        decompose_open_flags(flags, names, kMaxOpenFlagLabels);
-    return std::vector<std::string>(names, names + n);
+        open_flag_indices(flags, indices, kMaxOpenFlagLabels);
+    std::vector<std::string> out;
+    for (std::size_t i = 0; i < n; ++i)
+        out.emplace_back(open_flag_table()[indices[i]].name);
+    return out;
 }
 
 unsigned open_flag_cardinality(std::uint32_t flags) {

@@ -90,12 +90,12 @@ std::vector<std::string> decompose_open_flags(std::uint32_t flags);
 /// access mode + every OR-able flag, rounded up for headroom).
 inline constexpr std::size_t kMaxOpenFlagLabels = 24;
 
-/// Allocation-free decomposition: writes up to `cap` flag names (all
-/// static storage) into `out`, returning the count.  Same names and
-/// order as the vector overload; cap >= kMaxOpenFlagLabels never
-/// truncates.  This is the analyzer's per-event path.
-std::size_t decompose_open_flags(std::uint32_t flags, std::string_view* out,
-                                 std::size_t cap);
+/// Allocation-free decomposition: writes up to `cap` open_flag_table()
+/// indices into `out`, returning the count.  Same flags and order as
+/// the vector overload; cap >= kMaxOpenFlagLabels never truncates.
+/// This is the analyzer's per-event path.
+std::size_t open_flag_indices(std::uint32_t flags, std::uint16_t* out,
+                              std::size_t cap);
 
 /// Number of distinct flags in the word (the paper's Table 1 statistic:
 /// "how many flags were combined in open", where a lone O_RDONLY counts

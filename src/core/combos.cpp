@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "abi/fcntl.hpp"
+#include "core/schema.hpp"
 
 namespace iocov::core {
 namespace {
@@ -30,11 +31,11 @@ std::vector<std::string> feasible_open_flag_pairs() {
     std::vector<std::string> out;
     for (std::size_t i = 0; i < names.size(); ++i) {
         for (std::size_t j = i + 1; j < names.size(); ++j) {
-            const auto& a = std::min(names[i], names[j]);
-            const auto& b = std::max(names[i], names[j]);
+            const auto& a = names[i];
+            const auto& b = names[j];
             if (is_access_mode(a) && is_access_mode(b)) continue;
             if (absorbed(a, b)) continue;
-            out.push_back(a + "+" + b);
+            out.push_back(open_flag_pair_label(a, b));
         }
     }
     std::sort(out.begin(), out.end());

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "abi/fcntl.hpp"
+#include "core/schema.hpp"
 #include "trace/syz_format.hpp"
 
 namespace iocov::core {
@@ -55,60 +55,17 @@ void CoverageReport::merge(const CoverageReport& other) {
     }
 }
 
-namespace {
-
-std::vector<std::string> combo_declared() {
-    // Up to six flags were ever combined in the paper's data; declare
-    // 1..6 plus an overflow bucket.
-    return {"1", "2", "3", "4", "5", "6", "7+"};
-}
-
-std::string cardinality_label(std::size_t n) {
-    if (n >= 7) return "7+";
-    return std::to_string(n);
-}
-
-}  // namespace
-
 Analyzer::Analyzer(const std::vector<SyscallSpec>& registry)
-    : table_(registry) {
-    input_parts_.reserve(table_.arg_slot_count());
-    output_parts_.reserve(registry.size());
-    for (const auto& spec : registry) {
-        for (const auto& arg : spec.args) {
-            auto part = make_input_partitioner(spec.base, arg);
-            ArgCoverage cov;
-            cov.base = spec.base;
-            cov.key = arg.key;
-            cov.cls = arg.cls;
-            cov.hist = stats::PartitionHistogram::with_partitions(
-                part->declared());
-            if (spec.base == "open" && arg.key == "flags") {
-                open_flags_slot_ = input_parts_.size();
-                cov.combo_cardinality =
-                    stats::PartitionHistogram::with_partitions(
-                        combo_declared());
-                cov.combo_cardinality_rdonly =
-                    stats::PartitionHistogram::with_partitions(
-                        combo_declared());
-            }
-            report_.inputs.push_back(std::move(cov));
-            input_parts_.push_back(std::move(part));
-        }
-        OutputPartitioner opart(spec.success, spec.errors);
-        OutputCoverage ocov;
-        ocov.base = spec.base;
-        ocov.success = spec.success;
-        ocov.hist = stats::PartitionHistogram::with_partitions(
-            opart.declared());
-        report_.outputs.push_back(std::move(ocov));
-        output_parts_.push_back(std::move(opart));
-    }
-}
+    : Analyzer(Schema::of(registry)) {}
+
+Analyzer::Analyzer(std::shared_ptr<const Schema> schema)
+    : schema_(std::move(schema)), report_(schema_->empty_report()) {}
+
+const SyscallTable& Analyzer::table() const { return schema_->table(); }
 
 void Analyzer::consume(const trace::TraceEvent& event) {
     ++report_.events_seen;
-    const auto view = table_.resolve(event);
+    const auto view = schema_->table().resolve(event);
     if (!view) return;
     ++report_.events_tracked;
     consume_input(*view);
@@ -132,8 +89,9 @@ void Analyzer::consume_all(const std::vector<trace::TraceEvent>& events) {
 }
 
 void Analyzer::consume_input(const CanonicalView& view) {
+    const Schema& schema = *schema_;
     const auto& args = view.spec->args;
-    const std::size_t base_slot = table_.arg_offset(view.id);
+    const std::size_t base_slot = schema.table().arg_offset(view.id);
     for (std::size_t i = 0; i < args.size(); ++i) {
         // Args arrive in prototype order, so slot i is the first place
         // to look — the hint turns the common case into one compare.
@@ -142,41 +100,35 @@ void Analyzer::consume_input(const CanonicalView& view) {
         const std::size_t slot = base_slot + i;
         ArgCoverage& cov = report_.inputs[slot];
 
-        // Labels land in a member scratch and histogram bumps go
-        // through string_views: after the histograms have seen each
-        // label once, this whole path performs zero heap allocations.
-        label_scratch_.clear();
-        input_parts_[slot]->labels_into(*value, label_scratch_);
-        const std::size_t n_labels = label_scratch_.size();
-        for (std::size_t l = 0; l < n_labels; ++l)
-            cov.hist.add(label_scratch_[l]);
+        // Declared rows are bumped by index; only a value outside them
+        // renders a label (SSO-sized), so the steady state allocates
+        // nothing.
+        const Schema::Hits hits = schema.classify_input(slot, *value);
+        for (std::size_t h = 0; h < hits.n; ++h)
+            cov.hist.add_declared(hits.rows[h]);
+        if (hits.undeclared)
+            cov.hist.add(Schema::undeclared_input_label(*value));
 
         // Bitmap combination statistics (open flags only).
-        if (slot == open_flags_slot_) {
-            cov.combo_cardinality.add(cardinality_label(n_labels));
-            bool has_rdonly = false;
-            for (std::size_t l = 0; l < n_labels && !has_rdonly; ++l)
-                has_rdonly = label_scratch_[l] == "O_RDONLY";
-            if (has_rdonly)
-                cov.combo_cardinality_rdonly.add(cardinality_label(n_labels));
-            for (std::size_t i2 = 0; i2 < n_labels; ++i2)
-                for (std::size_t j = i2 + 1; j < n_labels; ++j) {
-                    const auto& a =
-                        std::min(label_scratch_[i2], label_scratch_[j]);
-                    const auto& b =
-                        std::max(label_scratch_[i2], label_scratch_[j]);
-                    pair_label_.assign(a);
-                    pair_label_ += '+';
-                    pair_label_ += b;
-                    cov.pairs.add(pair_label_);
-                }
-        }
+        if (slot != schema.open_flags_slot()) continue;
+        const auto* rows = hits.rows.data();
+        const std::size_t count = Schema::cardinality_row(hits.n);
+        cov.combo_cardinality.add_declared(count);
+        if (std::find(rows, rows + hits.n, schema.rdonly_row()) !=
+            rows + hits.n)
+            cov.combo_cardinality_rdonly.add_declared(count);
+        for (std::size_t a = 0; a < hits.n; ++a)
+            for (std::size_t b = a + 1; b < hits.n; ++b)
+                cov.pairs.add(schema.pair_label(rows[a], rows[b]));
     }
 }
 
 void Analyzer::consume_output(const CanonicalView& view) {
-    report_.outputs[view.id].hist.add(
-        output_parts_[view.id].label_for(view.event->ret));
+    auto& hist = report_.outputs[view.id].hist;
+    const std::int64_t ret = view.event->ret;
+    const std::size_t row = schema_->classify_output(view.id, ret);
+    if (row != Schema::npos) hist.add_declared(row);
+    else hist.add(Schema::undeclared_output_label(ret));
 }
 
 }  // namespace iocov::core

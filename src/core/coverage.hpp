@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "core/partition.hpp"
 #include "core/syscall_spec.hpp"
 #include "core/syscall_table.hpp"
 #include "core/variant_handler.hpp"
@@ -69,13 +68,17 @@ struct CoverageReport {
                            const CoverageReport&) = default;
 };
 
+class Schema;  // core/schema.hpp
+
 /// Streams trace events into a CoverageReport.
 class Analyzer {
   public:
     /// Tracks the paper's 27-syscall registry by default; pass
     /// extended_syscall_registry() (or a custom one) to widen tracking.
+    /// Built-in registries share one Schema (Schema::of).
     explicit Analyzer(
         const std::vector<SyscallSpec>& registry = syscall_registry());
+    explicit Analyzer(std::shared_ptr<const Schema> schema);
 
     /// Consumes one (already filtered) trace event.
     void consume(const trace::TraceEvent& event);
@@ -92,7 +95,10 @@ class Analyzer {
     void consume_all(const std::vector<trace::TraceEvent>& events);
 
     /// The name-interning table (for pre-binding via bind()).
-    const SyscallTable& table() const { return table_; }
+    const SyscallTable& table() const;
+
+    /// The schema this analyzer counts against.
+    const std::shared_ptr<const Schema>& schema() const { return schema_; }
 
     /// Folds a shard's report into this analyzer's (used by the parallel
     /// pipeline after per-worker analysis).
@@ -105,22 +111,12 @@ class Analyzer {
     void consume_input(const CanonicalView& view);
     void consume_output(const CanonicalView& view);
 
+    /// Shared and immutable; report_ starts as a copy of its empty
+    /// report, so report_.inputs[slot] and report_.outputs[id] follow
+    /// the schema table's numbering and their declared rows its
+    /// classification.
+    std::shared_ptr<const Schema> schema_;
     CoverageReport report_;
-    /// Variant names resolved once into dense indices; per event the
-    /// analyzer does one hash lookup and then plain vector indexing
-    /// (report_.inputs, input_parts_ and report_.outputs, output_parts_
-    /// share the table's arg-slot / SyscallId numbering).
-    SyscallTable table_;
-    std::vector<std::unique_ptr<InputPartitioner>> input_parts_;
-    std::vector<OutputPartitioner> output_parts_;
-    /// Flat slot of open/flags, whose bitmap combination statistics are
-    /// tracked beyond the plain histogram; npos if not in the registry.
-    std::size_t open_flags_slot_ = SyscallTable::npos;
-    /// Per-event scratch (labels and the "A+B" pair rendering) reused
-    /// across consume() calls so the steady-state input path performs
-    /// no heap allocation.
-    LabelScratch label_scratch_;
-    std::string pair_label_;
 };
 
 }  // namespace iocov::core

@@ -41,7 +41,7 @@ struct ShardDriver {
     };
 
     /// Runs body(i, shard) for every item, each on a fresh IOCov with
-    /// `into`'s filter configuration and registry, so fd state never
+    /// `into`'s filter configuration and schema, so fd state never
     /// crosses items.  One lane (`n_threads` 1, or one item) runs the
     /// items inline in order; more run on a work-stealing pool weighted
     /// by Item::weight (`n_threads` 0 = hardware concurrency).  A body

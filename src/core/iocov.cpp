@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "core/detail/shard_driver.hpp"
+#include "core/schema.hpp"
 #include "core/snapshot.hpp"
 #include "core/walk.hpp"
 #include "exec/alloc_hook.hpp"
@@ -39,10 +40,13 @@ IOCov::Tally& IOCov::Tally::operator+=(const Tally& other) {
 
 IOCov::IOCov(trace::FilterConfig filter_config,
              const std::vector<SyscallSpec>& registry)
+    : IOCov(std::move(filter_config), Schema::of(registry)) {}
+
+IOCov::IOCov(trace::FilterConfig filter_config,
+             std::shared_ptr<const Schema> schema)
     : filter_config_(std::move(filter_config)),
-      registry_(&registry),
       filter_(filter_config_),
-      analyzer_(registry),
+      analyzer_(std::move(schema)),
       live_sink_([this](const trace::TraceEvent& ev) { consume(ev); }) {}
 
 void IOCov::consume(const trace::TraceEvent& event) {
@@ -300,7 +304,7 @@ ShardDriver::Run ShardDriver::run(IOCov& into, const std::vector<Item>& items,
     auto run_item = [&](std::size_t i) {
         Part& part = parts[i];
         try {
-            IOCov shard(into.filter_config_, *into.registry_);
+            IOCov shard(into.filter_config_, into.analyzer_.schema());
             part.dropped = body(i, shard);
             part.report = shard.analyzer_.take_report();
             part.tally = shard.tally_;

@@ -192,6 +192,10 @@ class IOCov {
 
     const CoverageReport& report() const { return analyzer_.report(); }
 
+    /// The schema shared by this IOCov, every IOCov the shard driver
+    /// builds for it, and every other one on the same built-in registry.
+    const Schema& schema() const { return *analyzer_.schema(); }
+
     std::uint64_t events_filtered_out() const { return tally_.filtered_out; }
 
     /// Where and why input was dropped, accumulated across every
@@ -224,6 +228,9 @@ class IOCov {
 
   private:
     friend struct detail::ShardDriver;
+
+    IOCov(trace::FilterConfig filter_config,
+          std::shared_ptr<const Schema> schema);
 
     /// The counters a fold adds up (see the accumulation contract).
     struct Tally {
@@ -258,9 +265,8 @@ class IOCov {
                             trace::ParseDiagnostics& diags);
 
     /// Kept beyond construction so the shard driver can build one fresh
-    /// IOCov per item from the same configuration.
+    /// IOCov per item from the same configuration (and schema).
     trace::FilterConfig filter_config_;
-    const std::vector<SyscallSpec>* registry_;
     trace::TraceFilter filter_;
     Analyzer analyzer_;
     trace::CallbackSink live_sink_;

@@ -7,6 +7,7 @@
 // and the TCD metric.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -51,6 +52,13 @@ class PartitionHistogram {
     /// canonical (sorted) position after the declared block; n == 0
     /// still creates it.
     void add(std::string_view label, std::uint64_t n = 1);
+
+    /// Adds `n` observations to declared row `row` (< declared_count()):
+    /// the analyzer's path, which classifies values into row indices.
+    void add_declared(std::size_t row, std::uint64_t n = 1) {
+        assert(row < declared_);
+        rows_[row].count += n;
+    }
 
     /// Count for `label`; zero if the partition was never declared/seen.
     std::uint64_t count(std::string_view label) const;

@@ -399,6 +399,29 @@ TEST(ShardDriver, LostItemIsIsolatedAndTheRestFoldAsIfItWereAbsent) {
     }
 }
 
+TEST(ShardDriver, ItemsShareTheParentsSchema) {
+    const auto config = trace::FilterConfig::mount_point("/mnt/test");
+    const std::vector<SyscallSpec> custom = syscall_registry();
+    for (const auto* registry :
+         {&syscall_registry(), &extended_syscall_registry(), &custom}) {
+        IOCov parent(config, *registry);
+        std::vector<detail::ShardDriver::Item> items(3);
+        std::vector<const Schema*> seen(items.size());
+        for (const unsigned lanes : {1u, 4u}) {
+            detail::ShardDriver::run(parent, items, lanes,
+                                     [&](std::size_t i, IOCov& shard) {
+                                         seen[i] = &shard.schema();
+                                         return std::size_t{0};
+                                     });
+            for (const Schema* s : seen) EXPECT_EQ(s, &parent.schema());
+        }
+        // Built-in registries share one schema process-wide.
+        const bool built_in = registry != &custom;
+        EXPECT_EQ(&IOCov(config, *registry).schema() == &parent.schema(),
+                  built_in);
+    }
+}
+
 TEST(ShardDriver, OneLaneRunsItemsInlineInItemOrder) {
     const auto config = trace::FilterConfig::mount_point("/mnt/test");
     std::vector<detail::ShardDriver::Item> items(6);
