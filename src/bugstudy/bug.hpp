@@ -50,10 +50,10 @@ struct Bug {
     /// trigger).
     std::string trigger_description;
 
-    /// True iff this (variant-normalized) trace event would have
-    /// exposed the bug.  The harness canonicalizes each event once and
+    /// True iff this trace event, resolved onto its base syscall, would
+    /// have exposed the bug.  The harness resolves each event once and
     /// evaluates all 70 triggers against it.
-    std::function<bool(const core::CanonicalEvent&)> trigger;
+    std::function<bool(const core::CanonicalView&)> trigger;
 };
 
 /// The full corpus: 51 ext4 + 19 btrfs bugs.

@@ -2,6 +2,8 @@
 // shapes of the paper's 2022 commit study.
 #include "bugstudy/bug.hpp"
 
+#include <optional>
+
 #include "abi/errno.hpp"
 #include "abi/fcntl.hpp"
 #include "abi/seek.hpp"
@@ -11,27 +13,39 @@
 namespace iocov::bugstudy {
 namespace {
 
-using core::CanonicalEvent;
-using Trig = std::function<bool(const CanonicalEvent&)>;
+using core::CanonicalView;
+using Trig = std::function<bool(const CanonicalView&)>;
 
 // ---- trigger building blocks ---------------------------------------------
 
 Trig base(const char* b, Trig inner) {
-    return [b, inner](const CanonicalEvent& e) {
-        return e.base == b && inner(e);
+    return [b, inner](const CanonicalView& e) {
+        return e.spec->base == b && inner(e);
     };
 }
 
+/// Integer argument `key` (the variant's implied one included) as `T`;
+/// nullopt when absent or a string.
+template <class T>
+std::optional<T> num_arg(const CanonicalView& e, const char* key) {
+    const trace::ArgValue* v = e.find(key);
+    if (!v) return std::nullopt;
+    if (const auto* i = std::get_if<std::int64_t>(v)) return static_cast<T>(*i);
+    if (const auto* u = std::get_if<std::uint64_t>(v))
+        return static_cast<T>(*u);
+    return std::nullopt;
+}
+
 Trig uarg_pred(const char* key, std::function<bool(std::uint64_t)> p) {
-    return [key, p](const CanonicalEvent& e) {
-        auto v = e.event.uint_arg(key);
+    return [key, p](const CanonicalView& e) {
+        auto v = num_arg<std::uint64_t>(e, key);
         return v && p(*v);
     };
 }
 
 Trig iarg_pred(const char* key, std::function<bool(std::int64_t)> p) {
-    return [key, p](const CanonicalEvent& e) {
-        auto v = e.event.int_arg(key);
+    return [key, p](const CanonicalView& e) {
+        auto v = num_arg<std::int64_t>(e, key);
         return v && p(*v);
     };
 }
@@ -43,21 +57,21 @@ Trig flags_all(std::uint32_t mask) {
 }
 
 Trig ret_is(abi::Err err) {
-    return [err](const CanonicalEvent& e) {
-        return e.event.ret == abi::fail(err);
+    return [err](const CanonicalView& e) {
+        return e.event->ret == abi::fail(err);
     };
 }
 
 Trig ok() {
-    return [](const CanonicalEvent& e) { return e.event.ok(); };
+    return [](const CanonicalView& e) { return e.event->ok(); };
 }
 
 Trig both(Trig a, Trig b) {
-    return [a, b](const CanonicalEvent& e) { return a(e) && b(e); };
+    return [a, b](const CanonicalView& e) { return a(e) && b(e); };
 }
 
 Trig never() {
-    return [](const CanonicalEvent&) { return false; };
+    return [](const CanonicalView&) { return false; };
 }
 
 // ---- site pools -----------------------------------------------------------
@@ -425,8 +439,8 @@ std::vector<Bug> build_corpus() {
              both(flags_all(O_DIRECT | O_APPEND), ok())),
         base("write", ret_is(Err::ESPIPE_)),
         base("getxattr",
-             [](const CanonicalEvent& e) {
-                 auto n = e.event.str_arg("name");
+             [](const CanonicalView& e) {
+                 auto n = e.event->str_arg("name");
                  return n && n->rfind("trusted.", 0) == 0;
              }),
         base("open", ret_is(Err::EXDEV_)),

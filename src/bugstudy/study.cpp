@@ -1,6 +1,6 @@
 #include "bugstudy/study.hpp"
 
-#include "core/variant_handler.hpp"
+#include "core/syscall_table.hpp"
 #include "syscall/kernel.hpp"
 #include "testers/fixtures.hpp"
 #include "testers/generator.hpp"
@@ -12,12 +12,13 @@ StudyResult evaluate_corpus(const CoverageTracker& tracker,
                             const std::vector<trace::TraceEvent>& events) {
     StudyResult r;
 
-    // Canonicalize every event once; evaluate all triggers against the
-    // canonical stream.
-    std::vector<core::CanonicalEvent> canon;
+    // Resolve every event once onto its base syscall; evaluate all
+    // triggers against the resolved views.
+    const core::SyscallTable table(core::syscall_registry());
+    std::vector<core::CanonicalView> canon;
     canon.reserve(events.size());
     for (const auto& ev : events)
-        if (auto ce = core::canonicalize(ev)) canon.push_back(std::move(*ce));
+        if (auto view = table.resolve(ev)) canon.push_back(*view);
 
     for (const Bug& bug : bug_corpus()) {
         BugOutcome o;

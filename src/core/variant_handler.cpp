@@ -1,16 +1,8 @@
 #include "core/variant_handler.hpp"
 
 #include "abi/fcntl.hpp"
-#include "core/syscall_spec.hpp"
 
 namespace iocov::core {
-
-std::optional<trace::ArgValue> CanonicalEvent::arg(
-    std::string_view key) const {
-    const trace::Arg* a = event.find_arg(key);
-    if (!a) return std::nullopt;
-    return a->value;
-}
 
 const trace::Arg* implied_variant_arg(std::string_view variant) {
     // creat(path, mode) == open(path, O_CREAT|O_WRONLY|O_TRUNC, mode).
@@ -24,25 +16,6 @@ const trace::Arg* implied_variant_arg(std::string_view variant) {
     if (variant == "fchdir") return &kFchdirPath;
     // openat2: mode/flags already present under the canonical names.
     return nullptr;
-}
-
-std::optional<CanonicalEvent> canonicalize(
-    const trace::TraceEvent& event,
-    const std::vector<SyscallSpec>& registry) {
-    auto base = base_of_variant(event.syscall, registry);
-    if (!base) return std::nullopt;
-
-    CanonicalEvent out;
-    out.base = *base;
-    out.variant = event.syscall;
-    out.event = event;
-    if (const trace::Arg* implied = implied_variant_arg(event.syscall))
-        out.event.args.push_back(*implied);
-    return out;
-}
-
-std::optional<CanonicalEvent> canonicalize(const trace::TraceEvent& event) {
-    return canonicalize(event, syscall_registry());
 }
 
 }  // namespace iocov::core

@@ -2,63 +2,39 @@
 //
 // open/openat/creat/openat2 (and the other variant families) share a
 // kernel implementation, so IOCov merges their input and output spaces.
-// The handler maps a raw trace event onto its base syscall and fills in
-// arguments a variant expresses implicitly: creat(2) implies
-// O_CREAT|O_WRONLY|O_TRUNC, and fchdir(2) changes directory "via fd"
-// rather than via a pathname.
+// SyscallTable::resolve maps a raw trace event onto its base syscall as
+// a CanonicalView, which fills in the argument a variant expresses
+// implicitly: creat(2) implies O_CREAT|O_WRONLY|O_TRUNC, and fchdir(2)
+// changes directory "via fd" rather than via a pathname.
 #pragma once
 
-#include <optional>
-#include <string>
-#include <vector>
+#include <cstddef>
+#include <string_view>
 
 #include "core/syscall_spec.hpp"
 #include "trace/event.hpp"
 
 namespace iocov::core {
 
-/// A trace event normalized onto its base syscall.
-struct CanonicalEvent {
-    std::string base;       ///< e.g. "open"
-    std::string variant;    ///< the syscall as invoked, e.g. "creat"
-    trace::TraceEvent event;  ///< args rewritten to base-arg names
-
-    /// Tracked-argument lookup against the normalized arg list.
-    std::optional<trace::ArgValue> arg(std::string_view key) const;
-};
-
-/// Normalizes `event`; nullopt for syscalls outside the tracked 27.
-std::optional<CanonicalEvent> canonicalize(const trace::TraceEvent& event);
-
-/// Same, resolving variants against an arbitrary registry (e.g. the
-/// extended registry that also tracks unlink/rename/fsync).
-std::optional<CanonicalEvent> canonicalize(
-    const trace::TraceEvent& event,
-    const std::vector<SyscallSpec>& registry);
-
 /// The argument a variant implies rather than carries — creat(2) implies
 /// open's flags, fchdir(2) supplies its directory "via fd" instead of a
 /// pathname.  Returns a pointer into static storage, or nullptr for
-/// variants that carry all their arguments explicitly.  Shared by
-/// canonicalize() and the analyzer's zero-copy hot path (SyscallTable)
-/// so variant knowledge lives in one place.
+/// variants that carry all their arguments explicitly.
 const trace::Arg* implied_variant_arg(std::string_view variant);
 
-/// A trace event normalized onto its base syscall *without* copying it:
-/// the analyzer-hot-path counterpart of CanonicalEvent.  Canonicalizing
-/// used to copy the whole TraceEvent (pathname strings and all) per
-/// event; a view references the original event and patches in at most
-/// the variant's implied argument.  Valid only while the event (and the
-/// SyscallTable that resolved it) are alive.
+/// A trace event resolved onto its base syscall without copying it: the
+/// view references the original event and patches in at most the
+/// variant's implied argument.  Valid while the event is alive (spec
+/// and implied argument point into static registry storage).
 struct CanonicalView {
     const SyscallSpec* spec = nullptr;      ///< base syscall spec
     std::size_t id = 0;                     ///< dense registry index
     const trace::TraceEvent* event = nullptr;
     const trace::Arg* implied = nullptr;    ///< variant's implied arg
 
-    /// Tracked-argument lookup mirroring CanonicalEvent::arg(): the
-    /// event's own args win, the implied arg fills the gap.  Returns a
-    /// pointer instead of a copy (ArgValue may hold a std::string).
+    /// Tracked-argument lookup: the event's own args win, the implied
+    /// arg fills the gap.  Returns a pointer instead of a copy (ArgValue
+    /// may hold a std::string).
     const trace::ArgValue* find(std::string_view key) const {
         if (const trace::Arg* a = event->find_arg(key)) return &a->value;
         if (implied && implied->name == key) return &implied->value;

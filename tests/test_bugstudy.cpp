@@ -7,6 +7,7 @@
 #include "bugstudy/bug.hpp"
 #include "bugstudy/coverage_tracker.hpp"
 #include "bugstudy/study.hpp"
+#include "core/syscall_table.hpp"
 
 namespace iocov::bugstudy {
 namespace {
@@ -90,11 +91,12 @@ TEST(BugCorpus, Fig1BugIsPresentAndShapedRight) {
                {"size", trace::ArgValue{std::uint64_t{65536}}},
                {"flags", trace::ArgValue{std::int64_t{0}}}};
     ev.ret = 0;
-    auto ce = core::canonicalize(ev);
-    ASSERT_TRUE(ce.has_value());
-    EXPECT_TRUE(fig1->trigger(*ce));
+    const core::SyscallTable table(core::syscall_registry());
+    auto view = table.resolve(ev);
+    ASSERT_TRUE(view.has_value());
+    EXPECT_TRUE(fig1->trigger(*view));
     ev.args[2].value = trace::ArgValue{std::uint64_t{65535}};
-    EXPECT_FALSE(fig1->trigger(*core::canonicalize(ev)));
+    EXPECT_FALSE(fig1->trigger(*table.resolve(ev)));
 }
 
 TEST(BugStudy, ReproducesThePaperHeadlineNumbers) {

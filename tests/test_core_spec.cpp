@@ -3,7 +3,7 @@
 
 #include "abi/fcntl.hpp"
 #include "core/syscall_spec.hpp"
-#include "core/variant_handler.hpp"
+#include "core/syscall_table.hpp"
 
 namespace iocov::core {
 namespace {
@@ -66,27 +66,33 @@ trace::TraceEvent make_event(const char* syscall) {
     return ev;
 }
 
+const SyscallTable& paper_table() {
+    static const SyscallTable kTable(syscall_registry());
+    return kTable;
+}
+
 TEST(VariantHandler, MapsVariantsToBases) {
-    auto ce = canonicalize(make_event("pread64"));
-    ASSERT_TRUE(ce.has_value());
-    EXPECT_EQ(ce->base, "read");
-    EXPECT_EQ(ce->variant, "pread64");
+    const auto ev = make_event("pread64");
+    const auto view = paper_table().resolve(ev);
+    ASSERT_TRUE(view.has_value());
+    EXPECT_EQ(view->spec->base, "read");
+    EXPECT_EQ(view->event->syscall, "pread64");
 }
 
 TEST(VariantHandler, UntrackedSyscallsReturnNullopt) {
-    EXPECT_FALSE(canonicalize(make_event("rename")).has_value());
-    EXPECT_FALSE(canonicalize(make_event("fsync")).has_value());
-    EXPECT_FALSE(canonicalize(make_event("")).has_value());
+    EXPECT_FALSE(paper_table().resolve(make_event("rename")).has_value());
+    EXPECT_FALSE(paper_table().resolve(make_event("fsync")).has_value());
+    EXPECT_FALSE(paper_table().resolve(make_event("")).has_value());
 }
 
 TEST(VariantHandler, CreatSynthesizesImplicitFlags) {
     auto ev = make_event("creat");
     ev.args = {{"pathname", trace::ArgValue{std::string("/mnt/test/f")}},
                {"mode", trace::ArgValue{std::uint64_t{0644}}}};
-    auto ce = canonicalize(ev);
-    ASSERT_TRUE(ce.has_value());
-    auto flags = ce->arg("flags");
-    ASSERT_TRUE(flags.has_value());
+    const auto view = paper_table().resolve(ev);
+    ASSERT_TRUE(view.has_value());
+    const auto* flags = view->find("flags");
+    ASSERT_NE(flags, nullptr);
     EXPECT_EQ(std::get<std::uint64_t>(*flags),
               abi::O_CREAT | abi::O_WRONLY | abi::O_TRUNC);
 }
@@ -94,11 +100,11 @@ TEST(VariantHandler, CreatSynthesizesImplicitFlags) {
 TEST(VariantHandler, FchdirSynthesizesViaFdIdentifier) {
     auto ev = make_event("fchdir");
     ev.args = {{"fd", trace::ArgValue{std::int64_t{5}}}};
-    auto ce = canonicalize(ev);
-    ASSERT_TRUE(ce.has_value());
-    EXPECT_EQ(ce->base, "chdir");
-    auto path = ce->arg("pathname");
-    ASSERT_TRUE(path.has_value());
+    const auto view = paper_table().resolve(ev);
+    ASSERT_TRUE(view.has_value());
+    EXPECT_EQ(view->spec->base, "chdir");
+    const auto* path = view->find("pathname");
+    ASSERT_NE(path, nullptr);
     EXPECT_EQ(std::get<std::string>(*path), "<via-fd>");
 }
 
@@ -106,10 +112,10 @@ TEST(VariantHandler, ArgLookupFallsThroughToOriginalArgs) {
     auto ev = make_event("write");
     ev.args = {{"fd", trace::ArgValue{std::int64_t{4}}},
                {"count", trace::ArgValue{std::uint64_t{512}}}};
-    auto ce = canonicalize(ev);
-    ASSERT_TRUE(ce.has_value());
-    EXPECT_EQ(std::get<std::uint64_t>(*ce->arg("count")), 512u);
-    EXPECT_FALSE(ce->arg("missing").has_value());
+    const auto view = paper_table().resolve(ev);
+    ASSERT_TRUE(view.has_value());
+    EXPECT_EQ(std::get<std::uint64_t>(*view->find("count")), 512u);
+    EXPECT_EQ(view->find("missing"), nullptr);
 }
 
 }  // namespace
