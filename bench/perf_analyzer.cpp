@@ -2,12 +2,17 @@
 // tracing" claim and the cost of each pipeline stage.
 //
 //   * syscall dispatch with tracing off vs on (tracing overhead)
-//   * trace filter throughput (mount-point prefix + fd tracking)
 //   * analyzer throughput (variant merge + partitioning)
-//   * ingest throughput: text parse vs IOCT binary decode, and the full
-//     pipeline from both formats (serial, sharded, mmap vs read copy)
+//   * ingest throughput: text parse vs IOCT binary decode, the full
+//     text pipeline (serial, sharded) and the paths the end-to-end
+//     bench of record (perfbench/) does not run: pid-sharded IOCT and
+//     the read() copy fallback
 //   * text round-trip (serialize + parse)
 //   * TCD computation
+//
+// A path perfbench times end to end (filter admit, batched decode +
+// materialize, serial and mmap'd consume_binary) has no bench here
+// unless a floor in scripts/perf_floor.txt reads it.
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
@@ -86,21 +91,6 @@ void BM_SyscallWithTracing(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * 3);
 }
 BENCHMARK(BM_SyscallWithTracing);
-
-void BM_FilterThroughput(benchmark::State& state) {
-    const auto& events = canned_trace();
-    for (auto _ : state) {
-        trace::TraceFilter filter(
-            trace::FilterConfig::mount_point("/mnt/test"));
-        std::size_t kept = 0;
-        for (const auto& ev : events)
-            if (filter.admit(ev)) ++kept;
-        benchmark::DoNotOptimize(kept);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(events.size()));
-}
-BENCHMARK(BM_FilterThroughput);
 
 void BM_AnalyzerThroughput(benchmark::State& state) {
     const auto& events = canned_trace();
@@ -330,54 +320,7 @@ void BM_IngestBinaryBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_IngestBinaryBatched);
 
-/// Batched ingest + EventScratch materialization: what the analyzer
-/// pipeline actually pays per event (apples-to-apples with
-/// BM_IngestBinarySerial's decode_event-per-record loop).
-void BM_IngestBinaryBatchedMaterialized(benchmark::State& state) {
-    const auto& binary = canned_twin_traces().binary;
-    constexpr std::size_t kChunk = 512;
-    trace::EventBatch batch;
-    trace::EventScratch scratch;
-    for (auto _ : state) {
-        const auto scan = trace::scan_ioct(binary);
-        std::size_t decoded = 0;
-        for (std::size_t i = 0; i < scan.events.size(); i += kChunk) {
-            const std::size_t n =
-                std::min(kChunk, scan.events.size() - i);
-            batch.clear();
-            const auto rows = trace::decode_batch(
-                binary, scan.strings, scan.events.data() + i, n, batch);
-            for (std::size_t r = 0; r < rows; ++r) {
-                const auto& ev =
-                    scratch.materialize(batch, r, scan.strings);
-                benchmark::DoNotOptimize(ev.seq);
-            }
-            decoded += rows;
-        }
-        benchmark::DoNotOptimize(decoded);
-    }
-    state.SetItemsProcessed(state.iterations() * canned_text_lines());
-    state.SetBytesProcessed(state.iterations() *
-                            static_cast<std::int64_t>(binary.size()));
-    state.counters["roofline_fraction"] = benchmark::Counter(
-        static_cast<double>(state.iterations()) *
-            static_cast<double>(binary.size()) / measured_memory_bandwidth(),
-        benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_IngestBinaryBatchedMaterialized);
-
 // --- full pipeline from binary: decode + filter + analyze -------------------
-
-void BM_ConsumeBinarySerial(benchmark::State& state) {
-    const auto& binary = canned_twin_traces().binary;
-    for (auto _ : state) {
-        core::IOCov iocov(trace::FilterConfig::mount_point("/mnt/test"));
-        iocov.consume_binary(binary);
-        benchmark::DoNotOptimize(iocov.report().events_tracked);
-    }
-    state.SetItemsProcessed(state.iterations() * canned_text_lines());
-}
-BENCHMARK(BM_ConsumeBinarySerial);
 
 void BM_ConsumeBinaryParallel(benchmark::State& state) {
     const auto& binary = canned_twin_traces().binary;
@@ -396,7 +339,7 @@ BENCHMARK(BM_ConsumeBinaryParallel)
     ->Arg(8)
     ->UseRealTime();
 
-// --- file-backed ingestion: mmap vs read() copy -----------------------------
+// --- file-backed ingestion: the read() copy fallback -------------------------
 
 const std::string& canned_binary_file() {
     static const std::string kPath = [] {
@@ -410,19 +353,6 @@ const std::string& canned_binary_file() {
     }();
     return kPath;
 }
-
-void BM_ConsumeBinaryFileMmap(benchmark::State& state) {
-    const auto& path = canned_binary_file();
-    for (auto _ : state) {
-        auto mapped = trace::MappedFile::open(
-            path, trace::MappedFile::Mode::Auto);
-        core::IOCov iocov(trace::FilterConfig::mount_point("/mnt/test"));
-        iocov.consume_binary(mapped->data());
-        benchmark::DoNotOptimize(iocov.report().events_tracked);
-    }
-    state.SetItemsProcessed(state.iterations() * canned_text_lines());
-}
-BENCHMARK(BM_ConsumeBinaryFileMmap);
 
 void BM_ConsumeBinaryFileReadCopy(benchmark::State& state) {
     const auto& path = canned_binary_file();

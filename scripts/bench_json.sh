@@ -6,15 +6,16 @@
 # Runs the per-event analyzer bench, the serial and sharded
 # consume_text benches (1/2/4/8 worker threads), the text-vs-IOCT
 # ingest comparison (BM_IngestTextSerial vs BM_IngestBinarySerial vs
-# the batched BM_IngestBinaryBatched hot path plus the full
-# consume_binary pipeline, serial/sharded/mmap/read-copy), the IOCS
-# snapshot benches (BM_SnapshotSave/Load/Merge — merge bytes/sec is
-# against the raw trace bytes the snapshots replace, comparable to
-# BM_IngestBinaryBatched) and the BM_MemoryBandwidth roofline
-# baseline, and writes the google-benchmark JSON to OUT for
-# before/after comparisons.
-# Note the items_per_second counter is CPU-time based; on a single-core
-# machine compare the real_time fields for the parallel rows.
+# the batched BM_IngestBinaryBatched hot path), the pid-sharded and
+# read-copy consume_binary benches, the IOCS snapshot benches
+# (BM_SnapshotSave/Load/Merge — merge bytes/sec is against the raw
+# trace bytes the snapshots replace, comparable to
+# BM_IngestBinaryBatched), BM_ServeIngest and the BM_MemoryBandwidth
+# roofline baseline, and writes the google-benchmark JSON to OUT.
+# Paths the end-to-end bench of record (perfbench/) times, such as the
+# filter and serial or mmap'd IOCT ingest, are measured there instead.
+# The threaded rows (.../N/real_time) report wall-clock time; the
+# other rows' items_per_second is CPU-time based.
 #
 # Provenance: benchmarks run off the Release build (build-release/),
 # never the default RelWithDebInfo dev tree, and the run is refused
@@ -64,7 +65,7 @@ cmake -B "$BUILD" -G Ninja -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$BUILD" --target perf_analyzer iocov_cli -j >/dev/null
 
 "$BENCH" \
-  --benchmark_filter='BM_(AnalyzerThroughput|FilterThroughput|ConsumeTextSerial|ConsumeTextParallel|IngestTextSerial|IngestBinary|ConsumeBinary|MemoryBandwidth|Snapshot|ServeIngest).*' \
+  --benchmark_filter='BM_(AnalyzerThroughput|ConsumeTextSerial|ConsumeTextParallel|IngestTextSerial|IngestBinary|ConsumeBinary|MemoryBandwidth|Snapshot|ServeIngest).*' \
   --benchmark_repetitions="${IOCOV_BENCH_REPS:-3}" \
   --benchmark_report_aggregates_only=true \
   --benchmark_format=json \
