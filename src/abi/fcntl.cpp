@@ -1,5 +1,7 @@
 #include "abi/fcntl.hpp"
 
+#include <array>
+
 namespace iocov::abi {
 
 const std::vector<OpenFlagInfo>& open_flag_table() {
@@ -28,57 +30,41 @@ const std::vector<OpenFlagInfo>& open_flag_table() {
     return kTable;
 }
 
-namespace {
-
-std::uint16_t index_of(std::uint32_t bits, bool access_mode) {
-    const auto& table = open_flag_table();
-    for (std::size_t i = 0; i < table.size(); ++i)
-        if (table[i].bits == bits && table[i].access_mode == access_mode)
-            return static_cast<std::uint16_t>(i);
-    return 0;
-}
-
-}  // namespace
-
 std::size_t open_flag_indices(std::uint32_t flags, std::uint16_t* out,
                               std::size_t cap) {
-    static const std::uint16_t kRdonly = index_of(O_RDONLY, true);
-    static const std::uint16_t kWronly = index_of(O_WRONLY, true);
-    static const std::uint16_t kRdwr = index_of(O_RDWR, true);
-    static const std::uint16_t kSync = index_of(O_SYNC, false);
-    static const std::uint16_t kTmpfile = index_of(O_TMPFILE, false);
-    std::size_t n = 0;
-    auto emit = [&](std::uint16_t index) {
-        if (n < cap) out[n++] = index;
-    };
-    // Access mode: exactly one of O_RDONLY / O_WRONLY / O_RDWR.  The
-    // kernel treats mode 3 as invalid; we report it as O_RDWR for
-    // coverage purposes (the syscall layer rejects it with EINVAL).
-    switch (flags & O_ACCMODE) {
-        case O_WRONLY: emit(kWronly); break;
-        case O_RDONLY: emit(kRdonly); break;
-        default: emit(kRdwr); break;
-    }
-    std::uint32_t rest = flags & ~O_ACCMODE;
-    // Composite flags first so O_SYNC absorbs O_DSYNC and O_TMPFILE
-    // absorbs O_DIRECTORY, matching how the kernel distinguishes them.
-    if ((rest & O_SYNC) == O_SYNC) {
-        emit(kSync);
-        rest &= ~static_cast<std::uint32_t>(O_SYNC);
-    }
-    if ((rest & O_TMPFILE) == O_TMPFILE) {
-        emit(kTmpfile);
-        rest &= ~static_cast<std::uint32_t>(O_TMPFILE);
-    }
+    // Visit order: the access modes, then the composite flags, so that
+    // O_SYNC absorbs O_DSYNC and O_TMPFILE absorbs O_DIRECTORY (matching
+    // how the kernel distinguishes them), then the rest in table order.
+    // Built once, in an array: this is the analyzer's per-event path,
+    // which must not allocate.
     const auto& table = open_flag_table();
-    for (std::size_t i = 0; i < table.size(); ++i) {
+    static const auto kOrder = [&table] {
+        std::array<std::uint16_t, kMaxOpenFlagLabels> order{};
+        std::size_t n = 0;
+        for (int rank = 0; rank < 3; ++rank)
+            for (std::size_t i = 0; i < table.size(); ++i) {
+                const std::uint32_t bits = table[i].bits;
+                const bool composite = bits == O_SYNC || bits == O_TMPFILE;
+                if (rank == (table[i].access_mode ? 0 : composite ? 1 : 2))
+                    order[n++] = static_cast<std::uint16_t>(i);
+            }
+        return order;
+    }();
+    // Exactly one access mode.  The kernel treats mode 3 as invalid; we
+    // report it as O_RDWR for coverage purposes (the syscall layer
+    // rejects it with EINVAL).
+    const std::uint32_t mode =
+        (flags & O_ACCMODE) == O_ACCMODE ? O_RDWR : flags & O_ACCMODE;
+    std::uint32_t rest = flags & ~O_ACCMODE;
+    std::size_t n = 0;
+    for (std::size_t k = 0; k < table.size(); ++k) {
+        const std::uint16_t i = kOrder[k];
         const auto& info = table[i];
-        if (info.access_mode || info.bits == O_SYNC || info.bits == O_TMPFILE)
+        if (info.access_mode ? info.bits != mode
+                             : (rest & info.bits) != info.bits)
             continue;
-        if ((rest & info.bits) == info.bits) {
-            emit(static_cast<std::uint16_t>(i));
-            rest &= ~info.bits;
-        }
+        if (n < cap) out[n++] = i;
+        if (!info.access_mode) rest &= ~info.bits;
     }
     return n;
 }

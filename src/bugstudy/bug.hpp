@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "core/variant_handler.hpp"
+#include "core/syscall_table.hpp"
 #include "trace/event.hpp"
 
 namespace iocov::bugstudy {

@@ -2,8 +2,6 @@
 // shapes of the paper's 2022 commit study.
 #include "bugstudy/bug.hpp"
 
-#include <optional>
-
 #include "abi/errno.hpp"
 #include "abi/fcntl.hpp"
 #include "abi/seek.hpp"
@@ -24,29 +22,20 @@ Trig base(const char* b, Trig inner) {
     };
 }
 
-/// Integer argument `key` (the variant's implied one included) as `T`;
-/// nullopt when absent or a string.
-template <class T>
-std::optional<T> num_arg(const CanonicalView& e, const char* key) {
-    const trace::ArgValue* v = e.find(key);
-    if (!v) return std::nullopt;
-    if (const auto* i = std::get_if<std::int64_t>(v)) return static_cast<T>(*i);
-    if (const auto* u = std::get_if<std::uint64_t>(v))
-        return static_cast<T>(*u);
-    return std::nullopt;
-}
-
+// Argument predicates see a variant's implied argument too.
 Trig uarg_pred(const char* key, std::function<bool(std::uint64_t)> p) {
     return [key, p](const CanonicalView& e) {
-        auto v = num_arg<std::uint64_t>(e, key);
-        return v && p(*v);
+        const trace::ArgValue* v = e.find(key);
+        const auto u = v ? trace::uint_value(*v) : std::nullopt;
+        return u && p(*u);
     };
 }
 
 Trig iarg_pred(const char* key, std::function<bool(std::int64_t)> p) {
     return [key, p](const CanonicalView& e) {
-        auto v = num_arg<std::int64_t>(e, key);
-        return v && p(*v);
+        const trace::ArgValue* v = e.find(key);
+        const auto i = v ? trace::int_value(*v) : std::nullopt;
+        return i && p(*i);
     };
 }
 

@@ -6,36 +6,23 @@
 #include "core/schema.hpp"
 
 namespace iocov::core {
-namespace {
-
-bool is_access_mode(const std::string& name) {
-    return name == "O_RDONLY" || name == "O_WRONLY" || name == "O_RDWR";
-}
-
-bool absorbed(const std::string& a, const std::string& b) {
-    // decompose_open_flags() reports the composite flag only, so these
-    // pairs can never be observed.
-    const auto pair_is = [&](const char* x, const char* y) {
-        return (a == x && b == y) || (a == y && b == x);
-    };
-    return pair_is("O_SYNC", "O_DSYNC") ||
-           pair_is("O_TMPFILE", "O_DIRECTORY");
-}
-
-}  // namespace
 
 std::vector<std::string> feasible_open_flag_pairs() {
-    std::vector<std::string> names;
-    for (const auto& info : abi::open_flag_table())
-        names.emplace_back(info.name);
+    const auto& flags = abi::open_flag_table();
     std::vector<std::string> out;
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        for (std::size_t j = i + 1; j < names.size(); ++j) {
-            const auto& a = names[i];
-            const auto& b = names[j];
-            if (is_access_mode(a) && is_access_mode(b)) continue;
-            if (absorbed(a, b)) continue;
-            out.push_back(open_flag_pair_label(a, b));
+    for (std::size_t i = 0; i < flags.size(); ++i) {
+        for (std::size_t j = i + 1; j < flags.size(); ++j) {
+            const auto& a = flags[i];
+            const auto& b = flags[j];
+            // Two access modes share one 2-bit field.
+            if (a.access_mode && b.access_mode) continue;
+            // A composite flag (O_SYNC, O_TMPFILE) absorbs the flag its
+            // bits contain, so decomposition never reports the pair.
+            const std::uint32_t both = a.bits & b.bits;
+            if (!a.access_mode && !b.access_mode &&
+                (both == a.bits || both == b.bits))
+                continue;
+            out.push_back(open_flag_pair_label(a.name, b.name));
         }
     }
     std::sort(out.begin(), out.end());

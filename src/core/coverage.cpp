@@ -64,14 +64,7 @@ Analyzer::Analyzer(std::shared_ptr<const Schema> schema)
 const SyscallTable& Analyzer::table() const { return schema_->table(); }
 
 void Analyzer::consume(const trace::TraceEvent& event) {
-    ++report_.events_seen;
-    const auto view = schema_->table().resolve(event);
-    if (!view) return;
-    ++report_.events_tracked;
-    consume_input(*view);
-    // Declarative inputs (e.g. parsed syzkaller programs) carry no
-    // observed return value; they contribute input coverage only.
-    if (!trace::is_input_only(event)) consume_output(*view);
+    consume(event, schema_->table().bind(event.syscall));
 }
 
 void Analyzer::consume(const trace::TraceEvent& event,
@@ -81,6 +74,8 @@ void Analyzer::consume(const trace::TraceEvent& event,
     ++report_.events_tracked;
     const auto view = SyscallTable::view(binding, event);
     consume_input(view);
+    // Declarative inputs (e.g. parsed syzkaller programs) carry no
+    // observed return value; they contribute input coverage only.
     if (!trace::is_input_only(event)) consume_output(view);
 }
 

@@ -8,7 +8,6 @@
 
 #include "core/syscall_spec.hpp"
 #include "core/syscall_table.hpp"
-#include "core/variant_handler.hpp"
 #include "stats/histogram.hpp"
 #include "trace/event.hpp"
 

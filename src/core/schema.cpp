@@ -77,20 +77,11 @@ std::vector<std::string> names(const auto& table) {
     return std::vector<std::string>(table.begin(), table.end());
 }
 
-// ---- value access ------------------------------------------------------------
+// ---- classification ----------------------------------------------------------
 
+/// A string where an integer belongs classifies as 0.
 std::int64_t as_int(const trace::ArgValue& v) {
-    if (const auto* i = std::get_if<std::int64_t>(&v)) return *i;
-    if (const auto* u = std::get_if<std::uint64_t>(&v))
-        return static_cast<std::int64_t>(*u);
-    return 0;
-}
-
-std::uint64_t as_uint(const trace::ArgValue& v) {
-    if (const auto* u = std::get_if<std::uint64_t>(&v)) return *u;
-    if (const auto* i = std::get_if<std::int64_t>(&v))
-        return static_cast<std::uint64_t>(*i);
-    return 0;
+    return trace::int_value(v).value_or(0);
 }
 
 std::uint16_t fd_row(std::int64_t fd) {
@@ -136,31 +127,9 @@ std::size_t row_of(const stats::PartitionHistogram& hist,
     return Schema::npos;
 }
 
-}  // namespace
+using Family = Schema::Family;
 
-std::string open_flag_pair_label(std::string_view a, std::string_view b) {
-    if (b < a) std::swap(a, b);
-    std::string out(a);
-    out += '+';
-    out += b;
-    return out;
-}
-
-std::shared_ptr<const Schema> Schema::of(
-    const std::vector<SyscallSpec>& registry) {
-    if (&registry == &syscall_registry()) {
-        static const auto kPaper = std::make_shared<const Schema>(registry);
-        return kPaper;
-    }
-    if (&registry == &extended_syscall_registry()) {
-        static const auto kExtended =
-            std::make_shared<const Schema>(registry);
-        return kExtended;
-    }
-    return std::make_shared<const Schema>(registry);
-}
-
-Schema::Family Schema::family_of(std::string_view base, const ArgSpec& arg) {
+Family family_of(std::string_view base, const ArgSpec& arg) {
     switch (arg.cls) {
         case ArgClass::Bitmap:
             return base == "open" && arg.key == "flags" ? Family::OpenFlags
@@ -175,7 +144,7 @@ Schema::Family Schema::family_of(std::string_view base, const ArgSpec& arg) {
     return Family::Numeric;
 }
 
-std::vector<std::string> Schema::declared(Family family) {
+std::vector<std::string> declared(Family family) {
     std::vector<std::string> out;
     switch (family) {
         case Family::OpenFlags:
@@ -202,6 +171,30 @@ std::vector<std::string> Schema::declared(Family family) {
         case Family::Path: out = names(kPathClasses); break;
     }
     return out;
+}
+
+}  // namespace
+
+std::string open_flag_pair_label(std::string_view a, std::string_view b) {
+    if (b < a) std::swap(a, b);
+    std::string out(a);
+    out += '+';
+    out += b;
+    return out;
+}
+
+std::shared_ptr<const Schema> Schema::of(
+    const std::vector<SyscallSpec>& registry) {
+    if (&registry == &syscall_registry()) {
+        static const auto kPaper = std::make_shared<const Schema>(registry);
+        return kPaper;
+    }
+    if (&registry == &extended_syscall_registry()) {
+        static const auto kExtended =
+            std::make_shared<const Schema>(registry);
+        return kExtended;
+    }
+    return std::make_shared<const Schema>(registry);
 }
 
 Schema::Schema(const std::vector<SyscallSpec>& registry) : table_(registry) {
@@ -274,11 +267,11 @@ Schema::Hits Schema::classify_input(std::size_t slot,
     switch (inputs_[slot]) {
         case Family::OpenFlags:
             hits.n = abi::open_flag_indices(
-                static_cast<std::uint32_t>(as_uint(value)), hits.rows.data(),
+                static_cast<std::uint32_t>(as_int(value)), hits.rows.data(),
                 hits.rows.size());
             break;
         case Family::ModeBits: {
-            const auto mode = static_cast<abi::mode_t_>(as_uint(value)) &
+            const auto mode = static_cast<abi::mode_t_>(as_int(value)) &
                               abi::MODE_PERM_MASK;
             for (std::size_t i = 0; i < kModeBits.size(); ++i)
                 if (mode & kModeBits[i].first) land(i);

@@ -7,16 +7,13 @@
 //   categorical -> one partition per legal value, plus "INVALID"
 //   identifier  -> structural classes (absolute/relative/.../via-fd for
 //                  paths; stdio/valid/AT_FDCWD/invalid for fds)
-// Each base syscall's return is an output space: success vs. each
-// documented error code; for syscalls whose success returns a byte
-// count or offset, the success side is further split by powers of two.
+// Each base syscall's return is an output space: success (split by
+// powers of two when it returns a byte count or offset) vs. each
+// documented error code.
 //
-// The schema classifies a value into row indices of its space's
-// declared block, which is the row order of the report histograms it
-// prebuilds.  Only a value outside every declared partition gets a
-// label rendered: a numeric or "OK:" bucket above 2^32, or an errno the
-// spec does not list.  Schemas are immutable, so one per registry is
-// shared by every analyzer (Schema::of).
+// A value classifies into row indices of its space's declared block.
+// Only a value outside it gets a label rendered: a numeric or "OK:"
+// bucket above 2^32, or an errno the spec does not list.
 #pragma once
 
 #include <array>
@@ -28,9 +25,6 @@
 #include <vector>
 
 #include "core/coverage.hpp"
-#include "core/syscall_spec.hpp"
-#include "core/syscall_table.hpp"
-#include "trace/event.hpp"
 
 namespace iocov::core {
 
@@ -39,15 +33,16 @@ namespace iocov::core {
 /// histogram dynamically.
 inline constexpr unsigned kNumericDeclaredMaxExp = 32;
 
-/// "A+B" with the two open-flag names in lexicographic order: the row
-/// label of one unordered flag pair.
+/// "A+B", the two open-flag names in lexicographic order: the row label
+/// of one unordered flag pair.
 std::string open_flag_pair_label(std::string_view a, std::string_view b);
 
+/// Immutable, so one per registry is shared by every analyzer.
 class Schema {
   public:
-    /// The schema of `registry`.  Each built-in registry has one,
-    /// built on first use and shared for the life of the process; any
-    /// other registry gets a new one, which must not outlive it.
+    /// The schema of `registry`.  Each built-in registry has one, built
+    /// on first use; any other registry gets a new one, which must not
+    /// outlive it.
     static std::shared_ptr<const Schema> of(
         const std::vector<SyscallSpec>& registry);
 
@@ -61,47 +56,41 @@ class Schema {
 
     static constexpr std::size_t npos = SyscallTable::npos;
 
-    /// The declared rows one input value lands in.  Bitmaps and paths
-    /// land in several rows, every other class in exactly one.
+    /// The declared rows one input value lands in (bitmaps and paths
+    /// may land in several).
     struct Hits {
         std::array<std::uint16_t, 24> rows;
         std::size_t n = 0;
-        /// The value also lands outside the declared block, under
-        /// undeclared_input_label() (a numeric bucket above 2^32).
+        /// Also lands under undeclared_input_label() (numeric > 2^32).
         bool undeclared = false;
     };
     Hits classify_input(std::size_t slot, const trace::ArgValue& value) const;
     static std::string undeclared_input_label(const trace::ArgValue& value);
 
-    /// The declared row of return value `ret` in base `id`'s output
-    /// space, or npos when it lands under undeclared_output_label().
+    /// The declared row of `ret` in base `id`'s output space, or npos:
+    /// then it lands under undeclared_output_label().
     std::size_t classify_output(SyscallId id, std::int64_t ret) const;
     static std::string undeclared_output_label(std::int64_t ret);
 
-    // ---- open-flag combination statistics ----
-    /// Flat slot of open/flags; npos if the registry does not track it.
+    /// Open-flag combination statistics: the open/flags slot (npos if
+    /// untracked), O_RDONLY's row, the row of a call combining `flags`
+    /// flags ("1".."6", "7+") and the label of the pair at rows a, b.
     std::size_t open_flags_slot() const { return open_flags_slot_; }
     std::uint16_t rdonly_row() const { return rdonly_row_; }
-    /// Row of a call combining `flags` flags in the cardinality
-    /// histograms ("1".."6", then "7+").
     static std::size_t cardinality_row(std::size_t flags);
-    /// Row label of the flag pair at flag rows `a` and `b`.
     const std::string& pair_label(std::size_t a, std::size_t b) const {
         return pair_labels_[a * flag_count_ + b];
     }
 
-  private:
-    /// How an input space partitions; one per ArgClass refinement.
+    /// How an input space partitions: its ArgClass, refined by base/key.
     enum class Family : std::uint8_t {
         OpenFlags, ModeBits, Numeric, Whence, XattrFlags, Fd, Path
     };
-    static Family family_of(std::string_view base, const ArgSpec& arg);
-    static std::vector<std::string> declared(Family family);
 
+  private:
     struct OutputSpace {
         bool sized = false;  ///< success split by powers of two
-        /// Row of each errno value; npos past the end or when undocumented.
-        std::vector<std::size_t> err_row;
+        std::vector<std::size_t> err_row;  ///< by errno; npos: undeclared
     };
 
     SyscallTable table_;

@@ -11,21 +11,56 @@
 //   * every variant name maps, via one hash lookup, to its base's spec,
 //     id, and implied argument.
 //
-// The Analyzer then indexes plain std::vectors per event instead of
-// building "base/key" strings and probing std::maps.
+// This is the one variant resolver.  open/openat/creat/openat2 (and the
+// other variant families) share a kernel implementation, so IOCov merges
+// their input and output spaces: resolve() maps a raw trace event onto
+// its base syscall as a CanonicalView, which fills in the argument a
+// variant expresses implicitly — creat(2) implies
+// O_CREAT|O_WRONLY|O_TRUNC, and fchdir(2) changes directory "via fd"
+// rather than via a pathname.
 #pragma once
 
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "core/syscall_spec.hpp"
-#include "core/variant_handler.hpp"
 #include "trace/event.hpp"
 
 namespace iocov::core {
+
+/// A trace event resolved onto its base syscall without copying it: the
+/// view references the original event and patches in at most the
+/// variant's implied argument.  Valid while the event is alive (spec
+/// and implied argument point into static registry storage).
+struct CanonicalView {
+    const SyscallSpec* spec = nullptr;      ///< base syscall spec
+    std::size_t id = 0;                     ///< dense registry index
+    const trace::TraceEvent* event = nullptr;
+    const trace::Arg* implied = nullptr;    ///< variant's implied arg
+
+    /// Tracked-argument lookup: the event's own args win, the implied
+    /// arg fills the gap.  Returns a pointer instead of a copy (ArgValue
+    /// may hold a std::string).
+    const trace::ArgValue* find(std::string_view key) const {
+        if (const trace::Arg* a = event->find_arg(key)) return &a->value;
+        if (implied && implied->name == key) return &implied->value;
+        return nullptr;
+    }
+
+    /// find() with a positional hint: traced args arrive in prototype
+    /// order, so checking event->args[hint] first turns the common case
+    /// into a single string compare instead of a scan.
+    const trace::ArgValue* find_hinted(std::string_view key,
+                                       std::size_t hint) const {
+        if (hint < event->args.size() && event->args[hint].name == key)
+            return &event->args[hint].value;
+        return find(key);
+    }
+};
 
 /// Dense index of a base syscall within its registry.
 using SyscallId = std::size_t;

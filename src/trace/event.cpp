@@ -10,20 +10,12 @@ const Arg* TraceEvent::find_arg(std::string_view name) const {
 
 std::optional<std::int64_t> TraceEvent::int_arg(std::string_view name) const {
     const Arg* a = find_arg(name);
-    if (!a) return std::nullopt;
-    if (const auto* i = std::get_if<std::int64_t>(&a->value)) return *i;
-    if (const auto* u = std::get_if<std::uint64_t>(&a->value))
-        return static_cast<std::int64_t>(*u);
-    return std::nullopt;
+    return a ? int_value(a->value) : std::nullopt;
 }
 
 std::optional<std::uint64_t> TraceEvent::uint_arg(std::string_view name) const {
     const Arg* a = find_arg(name);
-    if (!a) return std::nullopt;
-    if (const auto* u = std::get_if<std::uint64_t>(&a->value)) return *u;
-    if (const auto* i = std::get_if<std::int64_t>(&a->value))
-        return static_cast<std::uint64_t>(*i);
-    return std::nullopt;
+    return a ? uint_value(a->value) : std::nullopt;
 }
 
 std::optional<std::string> TraceEvent::str_arg(std::string_view name) const {

@@ -19,6 +19,19 @@ namespace iocov::trace {
 /// flags/modes/sizes, string for pathnames and xattr names.
 using ArgValue = std::variant<std::int64_t, std::uint64_t, std::string>;
 
+/// The integer in `v`, either signedness read as the requested one;
+/// nullopt for a string.
+inline std::optional<std::int64_t> int_value(const ArgValue& v) {
+    if (const auto* i = std::get_if<std::int64_t>(&v)) return *i;
+    if (const auto* u = std::get_if<std::uint64_t>(&v))
+        return static_cast<std::int64_t>(*u);
+    return std::nullopt;
+}
+inline std::optional<std::uint64_t> uint_value(const ArgValue& v) {
+    if (const auto i = int_value(v)) return static_cast<std::uint64_t>(*i);
+    return std::nullopt;
+}
+
 struct Arg {
     std::string name;
     ArgValue value;
