@@ -12,7 +12,10 @@
 # (exhaustive bit-flip/truncation loops + fault-injected write paths).
 # The serve daemon's frame decoder parses length-prefixed frames from
 # untrusted socket bytes (torn, oversized, byte-at-a-time), and the
-# strict CLI numeric parsers chew on junk — both run here too.
+# strict CLI numeric parsers chew on junk — both run here too.  The
+# analyzer counts into histogram rows by index (core/schema), so its
+# suites — partitioning, coverage, the partition-inverse oracle, flag
+# pairs and the parallel pipeline — run here as well.
 # This configures a full IOCOV_SANITIZE=address tree and runs the
 # decoder-facing suites (binary format, binary pipeline, text format,
 # snapshot) under it.
@@ -27,7 +30,9 @@ cmake --build "$BUILD" -j --target \
   test_batch_decode test_dir_ingest \
   test_crash_replay test_crash_oracle test_crashtest \
   test_snapshot test_snapshot_merge test_host_io test_checkpoint \
-  test_serve test_cli_parse test_walk test_format_bytes
+  test_serve test_cli_parse test_walk test_format_bytes \
+  test_core_partition test_core_coverage test_parallel_pipeline \
+  test_combos test_partition_oracle
 ctest --test-dir "$BUILD" \
-  -R 'Binary|TextFormat|MappedFile|BatchDecode|DirIngest|CrashReplay|CrashOracle|CrashTest|Snapshot|SnapshotMerge|HostIo|Checkpoint|IncrementalMerge|Serve|Protocol|LiveCoverage|ParseU|ParseF|Walk|FormatBytes' \
+  -R 'Binary|TextFormat|MappedFile|BatchDecode|DirIngest|CrashReplay|CrashOracle|CrashTest|Snapshot|SnapshotMerge|HostIo|Checkpoint|IncrementalMerge|Serve|Protocol|LiveCoverage|ParseU|ParseF|Walk|FormatBytes|Partitioner|Schema|Analyzer|CoverageReport|Tcd|Untested|Merge|ParallelPipeline|ShardDriver|Sharding|ThreadPool|WorkStealing|FeasiblePairs|PairCoverage|PartitionOracle' \
   --output-on-failure -j "$(nproc)"

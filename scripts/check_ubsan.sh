@@ -14,6 +14,9 @@
 # under it — plus the serve frame decoder (u32 length math on hostile
 # socket bytes), the live-coverage merge path, and the strict CLI
 # numeric parsers (overflow rejection is exactly where UB would hide).
+# The analyzer's index arithmetic (core/schema: row indices, log2
+# buckets, errno tables) runs here too: partitioning, coverage, the
+# partition-inverse oracle, flag pairs and the parallel pipeline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,7 +28,9 @@ cmake --build "$BUILD" -j --target \
   test_binary_format test_text_format test_batch_decode \
   test_crash_replay test_crash_oracle test_state_diff \
   test_snapshot test_snapshot_merge test_host_io \
-  test_serve test_cli_parse test_walk test_checkpoint test_format_bytes
+  test_serve test_cli_parse test_walk test_checkpoint test_format_bytes \
+  test_core_partition test_core_coverage test_parallel_pipeline \
+  test_combos test_partition_oracle
 ctest --test-dir "$BUILD" \
-  -R 'Fsck|Fault|ScopedFault|Campaign|IngestFaults|Binary|TextFormat|BatchDecode|CrashReplay|CrashOracle|StateDiff|Snapshot|SnapshotMerge|HostIo|Serve|Protocol|LiveCoverage|ParseU|ParseF|Walk|Checkpoint|IncrementalMerge|FormatBytes' \
+  -R 'Fsck|Fault|ScopedFault|Campaign|IngestFaults|Binary|TextFormat|BatchDecode|CrashReplay|CrashOracle|StateDiff|Snapshot|SnapshotMerge|HostIo|Serve|Protocol|LiveCoverage|ParseU|ParseF|Walk|Checkpoint|IncrementalMerge|FormatBytes|Partitioner|Schema|Analyzer|CoverageReport|Tcd|Untested|Merge|ParallelPipeline|ShardDriver|Sharding|ThreadPool|WorkStealing|FeasiblePairs|PairCoverage|PartitionOracle' \
   --output-on-failure -j "$(nproc)"
