@@ -51,6 +51,8 @@ constexpr std::array<const char*, 6> kFdClasses = {
     "stdio(0-2)", "valid(>=3)", "large(>=1024)",
     "minus-one",  "AT_FDCWD",   "other-negative"};
 
+// kSymlinkish is declared but never landed: classification does not
+// resolve symlinks (DESIGN.md §8.2).
 enum PathRow : std::uint16_t {
     kAbsolute, kRelative, kDot, kDotdot, kTrailingSlash, kSymlinkish,
     kNameMax, kPathMax, kViaFd, kFaulting, kEmpty
@@ -275,7 +277,7 @@ Schema::Hits Schema::classify_input(std::size_t slot,
                               abi::MODE_PERM_MASK;
             for (std::size_t i = 0; i < kModeBits.size(); ++i)
                 if (mode & kModeBits[i].first) land(i);
-            if (hits.n == 0) land(kModeBits.size());  // "none"
+            if (hits.n == 0) land(kModeBits.size());  // kNoModeBits
             break;
         }
         case Family::Numeric: {
@@ -291,7 +293,7 @@ Schema::Hits Schema::classify_input(std::size_t slot,
             const auto w = static_cast<int>(as_int(value));
             std::size_t i = 0;
             while (i < values.size() && values[i] != w) ++i;
-            land(i);  // past the values: "INVALID"
+            land(i);  // past the values: kInvalid
             break;
         }
         case Family::XattrFlags:
@@ -315,9 +317,9 @@ std::string Schema::undeclared_input_label(const trace::ArgValue& value) {
 std::size_t Schema::classify_output(SyscallId id, std::int64_t ret) const {
     const OutputSpace& space = outputs_[id];
     if (ret >= 0) {
-        if (!space.sized) return 0;  // "OK"
+        if (!space.sized) return 0;  // kOk
         const auto b = stats::log_bucket_of(ret);
-        if (b.kind == LogBucket::Kind::Zero) return 0;  // "OK:=0"
+        if (b.kind == LogBucket::Kind::Zero) return 0;  // OK:=0
         return b.exponent <= kNumericDeclaredMaxExp ? 1 + b.exponent : npos;
     }
     if (ret < -abi::kMaxErrno) return npos;

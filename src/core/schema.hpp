@@ -4,7 +4,7 @@
 // Each tracked argument is an input space, partitioned by its class:
 //   bitmap      -> one partition per flag (plus combination statistics)
 //   numeric     -> powers of two, with "=0" and "<0" boundary partitions
-//   categorical -> one partition per legal value, plus "INVALID"
+//   categorical -> one partition per legal value, plus an invalid one
 //   identifier  -> structural classes (absolute/relative/.../via-fd for
 //                  paths; stdio/valid/AT_FDCWD/invalid for fds)
 // Each base syscall's return is an output space: success (split by
@@ -59,7 +59,7 @@ class Schema {
     /// The declared rows one input value lands in (bitmaps and paths
     /// may land in several).
     struct Hits {
-        std::array<std::uint16_t, 24> rows;
+        std::array<std::uint16_t, 24> rows{};
         std::size_t n = 0;
         /// Also lands under undeclared_input_label() (numeric > 2^32).
         bool undeclared = false;
@@ -74,7 +74,8 @@ class Schema {
 
     /// Open-flag combination statistics: the open/flags slot (npos if
     /// untracked), O_RDONLY's row, the row of a call combining `flags`
-    /// flags ("1".."6", "7+") and the label of the pair at rows a, b.
+    /// flags (1..6, then one row for 7 or more) and the label of the pair
+    /// at rows a, b.
     std::size_t open_flags_slot() const { return open_flags_slot_; }
     std::uint16_t rdonly_row() const { return rdonly_row_; }
     static std::size_t cardinality_row(std::size_t flags);

@@ -32,9 +32,10 @@ struct PartitionCount {
 /// label set alone — analyzing a trace serially, shard-by-shard, or in
 /// any merge order yields bit-identical histograms, which is what lets
 /// the parallel pipeline assert report equality against the serial one.
-/// Lookup is linear-probe over a small vector: partition spaces here are
-/// tens of entries (flags, log2 buckets, errno values), so a flat vector
-/// beats a node-based map and keeps deterministic iteration for reports.
+/// Rows live in one flat vector: declared blocks are tens of entries
+/// (flags, log2 buckets, errno values), scanned linearly, and the sorted
+/// dynamic tail is binary-searched, so a hostile trace cannot make add()
+/// quadratic.  Iteration order stays deterministic for reports.
 class PartitionHistogram {
   public:
     PartitionHistogram() = default;

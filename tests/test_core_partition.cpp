@@ -181,15 +181,5 @@ TEST(OutputPartitioner, RepeatedErrnoIsOneRow) {
     EXPECT_EQ(output_label(s, -1), "EPERM");
 }
 
-TEST(Schema, BuiltInRegistriesShareOneSchemaEach) {
-    EXPECT_EQ(Schema::of(syscall_registry()), Schema::of(syscall_registry()));
-    EXPECT_EQ(Schema::of(extended_syscall_registry()),
-              Schema::of(extended_syscall_registry()));
-    EXPECT_NE(Schema::of(syscall_registry()),
-              Schema::of(extended_syscall_registry()));
-    const std::vector<SyscallSpec> custom = syscall_registry();
-    EXPECT_NE(Schema::of(custom), Schema::of(custom));
-}
-
 }  // namespace
 }  // namespace iocov::core
