@@ -32,7 +32,9 @@
 # contracts honest where asserts would vanish, check_perf.sh refuses
 # to publish numbers from a regressed decoder, and check_perf_ab.sh
 # refuses them when the end-to-end perfbench numbers regressed against
-# the parent commit.
+# the parent commit.  list_unused.sh then refuses them while a src/
+# function no production binary links is missing from
+# scripts/unused_allowlist.txt (or an allowlisted one is linked again).
 # Set IOCOV_SKIP_SANITIZERS=1 to skip them (e.g. quick local re-runs).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -56,6 +58,8 @@ echo "preflight: perf regression gate"
 ./scripts/check_perf.sh
 echo "preflight: end-to-end perf A/B gate against HEAD~1"
 ./scripts/check_perf_ab.sh
+echo "preflight: dead-API gate (unused functions vs the allowlist)"
+./scripts/list_unused.sh >/dev/null
 
 OUT="${1:-BENCH_analyzer.json}"
 BUILD=build-release

@@ -78,14 +78,4 @@ const std::vector<Err>& open_manpage_errors() {
     return kErrors;
 }
 
-const std::vector<Err>& all_errors() {
-    static const std::vector<Err> kAll = [] {
-        std::vector<Err> v;
-        for (const auto& [err, name] : kNames)
-            if (err != Err::Ok) v.push_back(err);
-        return v;
-    }();
-    return kAll;
-}
-
 }  // namespace iocov::abi

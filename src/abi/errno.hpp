@@ -84,7 +84,4 @@ constexpr Err err_of(std::int64_t ret) { return static_cast<Err>(-ret); }
 /// Fig. 4 (27 codes following the "OK" column).
 const std::vector<Err>& open_manpage_errors();
 
-/// Every errno this library can produce, ascending by value.
-const std::vector<Err>& all_errors();
-
 }  // namespace iocov::abi

@@ -69,27 +69,4 @@ std::size_t open_flag_indices(std::uint32_t flags, std::uint16_t* out,
     return n;
 }
 
-std::vector<std::string> decompose_open_flags(std::uint32_t flags) {
-    std::uint16_t indices[kMaxOpenFlagLabels];
-    const std::size_t n =
-        open_flag_indices(flags, indices, kMaxOpenFlagLabels);
-    std::vector<std::string> out;
-    for (std::size_t i = 0; i < n; ++i)
-        out.emplace_back(open_flag_table()[indices[i]].name);
-    return out;
-}
-
-unsigned open_flag_cardinality(std::uint32_t flags) {
-    return static_cast<unsigned>(decompose_open_flags(flags).size());
-}
-
-std::string open_flags_to_string(std::uint32_t flags) {
-    std::string out;
-    for (const auto& name : decompose_open_flags(flags)) {
-        if (!out.empty()) out += '|';
-        out += name;
-    }
-    return out;
-}
-
 }  // namespace iocov::abi

@@ -4,8 +4,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 // Drop the host <fcntl.h> macros: these constants are the library's own
@@ -81,29 +79,20 @@ struct OpenFlagInfo {
 /// (22 entries: 3 access modes + 19 OR-able flags).
 const std::vector<OpenFlagInfo>& open_flag_table();
 
-/// Decomposes a flags word into the flag names it contains.  The access
-/// mode contributes exactly one name; composite flags (O_SYNC, O_TMPFILE)
-/// absorb their contained bits so O_SYNC does not also report O_DSYNC.
-std::vector<std::string> decompose_open_flags(std::uint32_t flags);
-
 /// Upper bound on the labels one flags word can decompose into (one
 /// access mode + every OR-able flag, rounded up for headroom).
 inline constexpr std::size_t kMaxOpenFlagLabels = 24;
 
-/// Allocation-free decomposition: writes up to `cap` open_flag_table()
-/// indices into `out`, returning the count.  Same flags and order as
-/// the vector overload; cap >= kMaxOpenFlagLabels never truncates.
-/// This is the analyzer's per-event path.
+/// Decomposes a flags word into the open_flag_table() indices of the
+/// flags it contains, writing up to `cap` of them into `out` and
+/// returning the count (the paper's Table 1 statistic: a lone O_RDONLY
+/// counts as one flag).  The access mode contributes exactly one index
+/// and comes first; composite flags (O_SYNC, O_TMPFILE) absorb their
+/// contained bits so O_SYNC does not also report O_DSYNC.  cap >=
+/// kMaxOpenFlagLabels never truncates.  Allocation-free: this is the
+/// analyzer's per-event path.
 std::size_t open_flag_indices(std::uint32_t flags, std::uint16_t* out,
                               std::size_t cap);
-
-/// Number of distinct flags in the word (the paper's Table 1 statistic:
-/// "how many flags were combined in open", where a lone O_RDONLY counts
-/// as one flag).
-unsigned open_flag_cardinality(std::uint32_t flags);
-
-/// Renders flags as "O_WRONLY|O_CREAT|O_TRUNC" (access mode first).
-std::string open_flags_to_string(std::uint32_t flags);
 
 // Directory-fd sentinel and lookup-control flags for the *at() variants.
 inline constexpr int AT_FDCWD = -100;

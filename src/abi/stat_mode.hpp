@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 // The host's <sys/stat.h> defines these names as macros; our constants
 // are the library's own self-contained ABI.  Pull the system header in
@@ -72,8 +71,5 @@ inline constexpr mode_t_ S_IXOTH = 00001;
 
 /// All bits chmod(2) accepts (permissions + suid/sgid/sticky).
 inline constexpr mode_t_ MODE_PERM_MASK = 07777;
-
-/// Renders the low 12 bits in octal ("0644", "04755").
-std::string mode_to_octal(mode_t_ mode);
 
 }  // namespace iocov::abi

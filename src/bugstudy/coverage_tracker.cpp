@@ -8,25 +8,12 @@ void CoverageTracker::probe(std::string_view site) {
 
 std::optional<abi::Err> CoverageTracker::inject(std::string_view site) {
     ++counts_[std::string(site)];  // an injected site was also executed
-    auto it = armed_.find(std::string(site));
-    if (it == armed_.end()) return std::nullopt;
-    if (it->second.remaining == 0) return std::nullopt;
-    --it->second.remaining;
-    return it->second.err;
+    return std::nullopt;
 }
 
 std::uint64_t CoverageTracker::hits(std::string_view site) const {
     auto it = counts_.find(std::string(site));
     return it == counts_.end() ? 0 : it->second;
-}
-
-void CoverageTracker::arm_fault(std::string site, abi::Err err,
-                                std::uint64_t times) {
-    armed_[std::move(site)] = {err, times};
-}
-
-void CoverageTracker::disarm(std::string_view site) {
-    armed_.erase(std::string(site));
 }
 
 }  // namespace iocov::bugstudy

@@ -3,8 +3,7 @@
 // Implements the VFS instrumentation hooks: every probe() hit is counted
 // per site, giving "did the suite execute this code region" at function,
 // line, and branch granularity (sites are named "fn", "fn:line-ish",
-// "fn:branch").  It can also arm active faults at sites, which the
-// differential-testing example uses to plant live bugs.
+// "fn:branch").  It never fails a site: inject() only counts it.
 #pragma once
 
 #include <cstdint>
@@ -33,18 +32,8 @@ class CoverageTracker final : public vfs::VfsHooks {
     std::size_t distinct_sites() const { return counts_.size(); }
     void reset() { counts_.clear(); }
 
-    /// Arms a live fault: the next `times` executions of `site` fail
-    /// with `err` (coverage is still recorded).
-    void arm_fault(std::string site, abi::Err err, std::uint64_t times = ~0ULL);
-    void disarm(std::string_view site);
-
   private:
     std::map<std::string, std::uint64_t> counts_;
-    struct Armed {
-        abi::Err err;
-        std::uint64_t remaining;
-    };
-    std::map<std::string, Armed> armed_;
 };
 
 }  // namespace iocov::bugstudy

@@ -27,10 +27,6 @@ constexpr detail::SealedFormat kIock{
 
 }  // namespace
 
-bool is_iock(std::string_view data) {
-    return trace::detail::has_magic(data, kIockMagic);
-}
-
 std::string encode_checkpoint(const Checkpoint& cp) {
     std::string out =
         trace::detail::container_header(kIockMagic, kIockVersion);

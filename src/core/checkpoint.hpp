@@ -69,9 +69,6 @@ enum class CheckpointMode : std::uint8_t {
     Serve = 3,
 };
 
-/// True if `data` begins with the IOCK magic.
-bool is_iock(std::string_view data);
-
 // ---- checkpoint value ------------------------------------------------------
 
 /// Partial merge state: the fold of `leaves` input snapshots.

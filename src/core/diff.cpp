@@ -111,18 +111,6 @@ StateDelta make_delta(StateDelta::Kind kind, const std::string& path,
 
 }  // namespace
 
-std::string StateDelta::to_string() const {
-    std::string out = "[";
-    out += state_delta_kind_name(kind);
-    out += "] ";
-    out += path;
-    if (!detail.empty()) {
-        out += ": ";
-        out += detail;
-    }
-    return out;
-}
-
 std::vector<StateDelta> diff_states(const StateSnapshot& expected,
                                     const StateSnapshot& actual,
                                     const StateDiffOptions& options) {

@@ -99,8 +99,6 @@ struct StateDelta {
     Kind kind = Kind::Missing;
     std::string path;
     std::string detail;  ///< expected-vs-actual rendering
-
-    std::string to_string() const;
 };
 
 struct StateDiffOptions {

@@ -1,7 +1,6 @@
 #include "core/gap.hpp"
 
 #include <map>
-#include <sstream>
 #include <tuple>
 
 #include "core/tcd.hpp"
@@ -79,21 +78,6 @@ GapReport extract_gaps(const CoverageReport& report, double target) {
     }
     out.aggregate_tcd = stats::mean(tcds);
     return out;
-}
-
-std::string GapReport::to_string() const {
-    std::ostringstream os;
-    os << "gaps: " << input_gaps.size() << " untested input partition(s), "
-       << output_gaps.size() << " unreached output partition(s)\n";
-    os << "aggregate TCD (uniform target " << target << "): " << aggregate_tcd
-       << "\n";
-    for (const SpaceTcd& s : spaces) {
-        os << "  " << s.base;
-        if (!s.arg.empty()) os << "." << s.arg;
-        os << ": tcd=" << s.tcd << " untested=" << s.untested << "/"
-           << s.declared << "\n";
-    }
-    return os.str();
 }
 
 }  // namespace iocov::core

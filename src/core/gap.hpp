@@ -55,9 +55,6 @@ struct GapReport {
     std::size_t total_gaps() const {
         return input_gaps.size() + output_gaps.size();
     }
-
-    /// Multi-line human-readable summary.
-    std::string to_string() const;
 };
 
 /// Extracts every untested partition from `report`, with per-space TCD

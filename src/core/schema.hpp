@@ -54,7 +54,7 @@ class Schema {
     /// copy.  inputs[slot] and outputs[id] follow the table's numbering.
     const CoverageReport& empty_report() const { return empty_; }
 
-    static constexpr std::size_t npos = SyscallTable::npos;
+    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
     /// The declared rows one input value lands in (bitmaps and paths
     /// may land in several).

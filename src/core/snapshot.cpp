@@ -77,11 +77,6 @@ bool read_histogram(PayloadCursor& c,
 
 }  // namespace
 
-bool is_iocs(std::string_view data) {
-    return data.size() >= kIocsHeaderSize &&
-           trace::detail::has_magic(data, kIocsMagic);
-}
-
 std::optional<std::uint8_t> iocs_version(std::string_view data) {
     if (data.size() < 5 || !trace::detail::has_magic(data, kIocsMagic))
         return std::nullopt;

@@ -68,14 +68,9 @@ enum class IocsTag : std::uint8_t {
     Footer = 0x05,
 };
 
-/// True if `data` begins with the IOCS magic — any version.  Version
-/// skew is *not* folded into this sniff so callers can tell "this is a
-/// snapshot I cannot read" (structured version diagnostic) apart from
-/// "this is not a snapshot at all".
-bool is_iocs(std::string_view data);
-
 /// The version byte of an IOCS header, or nullopt when `data` does not
-/// start with the magic.
+/// start with the magic: callers can tell "a snapshot this build cannot
+/// read" (structured version diagnostic) apart from "not a snapshot".
 std::optional<std::uint8_t> iocs_version(std::string_view data);
 
 // ---- snapshot value --------------------------------------------------------

@@ -159,29 +159,6 @@ const std::vector<SyscallSpec>& extended_syscall_registry() {
     return kExtended;
 }
 
-std::optional<std::string> base_of_variant(
-    std::string_view variant, const std::vector<SyscallSpec>& registry) {
-    for (const auto& spec : registry)
-        for (const auto& v : spec.variants)
-            if (v == variant) return spec.base;
-    return std::nullopt;
-}
-
-std::optional<std::string> base_of_variant(std::string_view variant) {
-    return base_of_variant(variant, syscall_registry());
-}
-
-const SyscallSpec* find_spec(std::string_view base,
-                             const std::vector<SyscallSpec>& registry) {
-    for (const auto& spec : registry)
-        if (spec.base == base) return &spec;
-    return nullptr;
-}
-
-const SyscallSpec* find_spec(std::string_view base) {
-    return find_spec(base, syscall_registry());
-}
-
 std::size_t tracked_variant_count() {
     std::size_t n = 0;
     for (const auto& spec : syscall_registry()) n += spec.variants.size();

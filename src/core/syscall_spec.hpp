@@ -8,7 +8,6 @@
 // categorical; the partitioning strategy is chosen per class.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -59,17 +58,6 @@ const std::vector<SyscallSpec>& syscall_registry();
 /// arguments and their documented error sets).  Pass to Analyzer for
 /// wider tracking.
 const std::vector<SyscallSpec>& extended_syscall_registry();
-
-/// Base syscall for a variant name; nullopt for untracked syscalls.
-/// The registry-taking overload resolves against any registry.
-std::optional<std::string> base_of_variant(std::string_view variant);
-std::optional<std::string> base_of_variant(
-    std::string_view variant, const std::vector<SyscallSpec>& registry);
-
-/// Spec lookup by base name; nullptr if unknown.
-const SyscallSpec* find_spec(std::string_view base);
-const SyscallSpec* find_spec(std::string_view base,
-                             const std::vector<SyscallSpec>& registry);
 
 /// Totals used in the paper's prose ("27 syscalls", "14 arguments").
 std::size_t tracked_variant_count();

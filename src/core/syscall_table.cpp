@@ -41,15 +41,4 @@ SyscallTable::SyscallTable(const std::vector<SyscallSpec>& registry)
     arg_offset_.push_back(slot);
 }
 
-std::size_t SyscallTable::arg_slot(std::string_view base,
-                                   std::string_view key) const {
-    for (SyscallId id = 0; id < registry_->size(); ++id) {
-        const auto& spec = (*registry_)[id];
-        if (spec.base != base) continue;
-        for (std::size_t i = 0; i < spec.args.size(); ++i)
-            if (spec.args[i].key == key) return arg_offset_[id] + i;
-    }
-    return npos;
-}
-
 }  // namespace iocov::core

@@ -1,9 +1,8 @@
 // Interned syscall registry lookup for the analyzer hot path.
 //
-// The registry is a vector of specs whose natural lookups are linear
-// scans over strings (base_of_variant, find_spec) — fine for tooling,
-// too slow to run once per traced event.  A SyscallTable resolves the
-// registry once into dense indices:
+// The registry is a vector of specs; scanning it per traced event would
+// be too slow.  A SyscallTable resolves the registry once into dense
+// indices:
 //
 //   * every base syscall gets a SyscallId (its registry index),
 //   * every tracked argument gets a flat "arg slot" (bases contribute
@@ -81,10 +80,6 @@ class SyscallTable {
     /// Total tracked arguments across the registry (== the size of
     /// CoverageReport::inputs built from it).
     std::size_t arg_slot_count() const { return arg_offset_.back(); }
-
-    /// Flat slot of (base, key); npos when the base has no such arg.
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-    std::size_t arg_slot(std::string_view base, std::string_view key) const;
 
     /// Resolves one event onto its base syscall without copying it;
     /// nullopt for untracked syscalls.  One hash lookup per event.

@@ -95,18 +95,6 @@ TargetBuilder::TargetBuilder(const stats::PartitionHistogram& hist,
                              double base)
     : hist_(hist), targets_(hist.partition_count(), base) {}
 
-TargetBuilder& TargetBuilder::set(std::string_view label, double target) {
-    const auto& rows = hist_.rows();
-    bool matched = false;
-    for (std::size_t i = 0; i < rows.size(); ++i)
-        if (rows[i].label == label) {
-            targets_[i] = target;
-            matched = true;
-        }
-    if (!matched) unknown_labels_.emplace_back(label);
-    return *this;
-}
-
 TargetBuilder& TargetBuilder::boost(std::string_view label, double factor) {
     const auto& rows = hist_.rows();
     bool matched = false;

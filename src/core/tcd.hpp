@@ -65,19 +65,15 @@ class TargetBuilder {
   public:
     TargetBuilder(const stats::PartitionHistogram& hist, double base);
 
-    /// Sets the target for one partition label.  A label matching no
-    /// partition is recorded in unknown_labels() — a typo'd label must
-    /// not silently leave the target at its base value.
-    TargetBuilder& set(std::string_view label, double target);
-
-    /// Multiplies the target for one partition label; unmatched labels
-    /// are recorded like set().
+    /// Multiplies the target for one partition label.  A label matching
+    /// no partition is recorded in unknown_labels() — a typo'd label
+    /// must not silently leave the target at its base value.
     TargetBuilder& boost(std::string_view label, double factor);
 
     std::vector<double> build() const { return targets_; }
 
-    /// Labels passed to set()/boost() that matched no partition, in
-    /// call order.  Empty means every adjustment landed.
+    /// Labels passed to boost() that matched no partition, in call
+    /// order.  Empty means every adjustment landed.
     const std::vector<std::string>& unknown_labels() const {
         return unknown_labels_;
     }

@@ -1,7 +1,7 @@
 // Minimal fixed-size thread pool used by the parallel analysis pipeline.
 //
-// Deliberately small: a FIFO of std::function jobs, N worker threads,
-// and a wait_idle() barrier.  Pools are cheap enough to create per
+// Deliberately small: a FIFO of std::function jobs and N worker
+// threads; parallel_for is the completion barrier.  Pools are cheap enough to create per
 // parallel operation (thread spawn is microseconds next to parsing a
 // multi-megabyte trace), which keeps thread ownership obvious and
 // avoids global executor state.
@@ -29,9 +29,6 @@ class ThreadPool {
     /// Enqueues a job; runs on some worker in FIFO order.
     void submit(std::function<void()> job);
 
-    /// Blocks until the queue is empty and no job is running.
-    void wait_idle();
-
     unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
     /// hardware_concurrency(), floored at 1 (the standard allows 0).
@@ -44,8 +41,6 @@ class ThreadPool {
     std::deque<std::function<void()>> queue_;
     std::mutex mu_;
     std::condition_variable work_cv_;   // workers wait for jobs / stop
-    std::condition_variable idle_cv_;   // wait_idle waits for quiescence
-    std::size_t active_ = 0;            // jobs currently executing
     bool stop_ = false;
 };
 

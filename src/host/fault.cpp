@@ -319,10 +319,4 @@ std::uint64_t FaultHook::ops(IoPhase phase) {
     return st.ops[static_cast<std::size_t>(phase)];
 }
 
-std::uint64_t FaultHook::write_bytes() {
-    auto& st = state();
-    std::lock_guard<std::mutex> lock(st.mu);
-    return st.write_bytes;
-}
-
 }  // namespace iocov::host

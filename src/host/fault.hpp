@@ -96,10 +96,9 @@ class FaultHook {
     /// Ops consulted so far, total and per phase.
     static std::uint64_t total_ops();
     static std::uint64_t ops(IoPhase phase);
-    /// Payload bytes actually handed to write() so far.
-    static std::uint64_t write_bytes();
-    /// Called by the write primitive (only while active) so the stats
-    /// probe can report the torn-write offset space.
+    /// Called by the write primitive (only while active) with the
+    /// payload bytes handed to write(), so the stats probe can report
+    /// the torn-write offset space.
     static void note_write_bytes(std::uint64_t n);
 };
 

@@ -1,9 +1,7 @@
 #include "stats/log_bucket.hpp"
 
-#include <array>
 #include <bit>
 #include <charconv>
-#include <cstdio>
 #include <limits>
 
 namespace iocov::stats {
@@ -32,19 +30,6 @@ std::int64_t bucket_lower_bound(const LogBucket& b) {
     return 0;
 }
 
-std::int64_t bucket_upper_bound(const LogBucket& b) {
-    switch (b.kind) {
-        case LogBucket::Kind::Negative:
-            return -1;
-        case LogBucket::Kind::Zero:
-            return 0;
-        case LogBucket::Kind::Pow2:
-            if (b.exponent >= 62) return std::numeric_limits<std::int64_t>::max();
-            return (std::int64_t{1} << (b.exponent + 1)) - 1;
-    }
-    return 0;
-}
-
 std::string bucket_label(const LogBucket& b) {
     switch (b.kind) {
         case LogBucket::Kind::Negative:
@@ -55,43 +40,6 @@ std::string bucket_label(const LogBucket& b) {
             return "2^" + std::to_string(b.exponent);
     }
     return "?";
-}
-
-std::string bucket_size_label(const LogBucket& b) {
-    switch (b.kind) {
-        case LogBucket::Kind::Negative:
-            return "<0";
-        case LogBucket::Kind::Zero:
-            return "0B";
-        case LogBucket::Kind::Pow2:
-            return human_size(std::uint64_t{1} << b.exponent);
-    }
-    return "?";
-}
-
-std::string human_size(std::uint64_t bytes) {
-    static constexpr std::array<const char*, 7> kUnits = {
-        "B", "KiB", "MiB", "GiB", "TiB", "PiB", "EiB"};
-    std::size_t unit = 0;
-    std::uint64_t scale = 1;
-    while (bytes / scale >= 1024 && unit + 1 < kUnits.size()) {
-        scale <<= 10;
-        ++unit;
-    }
-    char buf[64];
-    if (bytes % scale == 0) {
-        std::snprintf(buf, sizeof buf, "%llu%s",
-                      static_cast<unsigned long long>(bytes / scale),
-                      kUnits[unit]);
-    } else {
-        // Fraction from the full byte count, not just the last division's
-        // remainder: 1,520,500 B is 1.45 MiB, not 1.4-something from the
-        // KiB-level leftovers alone.
-        std::snprintf(buf, sizeof buf, "%.1f%s",
-                      static_cast<double>(bytes) / static_cast<double>(scale),
-                      kUnits[unit]);
-    }
-    return buf;
 }
 
 std::optional<LogBucket> parse_bucket_label(const std::string& label) {

@@ -36,21 +36,8 @@ LogBucket log_bucket_of(std::int64_t value);
 /// Inclusive lower bound of the bucket (0 for Zero; min int64 for Negative).
 std::int64_t bucket_lower_bound(const LogBucket& b);
 
-/// Inclusive upper bound of the bucket (0 for Zero; -1 for Negative;
-/// 2^(k+1)-1 for Pow2(k), saturating at int64 max).
-std::int64_t bucket_upper_bound(const LogBucket& b);
-
 /// Human label: "<0", "=0", or "2^k".
 std::string bucket_label(const LogBucket& b);
-
-/// Human-readable size label for the bucket's lower bound: "1B", "4KiB",
-/// "256MiB", ... (the x2-axis of Fig. 3). Zero -> "0B", Negative -> "<0".
-std::string bucket_size_label(const LogBucket& b);
-
-/// Formats a byte count with binary-prefix units (e.g. 258 MiB prints as
-/// "258MiB", 1536 as "1.5KiB"). Used in annotations such as the Fig. 3
-/// maximum-write-size marker.
-std::string human_size(std::uint64_t bytes);
 
 /// Parses labels produced by bucket_label back into buckets (round-trip
 /// support for serialized coverage reports). Returns nullopt on garbage.

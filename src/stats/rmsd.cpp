@@ -31,12 +31,4 @@ double mean(std::span<const double> xs) {
     return sum / static_cast<double>(xs.size());
 }
 
-double stddev(std::span<const double> xs) {
-    if (xs.size() < 2) return 0.0;
-    const double m = mean(xs);
-    double sum = 0.0;
-    for (double x : xs) sum += (x - m) * (x - m);
-    return std::sqrt(sum / static_cast<double>(xs.size()));
-}
-
 }  // namespace iocov::stats

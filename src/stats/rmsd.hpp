@@ -24,7 +24,4 @@ double safe_log10(double x, double floor = 1.0);
 /// Arithmetic mean; 0.0 for empty input.
 double mean(std::span<const double> xs);
 
-/// Population standard deviation; 0.0 for fewer than 2 samples.
-double stddev(std::span<const double> xs);
-
 }  // namespace iocov::stats

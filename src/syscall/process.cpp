@@ -70,11 +70,6 @@ FileDescription* Process::lookup_fd(int fd) {
     return it == fds_.end() ? nullptr : &it->second;
 }
 
-const FileDescription* Process::fd_entry(int fd) const {
-    auto it = fds_.find(fd);
-    return it == fds_.end() ? nullptr : &it->second;
-}
-
 void Process::drop_fd_entry(int fd) {
     auto it = fds_.find(fd);
     if (it == fds_.end()) return;

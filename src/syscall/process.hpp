@@ -142,7 +142,6 @@ class Process {
 
     /// fd-table introspection for tests.
     std::size_t open_fd_count() const { return fds_.size(); }
-    const FileDescription* fd_entry(int fd) const;
 
     /// Inodes pinned by this process's open fds (fsck uses these to
     /// excuse O_TMPFILE anonymous inodes from orphan checks and to

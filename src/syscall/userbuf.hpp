@@ -46,9 +46,6 @@ class WriteSrc {
     std::span<const std::byte> bytes() const { return bytes_; }
     std::byte fill() const { return fill_; }
 
-    /// A prefix of this source (for short writes / iovec splitting).
-    WriteSrc first(std::uint64_t n) const;
-
   private:
     Kind kind_ = Kind::Pattern;
     std::span<const std::byte> bytes_;

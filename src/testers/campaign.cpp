@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "core/iocov.hpp"
-#include "core/syscall_spec.hpp"
+#include "core/schema.hpp"
 #include "syscall/kernel.hpp"
 #include "testers/fixtures.hpp"
 #include "testers/generator.hpp"
@@ -60,7 +60,7 @@ RunOutcome execute_run(const CampaignConfig& cfg,
     trace::CallbackSink tee([&](const trace::TraceEvent& ev) {
         if (ev.ret < 0)
             ++out.errno_counts[{ev.syscall, static_cast<int>(-ev.ret)}];
-        if (core::base_of_variant(ev.syscall, registry))
+        if (iocov.schema().table().bind(ev.syscall).tracked)
             ++out.op_counts[ev.syscall];
         iocov.consume(ev);
     });

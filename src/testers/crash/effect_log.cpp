@@ -1,6 +1,5 @@
 #include "testers/crash/effect_log.hpp"
 
-#include <sstream>
 
 namespace iocov::testers::crash {
 
@@ -30,13 +29,6 @@ std::vector<EffectLog::Epoch> EffectLog::epochs() const {
     tail.has_barrier = false;
     out.push_back(tail);
     return out;
-}
-
-std::string EffectLog::to_string() const {
-    std::ostringstream os;
-    for (std::size_t i = 0; i < effects_.size(); ++i)
-        os << i << ": " << effects_[i].to_string() << '\n';
-    return os.str();
 }
 
 }  // namespace iocov::testers::crash

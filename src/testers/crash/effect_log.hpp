@@ -45,9 +45,6 @@ class EffectLog final : public vfs::EffectObserver {
     /// special-case an unsynced log.
     std::vector<Epoch> epochs() const;
 
-    /// One effect per line, prefixed with its index.
-    std::string to_string() const;
-
   private:
     std::vector<vfs::Effect> effects_;
 };

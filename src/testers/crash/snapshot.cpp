@@ -106,10 +106,4 @@ core::StateSnapshot snapshot_vfs(
     return snap;
 }
 
-std::uint64_t content_hash(const vfs::FileSystem& fs, vfs::InodeId ino) {
-    const vfs::Inode* node = fs.find(ino);
-    if (!node) return 0;
-    return hash_file(*node);
-}
-
 }  // namespace iocov::testers::crash

@@ -24,8 +24,4 @@ core::StateSnapshot snapshot_vfs(
     const vfs::FileSystem& fs,
     std::map<std::string, vfs::InodeId>* path_inos = nullptr);
 
-/// FNV-1a over a file's bytes (holes read as zeros).  Exposed for
-/// tests that assert hash stability.
-std::uint64_t content_hash(const vfs::FileSystem& fs, vfs::InodeId ino);
-
 }  // namespace iocov::testers::crash

@@ -1,4 +1,4 @@
-// Deterministic RNG + weighted choice for workload generation.
+// Deterministic RNG for workload generation.
 //
 // SplitMix64: tiny, fast, and identical on every platform (std::
 // distributions are not guaranteed reproducible across libstdc++
@@ -7,7 +7,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <vector>
 
 namespace iocov::testers {
 
@@ -42,8 +41,5 @@ class Rng {
   private:
     std::uint64_t state_;
 };
-
-/// Index into `weights` chosen proportionally to the weights.
-std::size_t weighted_pick(Rng& rng, const std::vector<double>& weights);
 
 }  // namespace iocov::testers

@@ -13,11 +13,6 @@ std::optional<std::int64_t> TraceEvent::int_arg(std::string_view name) const {
     return a ? int_value(a->value) : std::nullopt;
 }
 
-std::optional<std::uint64_t> TraceEvent::uint_arg(std::string_view name) const {
-    const Arg* a = find_arg(name);
-    return a ? uint_value(a->value) : std::nullopt;
-}
-
 std::optional<std::string> TraceEvent::str_arg(std::string_view name) const {
     const Arg* a = find_arg(name);
     if (!a) return std::nullopt;

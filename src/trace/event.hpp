@@ -54,9 +54,9 @@ struct TraceEvent {
     const Arg* find_arg(std::string_view name) const;
 
     /// Typed accessors; nullopt when missing or of a different type
-    /// (signed/unsigned are interconvertible for convenience).
+    /// (an unsigned value reads as signed; uint_value() reads either
+    /// kind of integer as unsigned).
     std::optional<std::int64_t> int_arg(std::string_view name) const;
-    std::optional<std::uint64_t> uint_arg(std::string_view name) const;
     std::optional<std::string> str_arg(std::string_view name) const;
 
     friend bool operator==(const TraceEvent&, const TraceEvent&) = default;

@@ -96,10 +96,4 @@ void TraceFilter::reset() {
     cwd_in_scope_.clear();
 }
 
-std::size_t TraceFilter::watched_fd_count() const {
-    std::size_t n = 0;
-    for (const auto& [pid, fds] : watched_) n += fds.size();
-    return n;
-}
-
 }  // namespace iocov::trace

@@ -50,9 +50,6 @@ class TraceFilter {
     /// Forgets all watched fds (e.g. between test-suite runs).
     void reset();
 
-    /// Number of fds currently being watched across all pids.
-    std::size_t watched_fd_count() const;
-
   private:
     /// Sorted-vector fd set.  A process keeps a handful of fds open, so
     /// binary search beats a node-based std::set and — the point for

@@ -1,92 +1,9 @@
 #include "vfs/effect.hpp"
 
-#include <sstream>
-
 namespace iocov::vfs {
 
 bool barrier_is_global(BarrierKind kind) {
     return kind == BarrierKind::Sync || kind == BarrierKind::Syncfs;
-}
-
-const char* effect_op_name(EffectOp op) {
-    switch (op) {
-        case EffectOp::Create: return "create";
-        case EffectOp::CreateAnonymous: return "create_anon";
-        case EffectOp::ReleaseAnonymous: return "release_anon";
-        case EffectOp::Link: return "link";
-        case EffectOp::Unlink: return "unlink";
-        case EffectOp::Rmdir: return "rmdir";
-        case EffectOp::Rename: return "rename";
-        case EffectOp::Write: return "write";
-        case EffectOp::Truncate: return "truncate";
-        case EffectOp::SetMode: return "setmode";
-        case EffectOp::SetOwner: return "setowner";
-        case EffectOp::SetXattr: return "setxattr";
-        case EffectOp::RemoveXattr: return "removexattr";
-        case EffectOp::Barrier: return "barrier";
-    }
-    return "?";
-}
-
-const char* barrier_kind_name(BarrierKind kind) {
-    switch (kind) {
-        case BarrierKind::Fsync: return "fsync";
-        case BarrierKind::Fdatasync: return "fdatasync";
-        case BarrierKind::Sync: return "sync";
-        case BarrierKind::Syncfs: return "syncfs";
-        case BarrierKind::OSync: return "osync";
-    }
-    return "?";
-}
-
-std::string Effect::to_string() const {
-    std::ostringstream os;
-    os << effect_op_name(op);
-    switch (op) {
-        case EffectOp::Barrier:
-            os << '[' << barrier_kind_name(barrier) << ']';
-            if (ino != kInvalidInode) os << " ino=" << ino;
-            else os << " global";
-            return os.str();
-        case EffectOp::Create:
-            os << ' ' << parent << '/' << name << " -> ino " << ino
-               << " mode=" << std::oct << mode << std::dec;
-            if (!name2.empty()) os << " target=" << name2;
-            break;
-        case EffectOp::CreateAnonymous:
-        case EffectOp::ReleaseAnonymous:
-            os << " ino=" << ino;
-            break;
-        case EffectOp::Link:
-        case EffectOp::Unlink:
-        case EffectOp::Rmdir:
-            os << ' ' << parent << '/' << name << " ino=" << ino;
-            break;
-        case EffectOp::Rename:
-            os << ' ' << parent << '/' << name << " -> " << parent2 << '/'
-               << name2 << " ino=" << ino;
-            if (replaced != kInvalidInode) os << " replaced=" << replaced;
-            break;
-        case EffectOp::Write:
-            os << " ino=" << ino << " off=" << off << " len="
-               << (bytes.empty() ? len : bytes.size());
-            if (bytes.empty()) os << " fill=" << static_cast<unsigned>(fill);
-            break;
-        case EffectOp::Truncate:
-            os << " ino=" << ino << " size=" << size;
-            break;
-        case EffectOp::SetMode:
-            os << " ino=" << ino << " mode=" << std::oct << mode << std::dec;
-            break;
-        case EffectOp::SetOwner:
-            os << " ino=" << ino << " uid=" << uid << " gid=" << gid;
-            break;
-        case EffectOp::SetXattr:
-        case EffectOp::RemoveXattr:
-            os << " ino=" << ino << " name=" << name;
-            break;
-    }
-    return os.str();
 }
 
 }  // namespace iocov::vfs

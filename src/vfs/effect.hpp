@@ -94,13 +94,7 @@ struct Effect {
     bool is_dir = false;
     /// DeviceState for special-node creation, as a raw byte.
     std::uint8_t device = 0;
-
-    /// One-line rendering for logs and test failure messages.
-    std::string to_string() const;
 };
-
-const char* effect_op_name(EffectOp op);
-const char* barrier_kind_name(BarrierKind kind);
 
 /// Observer the FileSystem notifies after every successful mutation.
 /// Implementations must not call back into the emitting FileSystem.

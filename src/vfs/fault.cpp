@@ -26,12 +26,6 @@ void FaultInjector::arm(std::string op, abi::Err err, unsigned skip) {
     one_shots_.push_back({std::move(op), err, skip});
 }
 
-void FaultInjector::arm_periodic(std::string op, abi::Err err,
-                                 unsigned period) {
-    if (period == 0) period = 1;
-    periodics_.push_back({std::move(op), err, period, 0});
-}
-
 void FaultInjector::arm_probabilistic(std::string op, abi::Err err,
                                       unsigned permille,
                                       std::uint64_t seed) {
@@ -55,13 +49,6 @@ std::optional<abi::Err> FaultInjector::check(std::string_view op) {
         record_fired(op, err);
         return err;
     }
-    for (auto& p : periodics_) {
-        if (!matches(p.op, op)) continue;
-        if (++p.count % p.period == 0) {
-            record_fired(op, p.err);
-            return p.err;
-        }
-    }
     for (auto& p : probabilistics_) {
         if (!matches(p.op, op)) continue;
         if (p.permille > 0 && splitmix64(p.rng_state) % 1000 < p.permille) {
@@ -82,12 +69,6 @@ bool FaultInjector::disarm(std::string_view op, abi::Err err) {
     return false;
 }
 
-void FaultInjector::clear() {
-    one_shots_.clear();
-    periodics_.clear();
-    probabilistics_.clear();
-}
-
 void FaultInjector::record_fired(std::string_view op, abi::Err err) {
     ++fired_total_;
     auto it = std::lower_bound(
@@ -105,36 +86,6 @@ void FaultInjector::record_fired(std::string_view op, abi::Err err) {
 
 std::vector<FaultInjector::FiredStat> FaultInjector::stats() const {
     return fired_;
-}
-
-std::uint64_t FaultInjector::fired(std::string_view op, abi::Err err) const {
-    for (const auto& s : fired_)
-        if (s.op == op && s.err == err) return s.count;
-    return 0;
-}
-
-void FaultInjector::clear_stats() {
-    fired_.clear();
-    fired_total_ = 0;
-}
-
-// ---- ScopedFault -----------------------------------------------------------
-
-ScopedFault::ScopedFault(FaultInjector& injector, std::string op,
-                         abi::Err err, unsigned skip)
-    : injector_(injector),
-      op_(std::move(op)),
-      err_(err),
-      fired_before_(injector.fired(op_, err)) {
-    injector_.arm(op_, err_, skip);
-}
-
-ScopedFault::~ScopedFault() {
-    if (!fired()) injector_.disarm(op_, err_);
-}
-
-bool ScopedFault::fired() const {
-    return injector_.fired(op_, err_) > fired_before_;
 }
 
 }  // namespace iocov::vfs

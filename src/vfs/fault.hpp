@@ -3,10 +3,10 @@
 // Some errno values cannot arise from argument validation alone — ENOMEM
 // needs memory pressure, EIO a bad disk, EINTR a signal.  The paper
 // notes these are the hardest outputs to cover.  FaultInjector lets a
-// test or workload arm "the Nth next call to syscall X fails with E",
-// a recurring "every Nth call" fault, or a seeded probabilistic fault
-// ("each matching call fails with probability p"), and records which
-// faults actually fired so campaigns can verify injection coverage.
+// test or workload arm "the Nth next call to syscall X fails with E"
+// or a seeded probabilistic fault ("each matching call fails with
+// probability p"), and records which faults actually fired so campaigns
+// can verify injection coverage.
 #pragma once
 
 #include <cstdint>
@@ -30,9 +30,6 @@ class FaultInjector {
     /// consecutive faults, not two counters racing on the same call.
     void arm(std::string op, abi::Err err, unsigned skip = 0);
 
-    /// Arms a recurring fault: every `period`-th matching call fails.
-    void arm_periodic(std::string op, abi::Err err, unsigned period);
-
     /// Arms a probabilistic fault: each matching call fails with
     /// probability `permille`/1000, driven by a private SplitMix64
     /// stream seeded with `seed` — the same seed over the same call
@@ -47,10 +44,8 @@ class FaultInjector {
     /// Returns false if none was armed (it already fired or never was).
     bool disarm(std::string_view op, abi::Err err);
 
-    void clear();
     bool empty() const {
-        return one_shots_.empty() && periodics_.empty() &&
-               probabilistics_.empty();
+        return one_shots_.empty() && probabilistics_.empty();
     }
 
     // ---- fired-fault statistics -------------------------------------
@@ -62,27 +57,17 @@ class FaultInjector {
         std::uint64_t count = 0;
     };
 
-    /// Every fault fired since construction (or clear_stats), sorted by
-    /// (op, errno value) so identical runs report identically.
+    /// Every fault fired since construction, sorted by (op, errno
+    /// value) so identical runs report identically.
     std::vector<FiredStat> stats() const;
 
-    /// Fired count for one (op, errno) pair.
-    std::uint64_t fired(std::string_view op, abi::Err err) const;
-
     std::uint64_t fired_total() const { return fired_total_; }
-    void clear_stats();
 
   private:
     struct OneShot {
         std::string op;
         abi::Err err;
         unsigned skip;
-    };
-    struct Periodic {
-        std::string op;
-        abi::Err err;
-        unsigned period;
-        unsigned count = 0;
     };
     struct Probabilistic {
         std::string op;
@@ -94,34 +79,10 @@ class FaultInjector {
     void record_fired(std::string_view op, abi::Err err);
 
     std::deque<OneShot> one_shots_;
-    std::deque<Periodic> periodics_;
     std::deque<Probabilistic> probabilistics_;
-    /// Sorted by (op, errno value); linear scan — campaigns arm a
-    /// handful of faults, not thousands.
+    /// Sorted by (op, errno value).
     std::vector<FiredStat> fired_;
     std::uint64_t fired_total_ = 0;
-};
-
-/// RAII guard arming a one-shot fault for a lexical scope.  Disarms the
-/// fault on destruction if it has not fired, so a test that returns
-/// early cannot leak an armed fault into later, unrelated calls.
-class ScopedFault {
-  public:
-    ScopedFault(FaultInjector& injector, std::string op, abi::Err err,
-                unsigned skip = 0);
-    ~ScopedFault();
-
-    ScopedFault(const ScopedFault&) = delete;
-    ScopedFault& operator=(const ScopedFault&) = delete;
-
-    /// True once the armed fault has fired (it is no longer queued).
-    bool fired() const;
-
-  private:
-    FaultInjector& injector_;
-    std::string op_;
-    abi::Err err_;
-    std::uint64_t fired_before_;
 };
 
 }  // namespace iocov::vfs

@@ -96,13 +96,6 @@ std::uint64_t FileData::read(std::uint64_t off, std::span<std::byte> out) const 
     return n;
 }
 
-std::optional<std::byte> FileData::at(std::uint64_t off) const {
-    if (off >= size_) return std::nullopt;
-    std::byte b;
-    read(off, {&b, 1});
-    return b;
-}
-
 std::uint64_t FileData::allocated_bytes() const {
     std::uint64_t sum = 0;
     for (const auto& [off, ex] : extents_) sum += ex.len;
@@ -182,21 +175,6 @@ std::uint64_t FileData::next_hole(std::uint64_t off) const {
         pos = it->first + it->second.len;
         if (pos >= size_) return size_;
     }
-}
-
-bool FileData::content_equals(const FileData& other) const {
-    if (size_ != other.size_) return false;
-    constexpr std::uint64_t kChunk = 64 * 1024;
-    std::vector<std::byte> a(kChunk), b(kChunk);
-    for (std::uint64_t off = 0; off < size_; off += kChunk) {
-        const std::uint64_t na = read(off, a);
-        const std::uint64_t nb = other.read(off, b);
-        if (na != nb) return false;
-        if (!std::equal(a.begin(), a.begin() + static_cast<std::ptrdiff_t>(na),
-                        b.begin()))
-            return false;
-    }
-    return true;
 }
 
 }  // namespace iocov::vfs

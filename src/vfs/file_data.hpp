@@ -40,9 +40,6 @@ class FileData {
     /// read (short at EOF); holes read as zeros.
     std::uint64_t read(std::uint64_t off, std::span<std::byte> out) const;
 
-    /// Byte at `off`; nullopt past EOF.  (Convenience for tests.)
-    std::optional<std::byte> at(std::uint64_t off) const;
-
     /// Bytes backed by extents (i.e. "allocated" space; holes are free).
     std::uint64_t allocated_bytes() const;
 
@@ -68,10 +65,6 @@ class FileData {
 
     /// Number of extents (exposed for fragmentation assertions in tests).
     std::size_t extent_count() const { return extents_.size(); }
-
-    /// Full-content comparison (reads both sides; pattern vs materialized
-    /// extents with equal bytes compare equal).
-    bool content_equals(const FileData& other) const;
 
   private:
     struct Extent {

@@ -30,27 +30,12 @@ const char* fsck_code_name(FsckCode code) {
     return "unknown";
 }
 
-std::size_t FsckReport::count(FsckCode code) const {
-    return static_cast<std::size_t>(
-        std::count_if(violations.begin(), violations.end(),
-                      [&](const FsckViolation& v) { return v.code == code; }));
-}
-
 std::string FsckViolation::to_string() const {
     std::string out = "[";
     out += fsck_code_name(code);
     out += "]";
     if (ino != kInvalidInode) out += " inode " + n(ino);
     out += ": " + detail;
-    return out;
-}
-
-std::string FsckReport::to_string() const {
-    if (clean())
-        return "fsck: clean (" + n(inodes_checked) + " inodes, " +
-               n(dirents_checked) + " dirents)";
-    std::string out = "fsck: " + n(violations.size()) + " violation(s)\n";
-    for (const auto& v : violations) out += "  " + v.to_string() + "\n";
     return out;
 }
 

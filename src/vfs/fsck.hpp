@@ -59,12 +59,6 @@ struct FsckReport {
     std::uint64_t dirents_checked = 0;
 
     bool clean() const { return violations.empty(); }
-
-    /// Violations of one code (test convenience).
-    std::size_t count(FsckCode code) const;
-
-    /// Multi-line summary: one line per violation, or "clean".
-    std::string to_string() const;
 };
 
 struct FsckOptions {

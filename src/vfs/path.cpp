@@ -23,14 +23,4 @@ bool has_trailing_slash(std::string_view path) {
     return path.size() > 1 && path.back() == '/';
 }
 
-std::string join_path(const std::vector<std::string>& components) {
-    if (components.empty()) return "/";
-    std::string out;
-    for (const auto& c : components) {
-        out += '/';
-        out += c;
-    }
-    return out;
-}
-
 }  // namespace iocov::vfs

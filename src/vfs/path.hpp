@@ -20,7 +20,4 @@ bool is_absolute(std::string_view path);
 /// final component, as the kernel's trailing-slash handling does).
 bool has_trailing_slash(std::string_view path);
 
-/// Joins components under a root ("/" + a/b/c). For diagnostics only.
-std::string join_path(const std::vector<std::string>& components);
-
 }  // namespace iocov::vfs

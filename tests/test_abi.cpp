@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "abi/errno.hpp"
 #include "abi/fcntl.hpp"
 #include "abi/seek.hpp"
@@ -9,13 +12,18 @@ namespace iocov::abi {
 namespace {
 
 TEST(Errno, NamesRoundTrip) {
-    for (Err e : all_errors()) {
-        const auto name = err_name(e);
+    // Every errno value with a canonical name maps back to itself.
+    std::size_t named = 0;
+    for (int v = 1; v <= kMaxErrno; ++v) {
+        const auto name = err_name(v);
         ASSERT_FALSE(name.empty());
+        if (name.rfind("E?", 0) == 0) continue;
+        ++named;
         auto back = err_from_name(name);
         ASSERT_TRUE(back.has_value()) << name;
-        EXPECT_EQ(*back, e);
+        EXPECT_EQ(*back, static_cast<Err>(v));
     }
+    EXPECT_EQ(named, 36u);
 }
 
 TEST(Errno, ValuesMatchLinux) {
@@ -57,45 +65,60 @@ TEST(OpenFlags, TableHasFig2Axis) {
     EXPECT_STREQ(open_flag_table().front().name, "O_RDONLY");
 }
 
+/// The names of the flags `flags` decomposes into, in decomposition
+/// order.
+std::vector<std::string> decompose(std::uint32_t flags) {
+    std::uint16_t indices[kMaxOpenFlagLabels];
+    const std::size_t n =
+        open_flag_indices(flags, indices, kMaxOpenFlagLabels);
+    std::vector<std::string> out;
+    for (std::size_t i = 0; i < n; ++i)
+        out.emplace_back(open_flag_table()[indices[i]].name);
+    return out;
+}
+
 TEST(OpenFlags, DecomposeLoneAccessModes) {
-    EXPECT_EQ(decompose_open_flags(O_RDONLY),
+    EXPECT_EQ(decompose(O_RDONLY),
               std::vector<std::string>{"O_RDONLY"});
-    EXPECT_EQ(decompose_open_flags(O_WRONLY),
+    EXPECT_EQ(decompose(O_WRONLY),
               std::vector<std::string>{"O_WRONLY"});
-    EXPECT_EQ(decompose_open_flags(O_RDWR),
+    EXPECT_EQ(decompose(O_RDWR),
               std::vector<std::string>{"O_RDWR"});
 }
 
 TEST(OpenFlags, AccessModeCountsAsOneFlag) {
-    EXPECT_EQ(open_flag_cardinality(O_RDONLY), 1u);
-    EXPECT_EQ(open_flag_cardinality(O_WRONLY | O_CREAT | O_TRUNC), 3u);
-    EXPECT_EQ(open_flag_cardinality(O_RDONLY | O_CREAT | O_EXCL | O_TRUNC |
-                                    O_NONBLOCK | O_CLOEXEC),
+    EXPECT_EQ(decompose(O_RDONLY).size(), 1u);
+    EXPECT_EQ(decompose(O_WRONLY | O_CREAT | O_TRUNC).size(), 3u);
+    EXPECT_EQ(decompose(O_RDONLY | O_CREAT | O_EXCL | O_TRUNC | O_NONBLOCK |
+                        O_CLOEXEC)
+                  .size(),
               6u);
 }
 
 TEST(OpenFlags, OSyncAbsorbsODsync) {
     // O_SYNC includes the O_DSYNC bit; a flags word with full O_SYNC
     // must not double-report O_DSYNC.
-    const auto labels = decompose_open_flags(O_RDWR | O_SYNC);
+    const auto labels = decompose(O_RDWR | O_SYNC);
     EXPECT_EQ(labels, (std::vector<std::string>{"O_RDWR", "O_SYNC"}));
-    const auto dsync_only = decompose_open_flags(O_RDWR | O_DSYNC);
+    const auto dsync_only = decompose(O_RDWR | O_DSYNC);
     EXPECT_EQ(dsync_only, (std::vector<std::string>{"O_RDWR", "O_DSYNC"}));
 }
 
 TEST(OpenFlags, OTmpfileAbsorbsODirectory) {
-    const auto labels = decompose_open_flags(O_WRONLY | O_TMPFILE);
+    const auto labels = decompose(O_WRONLY | O_TMPFILE);
     EXPECT_EQ(labels, (std::vector<std::string>{"O_WRONLY", "O_TMPFILE"}));
 }
 
 TEST(OpenFlags, InvalidAccessMode3ReportsAsRdwr) {
-    const auto labels = decompose_open_flags(O_ACCMODE);
+    const auto labels = decompose(O_ACCMODE);
     EXPECT_EQ(labels, (std::vector<std::string>{"O_RDWR"}));
 }
 
 TEST(OpenFlags, ToStringJoinsWithPipe) {
-    EXPECT_EQ(open_flags_to_string(O_WRONLY | O_CREAT | O_TRUNC),
-              "O_WRONLY|O_CREAT|O_TRUNC");
+    std::string joined;
+    for (const auto& name : decompose(O_WRONLY | O_CREAT | O_TRUNC))
+        joined += (joined.empty() ? "" : "|") + name;
+    EXPECT_EQ(joined, "O_WRONLY|O_CREAT|O_TRUNC");
 }
 
 TEST(SeekWhence, NamesAndValues) {
@@ -111,12 +134,6 @@ TEST(StatMode, TypePredicates) {
     EXPECT_TRUE(is_dir(S_IFDIR | 0755));
     EXPECT_TRUE(is_lnk(S_IFLNK | 0777));
     EXPECT_FALSE(is_reg(S_IFDIR | 0644));
-}
-
-TEST(StatMode, OctalRendering) {
-    EXPECT_EQ(mode_to_octal(0644), "0644");
-    EXPECT_EQ(mode_to_octal(S_IFREG | 04755), "4755");
-    EXPECT_EQ(mode_to_octal(0), "0000");
 }
 
 }  // namespace

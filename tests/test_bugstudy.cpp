@@ -25,17 +25,12 @@ TEST(CoverageTracker, CountsProbeHits) {
     EXPECT_FALSE(t.covered("a"));
 }
 
-TEST(CoverageTracker, InjectCountsAsExecutionAndFiresArmedFaults) {
+TEST(CoverageTracker, InjectCountsAsExecution) {
     CoverageTracker t;
     EXPECT_EQ(t.inject("site"), std::nullopt);
     EXPECT_TRUE(t.covered("site"));
-    t.arm_fault("site", abi::Err::EIO_, 2);
-    EXPECT_EQ(t.inject("site"), abi::Err::EIO_);
-    EXPECT_EQ(t.inject("site"), abi::Err::EIO_);
-    EXPECT_EQ(t.inject("site"), std::nullopt);  // exhausted
-    t.arm_fault("site", abi::Err::ENOMEM_);
-    t.disarm("site");
     EXPECT_EQ(t.inject("site"), std::nullopt);
+    EXPECT_EQ(t.hits("site"), 2u);
 }
 
 TEST(BugCorpus, SeventyBugsFiftyOneExtFour) {

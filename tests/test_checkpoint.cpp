@@ -22,6 +22,7 @@
 #include "testers/fixtures.hpp"
 #include "testers/generator.hpp"
 #include "trace/binary_format.hpp"
+#include "trace/detail/wire.hpp"
 #include "trace/sink.hpp"
 #include "vfs/filesystem.hpp"
 
@@ -97,8 +98,8 @@ TEST(Checkpoint, EncodeDecodeRoundTrip) {
     const Checkpoint cp = sample_checkpoint(leaves);
 
     const std::string bytes = encode_checkpoint(cp);
-    ASSERT_TRUE(is_iock(bytes));
-    EXPECT_FALSE(is_iock("IOCS not a manifest"));
+    ASSERT_TRUE(trace::detail::has_magic(bytes, kIockMagic));
+    EXPECT_FALSE(trace::detail::has_magic("IOCS not a manifest", kIockMagic));
 
     SnapshotError err;
     const auto back = decode_checkpoint(bytes, &err);

@@ -231,7 +231,7 @@ TEST(Tcd, PerPartitionTargetsViaBuilder) {
 TEST(Tcd, TargetBuilderSetOverridesBase) {
     stats::PartitionHistogram h;
     h.add("x", 5);
-    const auto t = TargetBuilder(h, 7.0).set("x", 5.0).build();
+    const auto t = TargetBuilder(h, 7.0).boost("x", 5.0 / 7.0).build();
     EXPECT_NEAR(tcd(h, t), 0.0, 1e-12);
 }
 

@@ -14,9 +14,12 @@ using trace::ArgValue;
 const Schema& paper() { return *Schema::of(syscall_registry()); }
 
 std::size_t slot_of(const char* base, const char* key) {
-    const std::size_t slot = paper().table().arg_slot(base, key);
-    EXPECT_NE(slot, Schema::npos) << base << "/" << key;
-    return slot;
+    const auto& table = paper().table();
+    const auto b = table.bind(base);
+    for (std::size_t i = 0; b.tracked && i < b.spec->args.size(); ++i)
+        if (b.spec->args[i].key == key) return table.arg_offset(b.id) + i;
+    ADD_FAILURE() << base << "/" << key;
+    return Schema::npos;
 }
 
 /// The declared labels of input space (base, key), in row order.

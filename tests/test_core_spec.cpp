@@ -24,29 +24,40 @@ TEST(SyscallSpec, ElevenBaseSyscallsMatchThePaperList) {
         EXPECT_EQ(syscall_registry()[i].base, expected[i]);
 }
 
+const SyscallTable& paper_table() {
+    static const SyscallTable kTable(syscall_registry());
+    return kTable;
+}
+
+/// The spec a syscall name binds to in the paper's registry; nullptr
+/// for untracked names.
+const SyscallSpec* spec_of(const char* name) {
+    return paper_table().bind(name).spec;
+}
+
 TEST(SyscallSpec, VariantLookup) {
-    EXPECT_EQ(*base_of_variant("openat2"), "open");
-    EXPECT_EQ(*base_of_variant("creat"), "open");
-    EXPECT_EQ(*base_of_variant("pwrite64"), "write");
-    EXPECT_EQ(*base_of_variant("fchdir"), "chdir");
-    EXPECT_EQ(*base_of_variant("lgetxattr"), "getxattr");
-    EXPECT_FALSE(base_of_variant("rename").has_value());
-    EXPECT_FALSE(base_of_variant("fsync").has_value());
+    EXPECT_EQ(spec_of("openat2")->base, "open");
+    EXPECT_EQ(spec_of("creat")->base, "open");
+    EXPECT_EQ(spec_of("pwrite64")->base, "write");
+    EXPECT_EQ(spec_of("fchdir")->base, "chdir");
+    EXPECT_EQ(spec_of("lgetxattr")->base, "getxattr");
+    EXPECT_FALSE(paper_table().bind("rename").tracked);
+    EXPECT_FALSE(paper_table().bind("fsync").tracked);
 }
 
 TEST(SyscallSpec, FindSpecAndErrorLists) {
-    const auto* open_spec = find_spec("open");
+    const auto* open_spec = spec_of("open");
     ASSERT_NE(open_spec, nullptr);
     EXPECT_EQ(open_spec->errors.size(), 27u);  // Fig. 4's 27 error codes
     EXPECT_EQ(open_spec->success, SuccessKind::NewFd);
-    const auto* write_spec = find_spec("write");
+    const auto* write_spec = spec_of("write");
     EXPECT_EQ(write_spec->success, SuccessKind::ByteCount);
-    EXPECT_EQ(find_spec("bogus"), nullptr);
+    EXPECT_EQ(spec_of("bogus"), nullptr);
 }
 
 TEST(SyscallSpec, ArgClassesMatchThePaperTaxonomy) {
     auto cls_of = [](const char* base, const char* key) {
-        for (const auto& a : find_spec(base)->args)
+        for (const auto& a : spec_of(base)->args)
             if (a.key == key) return a.cls;
         return ArgClass::Identifier;
     };
@@ -64,11 +75,6 @@ trace::TraceEvent make_event(const char* syscall) {
     ev.syscall = syscall;
     ev.ret = 0;
     return ev;
-}
-
-const SyscallTable& paper_table() {
-    static const SyscallTable kTable(syscall_registry());
-    return kTable;
 }
 
 TEST(VariantHandler, MapsVariantsToBases) {

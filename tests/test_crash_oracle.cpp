@@ -111,8 +111,8 @@ TEST(CrashOracle, SkipBarrierBugIsCaughtWhileFsckStaysClean) {
     const RecoveredState rec = replayer.replay(full);
     EXPECT_GT(rec.dropped, 0u);  // the skipped epoch's effects
 
-    const auto fsck_report = vfs::fsck(*rec.fs, {});
-    EXPECT_TRUE(fsck_report.clean()) << fsck_report.to_string();
+    for (const auto& v : vfs::fsck(*rec.fs, {}).violations)
+        ADD_FAILURE() << "fsck: " << v.to_string();
 
     const auto bugs = oracle.check(full, rec);
     ASSERT_FALSE(bugs.empty());

@@ -171,7 +171,7 @@ TEST(CrashReplay, FullInOrderReplayReconstructsLiveStateExactly) {
         EXPECT_TRUE(deltas.empty()) << wl.name << ": "
                                     << (deltas.empty()
                                             ? std::string{}
-                                            : deltas.front().to_string());
+                                            : deltas.front().path);
     }
 }
 

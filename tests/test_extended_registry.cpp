@@ -4,6 +4,7 @@
 
 #include "abi/fcntl.hpp"
 #include "core/coverage.hpp"
+#include "core/syscall_table.hpp"
 #include "syscall/process.hpp"
 #include "testers/fixtures.hpp"
 #include "trace/sink.hpp"
@@ -18,20 +19,20 @@ TEST(ExtendedRegistry, SupersetOfTheBaseRegistry) {
     const auto& base = syscall_registry();
     const auto& ext = extended_syscall_registry();
     EXPECT_EQ(ext.size(), base.size() + 5);
+    const SyscallTable table(ext);
     for (const auto& spec : base)
-        EXPECT_NE(find_spec(spec.base, ext), nullptr) << spec.base;
-    EXPECT_NE(find_spec("unlink", ext), nullptr);
-    EXPECT_NE(find_spec("fsync", ext), nullptr);
+        EXPECT_EQ(table.bind(spec.base).spec->base, spec.base);
+    EXPECT_EQ(table.bind("unlink").spec->base, "unlink");
+    EXPECT_EQ(table.bind("fsync").spec->base, "fsync");
     // The base registry still matches the paper's totals.
     EXPECT_EQ(tracked_variant_count(), 27u);
 }
 
 TEST(ExtendedRegistry, VariantResolutionPerRegistry) {
-    EXPECT_FALSE(base_of_variant("fdatasync").has_value());
-    EXPECT_EQ(*base_of_variant("fdatasync", extended_syscall_registry()),
-              "fsync");
-    EXPECT_EQ(*base_of_variant("rmdir", extended_syscall_registry()),
-              "unlink");
+    EXPECT_FALSE(SyscallTable(syscall_registry()).bind("fdatasync").tracked);
+    const SyscallTable ext(extended_syscall_registry());
+    EXPECT_EQ(ext.bind("fdatasync").spec->base, "fsync");
+    EXPECT_EQ(ext.bind("rmdir").spec->base, "unlink");
 }
 
 TEST(ExtendedRegistry, AnalyzerTracksTheExtraSyscalls) {

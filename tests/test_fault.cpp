@@ -1,5 +1,5 @@
-// FaultInjector semantics: one-shot queueing, skip counting, periodic
-// and seeded probabilistic modes, fired-fault statistics, ScopedFault.
+// FaultInjector semantics: one-shot queueing, skip counting, the seeded
+// probabilistic mode and fired-fault statistics.
 #include "vfs/fault.hpp"
 
 #include <gtest/gtest.h>
@@ -60,15 +60,6 @@ TEST(FaultInjector, DisarmRemovesExactMatchOnly) {
     EXPECT_FALSE(fi.disarm("open", Err::EIO_));  // already gone
 }
 
-TEST(FaultInjector, PeriodicFiresEveryNthMatchingCall) {
-    FaultInjector fi;
-    fi.arm_periodic("read", Err::EIO_, 3);
-    std::vector<bool> fired;
-    for (int i = 0; i < 9; ++i) fired.push_back(fi.check("read").has_value());
-    EXPECT_EQ(fired, (std::vector<bool>{false, false, true, false, false,
-                                        true, false, false, true}));
-}
-
 TEST(FaultInjector, ProbabilisticIsDeterministicUnderSeed) {
     auto pattern = [](std::uint64_t seed) {
         FaultInjector fi;
@@ -96,10 +87,10 @@ TEST(FaultInjector, StatsRecordActualOpSortedByOpThenErrno) {
     FaultInjector fi;
     fi.arm("*", Err::ENOMEM_);
     fi.arm("open", Err::EIO_);
-    fi.arm_periodic("open", Err::EIO_, 1);
+    fi.arm("open", Err::EIO_);
     EXPECT_EQ(fi.check("write"), Err::ENOMEM_);  // "*" records "write"
-    EXPECT_EQ(fi.check("open"), Err::EIO_);      // one-shot
-    EXPECT_EQ(fi.check("open"), Err::EIO_);      // periodic
+    EXPECT_EQ(fi.check("open"), Err::EIO_);      // first one-shot
+    EXPECT_EQ(fi.check("open"), Err::EIO_);      // second one-shot
     const auto stats = fi.stats();
     ASSERT_EQ(stats.size(), 2u);
     EXPECT_EQ(stats[0].op, "open");
@@ -109,42 +100,6 @@ TEST(FaultInjector, StatsRecordActualOpSortedByOpThenErrno) {
     EXPECT_EQ(stats[1].err, Err::ENOMEM_);
     EXPECT_EQ(stats[1].count, 1u);
     EXPECT_EQ(fi.fired_total(), 3u);
-    EXPECT_EQ(fi.fired("open", Err::EIO_), 2u);
-    EXPECT_EQ(fi.fired("open", Err::ENOMEM_), 0u);
-    fi.clear_stats();
-    EXPECT_TRUE(fi.stats().empty());
-    EXPECT_EQ(fi.fired_total(), 0u);
-}
-
-TEST(ScopedFault, DisarmsOnDestructionWhenUnfired) {
-    FaultInjector fi;
-    {
-        ScopedFault guard(fi, "open", Err::EIO_);
-        EXPECT_FALSE(guard.fired());
-    }
-    EXPECT_TRUE(fi.empty());  // no leak into later calls
-    EXPECT_EQ(fi.check("open"), std::nullopt);
-}
-
-TEST(ScopedFault, ReportsFiredAndLeavesStatsIntact) {
-    FaultInjector fi;
-    {
-        ScopedFault guard(fi, "open", Err::EIO_);
-        EXPECT_EQ(fi.check("open"), Err::EIO_);
-        EXPECT_TRUE(guard.fired());
-    }
-    EXPECT_EQ(fi.fired("open", Err::EIO_), 1u);
-}
-
-TEST(ScopedFault, FiredIsScopedToThisGuardNotHistory) {
-    FaultInjector fi;
-    fi.arm("open", Err::EIO_);
-    EXPECT_EQ(fi.check("open"), Err::EIO_);  // history: one prior firing
-    {
-        ScopedFault guard(fi, "open", Err::EIO_);
-        EXPECT_FALSE(guard.fired());  // prior firing must not count
-    }
-    EXPECT_TRUE(fi.empty());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "testers/crash/effect_log.hpp"
@@ -22,6 +23,20 @@ std::vector<std::byte> bytes(std::size_t n) {
     return std::vector<std::byte>(n, std::byte{0x5a});
 }
 
+/// Violations of one code.
+std::size_t count(const FsckReport& rep, FsckCode code) {
+    std::size_t n = 0;
+    for (const auto& v : rep.violations) n += v.code == code;
+    return n;
+}
+
+/// One line per violation, for failure messages.
+std::string describe(const FsckReport& rep) {
+    std::string out;
+    for (const auto& v : rep.violations) out += v.to_string() + "\n";
+    return out;
+}
+
 class FsckTest : public ::testing::Test {
   protected:
     Credentials root_ = Credentials::root();
@@ -31,7 +46,7 @@ class FsckTest : public ::testing::Test {
 TEST_F(FsckTest, FreshFileSystemIsClean) {
     FileSystem fs;
     const auto rep = fsck(fs);
-    EXPECT_TRUE(rep.clean()) << rep.to_string();
+    EXPECT_TRUE(rep.clean()) << describe(rep);
     EXPECT_EQ(rep.inodes_checked, 1u);
 }
 
@@ -50,7 +65,7 @@ TEST_F(FsckTest, PopulatedFileSystemIsClean) {
     ASSERT_TRUE(fs.rename(d.value(), "f", kRootInode, "moved", root_).ok());
     ASSERT_TRUE(fs.unlink(kRootInode, "hard", root_).ok());
     const auto rep = fsck(fs);
-    EXPECT_TRUE(rep.clean()) << rep.to_string();
+    EXPECT_TRUE(rep.clean()) << describe(rep);
 }
 
 TEST_F(FsckTest, QuotaAccountingSurvivesChownAndIsClean) {
@@ -66,14 +81,14 @@ TEST_F(FsckTest, QuotaAccountingSurvivesChownAndIsClean) {
     // entry, or the per-uid sums fsck recomputes will disagree.
     ASSERT_TRUE(fs.chown(f.value(), 2000, 2000, root_).ok());
     const auto rep = fsck(fs);
-    EXPECT_TRUE(rep.clean()) << rep.to_string();
+    EXPECT_TRUE(rep.clean()) << describe(rep);
 }
 
 TEST_F(FsckTest, DetectsDanglingDirent) {
     FileSystem fs;
     fs.find_mutable(kRootInode)->dirents["ghost"] = 9999;
     const auto rep = fsck(fs);
-    EXPECT_EQ(rep.count(FsckCode::DanglingDirent), 1u) << rep.to_string();
+    EXPECT_EQ(count(rep, FsckCode::DanglingDirent), 1u) << describe(rep);
 }
 
 TEST_F(FsckTest, DetectsLinkCountMismatch) {
@@ -82,7 +97,7 @@ TEST_F(FsckTest, DetectsLinkCountMismatch) {
     ASSERT_TRUE(f.ok());
     fs.find_mutable(f.value())->nlink = 5;
     const auto rep = fsck(fs);
-    EXPECT_EQ(rep.count(FsckCode::LinkCountMismatch), 1u) << rep.to_string();
+    EXPECT_EQ(count(rep, FsckCode::LinkCountMismatch), 1u) << describe(rep);
 }
 
 TEST_F(FsckTest, DetectsZeroLinkInode) {
@@ -91,18 +106,18 @@ TEST_F(FsckTest, DetectsZeroLinkInode) {
     ASSERT_TRUE(f.ok());
     fs.find_mutable(f.value())->nlink = 0;
     const auto rep = fsck(fs);
-    EXPECT_EQ(rep.count(FsckCode::ZeroLinkInode), 1u) << rep.to_string();
+    EXPECT_EQ(count(rep, FsckCode::ZeroLinkInode), 1u) << describe(rep);
 }
 
 TEST_F(FsckTest, AnonymousInodeIsOrphanWithoutPinCleanWithPin) {
     FileSystem fs;
     const auto f = fs.create_anonymous(kRootInode, 0600, root_);
     ASSERT_TRUE(f.ok());
-    EXPECT_EQ(fsck(fs).count(FsckCode::OrphanInode), 1u);
+    EXPECT_EQ(count(fsck(fs), FsckCode::OrphanInode), 1u);
     FsckOptions opts;
     opts.pinned_inodes.push_back(f.value());
     const auto rep = fsck(fs, opts);
-    EXPECT_TRUE(rep.clean()) << rep.to_string();
+    EXPECT_TRUE(rep.clean()) << describe(rep);
 }
 
 TEST_F(FsckTest, DetectsStaleFdPin) {
@@ -110,7 +125,7 @@ TEST_F(FsckTest, DetectsStaleFdPin) {
     FsckOptions opts;
     opts.pinned_inodes.push_back(4242);  // never existed
     const auto rep = fsck(fs, opts);
-    EXPECT_EQ(rep.count(FsckCode::StaleFdInode), 1u) << rep.to_string();
+    EXPECT_EQ(count(rep, FsckCode::StaleFdInode), 1u) << describe(rep);
 }
 
 TEST_F(FsckTest, DetectsMultipleDirectoryParents) {
@@ -119,7 +134,7 @@ TEST_F(FsckTest, DetectsMultipleDirectoryParents) {
     ASSERT_TRUE(d.ok());
     fs.find_mutable(kRootInode)->dirents["alias"] = d.value();
     const auto rep = fsck(fs);
-    EXPECT_GE(rep.count(FsckCode::MultipleDirParents), 1u) << rep.to_string();
+    EXPECT_GE(count(rep, FsckCode::MultipleDirParents), 1u) << describe(rep);
 }
 
 TEST_F(FsckTest, DetectsBadDotDot) {
@@ -130,7 +145,7 @@ TEST_F(FsckTest, DetectsBadDotDot) {
     // a's ".." claims b, but b holds no entry for a.
     fs.find_mutable(a.value())->parent = b.value();
     const auto rep = fsck(fs);
-    EXPECT_GE(rep.count(FsckCode::BadDotDot), 1u) << rep.to_string();
+    EXPECT_GE(count(rep, FsckCode::BadDotDot), 1u) << describe(rep);
 }
 
 TEST_F(FsckTest, DetectsDirectoryCycle) {
@@ -146,7 +161,7 @@ TEST_F(FsckTest, DetectsDirectoryCycle) {
     fs.find_mutable(a.value())->parent = b.value();
     fs.find_mutable(kRootInode)->dirents.erase("a");
     const auto rep = fsck(fs);
-    EXPECT_EQ(rep.count(FsckCode::DirectoryCycle), 2u) << rep.to_string();
+    EXPECT_EQ(count(rep, FsckCode::DirectoryCycle), 2u) << describe(rep);
 }
 
 TEST_F(FsckTest, DetectsDataOnNonRegularFile) {
@@ -157,7 +172,7 @@ TEST_F(FsckTest, DetectsDataOnNonRegularFile) {
     fs.find_mutable(s.value())->data.write(
         0, std::span<const std::byte>(data));
     const auto rep = fsck(fs);
-    EXPECT_EQ(rep.count(FsckCode::DataOnNonFile), 1u) << rep.to_string();
+    EXPECT_EQ(count(rep, FsckCode::DataOnNonFile), 1u) << describe(rep);
 }
 
 TEST_F(FsckTest, SparseAndTruncatedFilesAreNotFlaggedBeyondEof) {
@@ -173,9 +188,9 @@ TEST_F(FsckTest, SparseAndTruncatedFilesAreNotFlaggedBeyondEof) {
     ASSERT_TRUE(fs.truncate(f.value(), 1 << 20).ok());  // hole at the tail
     ASSERT_TRUE(fs.truncate(f.value(), 100).ok());      // clip mid-extent
     const auto rep = fsck(fs);
-    EXPECT_EQ(rep.count(FsckCode::AllocationBeyondEof), 0u)
-        << rep.to_string();
-    EXPECT_TRUE(rep.clean()) << rep.to_string();
+    EXPECT_EQ(count(rep, FsckCode::AllocationBeyondEof), 0u)
+        << describe(rep);
+    EXPECT_TRUE(rep.clean()) << describe(rep);
 }
 
 TEST_F(FsckTest, DetectsBlockSumMismatch) {
@@ -188,7 +203,7 @@ TEST_F(FsckTest, DetectsBlockSumMismatch) {
     fs.find_mutable(f.value())->data.write(
         0, std::span<const std::byte>(data));
     const auto rep = fsck(fs);
-    EXPECT_EQ(rep.count(FsckCode::BlockSumMismatch), 1u) << rep.to_string();
+    EXPECT_EQ(count(rep, FsckCode::BlockSumMismatch), 1u) << describe(rep);
 }
 
 TEST_F(FsckTest, DetectsQuotaSumMismatch) {
@@ -205,7 +220,7 @@ TEST_F(FsckTest, DetectsQuotaSumMismatch) {
     // charges uid 1000 while the recomputed sums charge uid 2000.
     fs.find_mutable(f.value())->uid = 2000;
     const auto rep = fsck(fs);
-    EXPECT_GE(rep.count(FsckCode::QuotaSumMismatch), 1u) << rep.to_string();
+    EXPECT_GE(count(rep, FsckCode::QuotaSumMismatch), 1u) << describe(rep);
 }
 
 TEST_F(FsckTest, CrashRecoveredTmpfileIsExcusedOnlyByItsFdPin) {
@@ -233,11 +248,11 @@ TEST_F(FsckTest, CrashRecoveredTmpfileIsExcusedOnlyByItsFdPin) {
     const auto rec = replayer.replay(full);
     ASSERT_EQ(rec.pinned.size(), 1u);
 
-    EXPECT_GE(fsck(*rec.fs).count(FsckCode::OrphanInode), 1u);
+    EXPECT_GE(count(fsck(*rec.fs), FsckCode::OrphanInode), 1u);
     FsckOptions opts;
     opts.pinned_inodes = rec.pinned;
     const auto rep = fsck(*rec.fs, opts);
-    EXPECT_TRUE(rep.clean()) << rep.to_string();
+    EXPECT_TRUE(rep.clean()) << describe(rep);
 }
 
 TEST_F(FsckTest, QuotaLedgersConsistentInEveryCrashRecoveredState) {
@@ -273,10 +288,10 @@ TEST_F(FsckTest, QuotaLedgersConsistentInEveryCrashRecoveredState) {
     for (const auto& point : replayer.plan(CrashPlanConfig{})) {
         const auto rec = replayer.replay(point);
         const auto rep = fsck(*rec.fs);
-        EXPECT_EQ(rep.count(FsckCode::QuotaSumMismatch), 0u)
-            << point.id() << ": " << rep.to_string();
-        EXPECT_EQ(rep.count(FsckCode::BlockSumMismatch), 0u)
-            << point.id() << ": " << rep.to_string();
+        EXPECT_EQ(count(rep, FsckCode::QuotaSumMismatch), 0u)
+            << point.id() << ": " << describe(rep);
+        EXPECT_EQ(count(rep, FsckCode::BlockSumMismatch), 0u)
+            << point.id() << ": " << describe(rep);
     }
 }
 

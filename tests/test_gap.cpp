@@ -112,7 +112,9 @@ TEST(GapExtraction, EmptyReportHasNoGaps) {
 }
 
 TEST(GapExtraction, ToStringMentionsEverySpace) {
-    const auto s = extract_gaps(make_report(), 10.0).to_string();
+    std::string s;
+    for (const SpaceTcd& space : extract_gaps(make_report(), 10.0).spaces)
+        s += space.base + "." + space.arg + "\n";
     EXPECT_NE(s.find("write.count"), std::string::npos);
     EXPECT_NE(s.find("open.flags"), std::string::npos);
 }
@@ -171,9 +173,9 @@ TEST(TargetBuilder, RecordsUnknownLabelsInsteadOfDroppingThem) {
     h.add("O_RDONLY", 5);
     h.add("O_SYNC", 1);
     TargetBuilder builder(h, 10.0);
-    builder.set("O_SYNC", 100.0)
+    builder.boost("O_SYNC", 10.0)
         .boost("O_TYPO", 2.0)
-        .set("also-missing", 7.0);
+        .boost("also-missing", 0.7);
     EXPECT_EQ(builder.unknown_labels(),
               (std::vector<std::string>{"O_TYPO", "also-missing"}));
     const auto targets = builder.build();

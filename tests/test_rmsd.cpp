@@ -55,14 +55,15 @@ TEST(SafeLog10, CustomFloor) {
 TEST(MeanStddev, BasicMoments) {
     const std::vector<double> xs{2, 4, 4, 4, 5, 5, 7, 9};
     EXPECT_DOUBLE_EQ(mean(xs), 5.0);
-    EXPECT_DOUBLE_EQ(stddev(xs), 2.0);
+    // Population standard deviation: the RMSD from the mean.
+    EXPECT_DOUBLE_EQ(rmsd(xs, std::vector<double>(xs.size(), mean(xs))), 2.0);
 }
 
 TEST(MeanStddev, DegenerateInputs) {
     EXPECT_DOUBLE_EQ(mean({}), 0.0);
     const std::vector<double> one{42};
     EXPECT_DOUBLE_EQ(mean(one), 42.0);
-    EXPECT_DOUBLE_EQ(stddev(one), 0.0);
+    EXPECT_DOUBLE_EQ(rmsd(one, std::vector<double>{mean(one)}), 0.0);
 }
 
 }  // namespace

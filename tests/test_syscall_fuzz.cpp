@@ -168,8 +168,8 @@ TEST_P(SyscallFuzz, RandomSyscallsKeepStateConsistent) {
     analyzer.consume_all(buffer.events());
     std::map<std::string, std::uint64_t> per_base;
     for (const auto& ev : buffer.events())
-        if (auto base = core::base_of_variant(ev.syscall))
-            ++per_base[*base];
+        if (const auto b = analyzer.table().bind(ev.syscall); b.tracked)
+            ++per_base[b.spec->base];
     for (const auto& out : analyzer.report().outputs)
         EXPECT_EQ(out.hist.total(), per_base[out.base]) << out.base;
 

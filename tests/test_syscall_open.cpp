@@ -228,10 +228,12 @@ TEST_F(OpenTest, TruncOnOpenEmptiesFile) {
 TEST_F(OpenTest, CreatIsOpenWithCreatWronlyTrunc) {
     const auto fd = user_.sys_creat(scratch("c").c_str(), 0600);
     ASSERT_GE(fd, 0);
-    const auto* desc = user_.fd_entry(static_cast<int>(fd));
-    ASSERT_NE(desc, nullptr);
-    EXPECT_TRUE(desc->writable());
-    EXPECT_FALSE(desc->readable());
+    // Writable, not readable: O_WRONLY.
+    EXPECT_EQ(user_.sys_write(static_cast<int>(fd),
+                              WriteSrc::pattern(1, std::byte{1})),
+              1);
+    EXPECT_EQ(user_.sys_read(static_cast<int>(fd), ReadDst::discard(1)),
+              fail(Err::EBADF_));
 }
 
 TEST_F(OpenTest, UmaskAppliesToCreation) {
@@ -239,8 +241,8 @@ TEST_F(OpenTest, UmaskAppliesToCreation) {
     const auto fd = user_.sys_open(scratch("masked").c_str(),
                                    O_CREAT | O_WRONLY, 0777);
     ASSERT_GE(fd, 0);
-    const auto* desc = user_.fd_entry(static_cast<int>(fd));
-    EXPECT_EQ(fs_.find(desc->ino)->perms(), 0750u);
+    const auto ino = fs_.resolve(scratch("masked"), vfs::Credentials::root());
+    EXPECT_EQ(fs_.find(ino.value())->perms(), 0750u);
 }
 
 TEST_F(OpenTest, OpenatResolvesRelativeToDfd) {

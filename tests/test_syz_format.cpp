@@ -25,8 +25,8 @@ TEST(SyzParser, ParsesOpenatWithResultBinding) {
     EXPECT_EQ(ev->syscall, "openat");
     EXPECT_EQ(*ev->int_arg("dfd"), abi::AT_FDCWD);  // 0xff..9c wraps to -100
     EXPECT_EQ(*ev->str_arg("pathname"), "./file0");
-    EXPECT_EQ(*ev->uint_arg("flags"), 0x42u);
-    EXPECT_EQ(*ev->uint_arg("mode"), 0x1ffu);
+    EXPECT_EQ(*uint_value(ev->find_arg("flags")->value), 0x42u);
+    EXPECT_EQ(*uint_value(ev->find_arg("mode")->value), 0x1ffu);
     EXPECT_TRUE(is_input_only(*ev));
     EXPECT_EQ(resources, std::vector<std::string>{"r0"});
 }
@@ -39,7 +39,7 @@ TEST(SyzParser, ResourceReferencesBecomeFds) {
                                 &resources);
     ASSERT_TRUE(write.has_value());
     EXPECT_EQ(*write->int_arg("fd"), 3);  // first resource -> fd 3
-    EXPECT_EQ(*write->uint_arg("count"), 0x1000u);
+    EXPECT_EQ(*uint_value(write->find_arg("count")->value), 0x1000u);
     auto close = parse_syz_line("close(r0)", &resources);
     ASSERT_TRUE(close.has_value());
     EXPECT_EQ(*close->int_arg("fd"), 3);
@@ -65,7 +65,7 @@ TEST(SyzParser, NilPointerBecomesFaultingPath) {
 TEST(SyzParser, BlobPointerIsElided) {
     auto ev = parse_one("write(0x3, &(0x7f0000000040), 0x200)");
     ASSERT_TRUE(ev.has_value());
-    EXPECT_EQ(*ev->uint_arg("count"), 0x200u);
+    EXPECT_EQ(*uint_value(ev->find_arg("count")->value), 0x200u);
     EXPECT_FALSE(ev->find_arg("buf"));
 }
 
@@ -74,10 +74,10 @@ TEST(SyzParser, Openat2StructExpands) {
         "openat2(0xffffffffffffff9c, &(0x7f0000000000)='./f\\x00', "
         "&(0x7f0000000040)={0x42, 0x1a4, 0x8}, 0x18)");
     ASSERT_TRUE(ev.has_value());
-    EXPECT_EQ(*ev->uint_arg("flags"), 0x42u);
-    EXPECT_EQ(*ev->uint_arg("mode"), 0x1a4u);
-    EXPECT_EQ(*ev->uint_arg("resolve"), 0x8u);
-    EXPECT_EQ(*ev->uint_arg("usize"), 0x18u);
+    EXPECT_EQ(*uint_value(ev->find_arg("flags")->value), 0x42u);
+    EXPECT_EQ(*uint_value(ev->find_arg("mode")->value), 0x1a4u);
+    EXPECT_EQ(*uint_value(ev->find_arg("resolve")->value), 0x8u);
+    EXPECT_EQ(*uint_value(ev->find_arg("usize")->value), 0x18u);
 }
 
 TEST(SyzParser, StringEscapesAndNulPadding) {

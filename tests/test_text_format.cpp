@@ -106,7 +106,7 @@ TEST(TextFormat, ParserRejectsOverflowingNumericFields) {
         "flags=0xffffffffffffffff = 0");
     ASSERT_TRUE(max_ok.has_value());
     EXPECT_EQ(max_ok->seq, std::numeric_limits<std::uint64_t>::max());
-    EXPECT_EQ(*max_ok->uint_arg("flags"),
+    EXPECT_EQ(*uint_value(max_ok->find_arg("flags")->value),
               std::numeric_limits<std::uint64_t>::max());
 }
 
