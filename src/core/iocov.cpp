@@ -27,7 +27,6 @@ IngestStats& IngestStats::operator+=(const IngestStats& other) {
     bytes += other.bytes;
     files += other.files;
     threads = std::max(threads, other.threads);
-    hot_loop_allocs += other.hot_loop_allocs;
     return *this;
 }
 
@@ -35,6 +34,7 @@ IOCov::Tally& IOCov::Tally::operator+=(const Tally& other) {
     filtered_out += other.filtered_out;
     shards_lost += other.shards_lost;
     ingest += other.ingest;
+    hot_loop_allocs += other.hot_loop_allocs;
     return *this;
 }
 
@@ -99,8 +99,7 @@ std::size_t IOCov::ingest_refs(
         }
         events += batch_.rows.size();
     }
-    tally_.ingest.hot_loop_allocs +=
-        exec::thread_allocation_count() - allocs0;
+    tally_.hot_loop_allocs += exec::thread_allocation_count() - allocs0;
     tally_.ingest.events += events;
     tally_.filtered_out += filtered;
     return dropped;

@@ -37,10 +37,6 @@ struct IngestStats {
     std::uint64_t bytes = 0;   ///< trace bytes ingested
     std::uint64_t files = 0;   ///< files analyzed (file/dir entry points)
     unsigned threads = 1;      ///< widest thread count used
-    /// Heap allocations inside the steady-state decode -> filter ->
-    /// analyze loops (stays 0 once histograms and scratch are warm;
-    /// always 0 when exec::has_allocation_counting() is false).
-    std::uint64_t hot_loop_allocs = 0;
 
     /// The one fold: counters add, `threads` keeps the maximum.
     IngestStats& operator+=(const IngestStats& other);
@@ -226,6 +222,14 @@ class IOCov {
     /// nothing.
     const IngestStats& ingest_stats() const { return tally_.ingest; }
 
+    /// Heap allocations inside the steady-state decode -> filter ->
+    /// analyze loops of this IOCov's consume_binary* calls and of the
+    /// IOCovs merged into it (stays 0 once histograms and scratch are
+    /// warm; always 0 when exec::has_allocation_counting() is false).
+    /// A property of the build, not of the input, so snapshots do not
+    /// carry it.
+    std::uint64_t hot_loop_allocs() const { return tally_.hot_loop_allocs; }
+
   private:
     friend struct detail::ShardDriver;
 
@@ -237,6 +241,7 @@ class IOCov {
         std::uint64_t filtered_out = 0;
         std::uint64_t shards_lost = 0;
         IngestStats ingest;
+        std::uint64_t hot_loop_allocs = 0;
         Tally& operator+=(const Tally& other);
     };
 

@@ -110,9 +110,11 @@ std::string encode_snapshot(const IOCovSnapshot& snapshot) {
         put_varint(payload, snapshot.ingest.bytes);
         put_varint(payload, snapshot.ingest.files);
         put_varint(payload, snapshot.ingest.threads);
-        put_varint(payload, snapshot.ingest.hot_loop_allocs);
-        // Reserved 8-byte slot (it once held wall-clock seconds):
-        // written 0, ignored on read.
+        // Two reserved slots, written 0 and ignored on read: a varint
+        // that once held the hot-loop allocation count and 8 bytes that
+        // once held wall-clock seconds.  Neither is a property of the
+        // input, so neither may change a snapshot's bytes.
+        put_varint(payload, 0);
         put_u64le(payload, 0);
         put_varint(payload, strings.intern(out, snapshot.label));
         put_varint(payload, snapshot.timestamp);
@@ -178,7 +180,8 @@ std::optional<IOCovSnapshot> decode_snapshot(std::string_view data,
                 strings.push_back(rec.body());
                 return true;
             case IocsTag::Meta: {
-                std::uint64_t threads = 0, reserved = 0, label_id = 0;
+                std::uint64_t threads = 0, reserved_allocs = 0,
+                              reserved = 0, label_id = 0;
                 const bool ok =
                     !saw_meta && c.read_varint(snap.report.events_seen) &&
                     c.read_varint(snap.report.events_tracked) &&
@@ -188,7 +191,7 @@ std::optional<IOCovSnapshot> decode_snapshot(std::string_view data,
                     c.read_varint(snap.ingest.bytes) &&
                     c.read_varint(snap.ingest.files) &&
                     c.read_varint(threads) && threads <= UINT32_MAX &&
-                    c.read_varint(snap.ingest.hot_loop_allocs) &&
+                    c.read_varint(reserved_allocs) &&
                     c.read_u64le(reserved) && c.read_varint(label_id) &&
                     label_id < strings.size() &&
                     c.read_varint(snap.timestamp) && c.done();

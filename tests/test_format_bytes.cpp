@@ -67,7 +67,7 @@ core::IOCovSnapshot fixed_snapshot() {
     iocov.consume_all(fixed_trace());
     auto snap = iocov.snapshot();
     snap.dropped = 2;
-    snap.ingest = {8, 999, 2, 3, 4};
+    snap.ingest = {8, 999, 2, 3};
     snap.label = "host-a/xfstests";
     snap.timestamp = 1754600000;
     return snap;
@@ -177,6 +177,58 @@ core::Checkpoint fixed_checkpoint() {
     return cp;
 }
 
+/// Sets the META allocs slot of the IOCS snapshot at [begin, end) of
+/// `bytes`, or of each snapshot an IOCK checkpoint there embeds, to the
+/// next of `allocs`, then recomputes the footer checksums.
+void patch_allocs_slot(std::string& bytes, std::size_t begin,
+                       std::size_t end,
+                       std::vector<std::uint8_t>::const_iterator& allocs) {
+    using namespace trace::detail;
+    const std::string_view all(bytes);
+    const bool iocs = has_magic(all.substr(begin), core::kIocsMagic);
+    const auto* base = reinterpret_cast<const unsigned char*>(bytes.data());
+    RecordReader records{all.substr(begin, end - begin)};
+    Record rec;
+    while (records.next(rec) == RecordReader::Status::Ok) {
+        const std::size_t body = begin + rec.start + 5;  // length, tag
+        const std::size_t stop = body - 1 + rec.payload.size();
+        const auto* p = base + body;
+        std::uint64_t skipped = 0;
+        if (iocs && rec.tag() == static_cast<std::uint8_t>(
+                                     core::IocsTag::Meta)) {
+            // Eight counters, then the slot.
+            for (int i = 0; i < 8; ++i) read_varint(p, base + stop, skipped);
+            ASSERT_EQ(*p, 0) << "the encoder wrote a nonzero allocs slot";
+            bytes[static_cast<std::size_t>(p - base)] =
+                static_cast<char>(*allocs++);
+        } else if (!iocs && rec.tag() == static_cast<std::uint8_t>(
+                                             core::IockTag::Block)) {
+            // The leaf count, then the embedded snapshot.
+            read_varint(p, base + stop, skipped);
+            patch_allocs_slot(bytes, static_cast<std::size_t>(p - base), stop,
+                              allocs);
+        } else if (rec.tag() == static_cast<std::uint8_t>(
+                                    core::IocsTag::Footer)) {
+            std::string sum;
+            put_u64le(sum, fnv1a64(all.substr(begin, rec.start)));
+            bytes.replace(stop - 8, 8, sum);
+        }
+    }
+}
+
+/// `bytes` (an IOCS snapshot or an IOCK checkpoint) as the encoder wrote
+/// them while it still stored the hot-loop allocation count: the META
+/// allocs slot of each snapshot in them, in order, set to the next of
+/// `allocs` (each < 128, so the one-byte varint 0 is replaced in place)
+/// and every footer resealed.
+std::string with_allocs_slots(std::string bytes,
+                              const std::vector<std::uint8_t>& allocs) {
+    auto next = allocs.begin();
+    patch_allocs_slot(bytes, 0, bytes.size(), next);
+    EXPECT_EQ(next, allocs.end()) << "fewer snapshots than slot values";
+    return bytes;
+}
+
 struct Pin {
     std::size_t size;
     std::uint64_t fnv;
@@ -194,8 +246,24 @@ TEST(FormatBytes, IoctTraceIsPinned) {
 }
 
 TEST(FormatBytes, IocsSnapshotIsPinned) {
-    expect_pinned(core::encode_snapshot(fixed_snapshot()),
+    const auto bytes = core::encode_snapshot(fixed_snapshot());
+    expect_pinned(bytes, {3984, 0x270df310733fc79cULL});
+    // The previous pin, recorded while the encoder still wrote the
+    // fixture's allocation count (4): the bytes differ only there.
+    expect_pinned(with_allocs_slots(bytes, {4}),
                   {3984, 0x511393bba86a6bd9ULL});
+}
+
+TEST(FormatBytes, IocsFromConsumeBinaryIsPinned) {
+    // Through the binary ingest loop, where the hot-loop allocation
+    // counter runs.  Sanitizer builds compile that counter out, so this
+    // pin holding under them too shows it stays out of the bytes.
+    core::IOCov iocov(trace::FilterConfig::mount_point("/mnt/test"));
+    EXPECT_EQ(iocov.consume_binary(trace::encode_trace(fixed_trace())), 0u);
+    auto snap = iocov.snapshot();
+    snap.label = "host-a/xfstests";
+    snap.timestamp = 1754600000;
+    expect_pinned(core::encode_snapshot(snap), {3984, 0x5349544307d498dcULL});
 }
 
 TEST(FormatBytes, IocsDynamicLabelsArePinned) {
@@ -224,8 +292,32 @@ TEST(FormatBytes, IocsExtendedRegistryIsPinned) {
 }
 
 TEST(FormatBytes, IockCheckpointIsPinned) {
-    expect_pinned(core::encode_checkpoint(fixed_checkpoint()),
+    const auto bytes = core::encode_checkpoint(fixed_checkpoint());
+    expect_pinned(bytes, {4236, 0xcf14b7bd71e49bc9ULL});
+    // The previous pin, with the allocation counts of the two embedded
+    // snapshots (the fixture's 4, the empty block's 0) written: the
+    // bytes differ only there.
+    expect_pinned(with_allocs_slots(bytes, {4, 0}),
                   {4236, 0x07a77f2b1bb1fbe3ULL});
+}
+
+TEST(Snapshot, LegacyNonzeroAllocsSlotLoadsAndReencodesAsZero) {
+    const auto snap = fixed_snapshot();
+    const auto bytes = core::encode_snapshot(snap);
+    const auto legacy = with_allocs_slots(bytes, {4});
+    ASSERT_NE(legacy, bytes);
+    core::SnapshotError err;
+    const auto loaded = core::decode_snapshot(legacy, &err);
+    ASSERT_TRUE(loaded.has_value()) << err.to_string();
+    EXPECT_EQ(*loaded, snap);
+    EXPECT_EQ(core::encode_snapshot(*loaded), bytes);
+
+    // The same for a checkpoint whose blocks embed such a snapshot.
+    const auto cp = core::encode_checkpoint(fixed_checkpoint());
+    const auto cp_loaded =
+        core::decode_checkpoint(with_allocs_slots(cp, {4, 9}), &err);
+    ASSERT_TRUE(cp_loaded.has_value()) << err.to_string();
+    EXPECT_EQ(core::encode_checkpoint(*cp_loaded), cp);
 }
 
 }  // namespace

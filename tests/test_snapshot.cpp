@@ -310,7 +310,7 @@ TEST(Snapshot, MergeFuzzTreeMergeEqualsSinglePassIngest) {
         // IOCovSnapshot{} (which clears the label) fails.
         const std::size_t n = 3 + seed % 6;
         std::vector<NamedSnapshot> shards;
-        std::uint64_t bytes = 0, allocs = 0;
+        std::uint64_t bytes = 0;
         for (const auto& part : split_by_pid(events, n)) {
             IOCov shard(config());
             shard.consume_binary(trace::encode_trace(part));
@@ -318,7 +318,6 @@ TEST(Snapshot, MergeFuzzTreeMergeEqualsSinglePassIngest) {
             snap.label = "fleet";
             snap.timestamp = 5000 + 7 * shards.size();
             bytes += snap.ingest.bytes;
-            allocs += snap.ingest.hot_loop_allocs;
             shards.push_back({"shard", std::move(snap)});
         }
 
@@ -327,12 +326,11 @@ TEST(Snapshot, MergeFuzzTreeMergeEqualsSinglePassIngest) {
         auto expected = single.snapshot();
         expected.label = "fleet";
         expected.timestamp = 5000 + 7 * (n - 1);
-        // Input bytes and warm-up allocations are per-input measurements
-        // (each part has its own header and string table, each IOCov its
-        // own warm-up), so they sum over the shards rather than match
-        // the single pass.  Every other field must match exactly.
+        // Input bytes are a per-input measurement (each part has its own
+        // header and string table), so they sum over the shards rather
+        // than match the single pass.  Every other field must match
+        // exactly.
         expected.ingest.bytes = bytes;
-        expected.ingest.hot_loop_allocs = allocs;
         const auto want = encode_snapshot(expected);
 
         // Any order and any grouping, and merge_snapshots at any lane

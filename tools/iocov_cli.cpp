@@ -593,8 +593,7 @@ int cmd_analyze(int argc, char** argv) {
             std::printf("  allocs:   %llu in the steady-state decode "
                         "loop\n",
                         static_cast<unsigned long long>(
-                            is.hot_loop_allocs -
-                            merged.ingest.hot_loop_allocs));
+                            iocov.hot_loop_allocs()));
         } else {
             std::printf("  allocs:   (allocation counting unavailable "
                         "in this build)\n");
