@@ -15,7 +15,8 @@
 # strict CLI numeric parsers chew on junk — both run here too.  The
 # analyzer counts into histogram rows by index (core/schema), so its
 # suites — partitioning, coverage, the partition-inverse oracle, flag
-# pairs and the parallel pipeline — run here as well.
+# pairs, the parallel pipeline and the variant-substitution relations
+# — run here as well.
 # This configures a full IOCOV_SANITIZE=address tree and runs the
 # decoder-facing suites (binary format, binary pipeline, text format,
 # snapshot) under it.
@@ -32,7 +33,7 @@ cmake --build "$BUILD" -j --target \
   test_snapshot test_snapshot_merge test_host_io test_checkpoint \
   test_serve test_cli_parse test_walk test_format_bytes \
   test_core_partition test_core_coverage test_parallel_pipeline \
-  test_combos test_partition_oracle
+  test_combos test_partition_oracle test_variant_metamorphic
 ctest --test-dir "$BUILD" \
-  -R 'Binary|TextFormat|MappedFile|BatchDecode|DirIngest|CrashReplay|CrashOracle|CrashTest|Snapshot|SnapshotMerge|HostIo|Checkpoint|IncrementalMerge|Serve|Protocol|LiveCoverage|ParseU|ParseF|Walk|FormatBytes|Partitioner|Schema|Analyzer|CoverageReport|Tcd|Untested|Merge|ParallelPipeline|ShardDriver|Sharding|ThreadPool|WorkStealing|FeasiblePairs|PairCoverage|PartitionOracle' \
+  -R 'Binary|TextFormat|MappedFile|BatchDecode|DirIngest|CrashReplay|CrashOracle|CrashTest|Snapshot|SnapshotMerge|HostIo|Checkpoint|IncrementalMerge|Serve|Protocol|LiveCoverage|ParseU|ParseF|Walk|FormatBytes|Partitioner|Schema|Analyzer|CoverageReport|Tcd|Untested|Merge|ParallelPipeline|ShardDriver|Sharding|ThreadPool|WorkStealing|FeasiblePairs|PairCoverage|PartitionOracle|VariantSubstitution' \
   --output-on-failure -j "$(nproc)"

@@ -16,7 +16,8 @@
 # numeric parsers (overflow rejection is exactly where UB would hide).
 # The analyzer's index arithmetic (core/schema: row indices, log2
 # buckets, errno tables) runs here too: partitioning, coverage, the
-# partition-inverse oracle, flag pairs and the parallel pipeline.
+# partition-inverse oracle, flag pairs, the parallel pipeline and the
+# variant-substitution relations.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,7 +31,7 @@ cmake --build "$BUILD" -j --target \
   test_snapshot test_snapshot_merge test_host_io \
   test_serve test_cli_parse test_walk test_checkpoint test_format_bytes \
   test_core_partition test_core_coverage test_parallel_pipeline \
-  test_combos test_partition_oracle
+  test_combos test_partition_oracle test_variant_metamorphic
 ctest --test-dir "$BUILD" \
-  -R 'Fsck|Fault|ScopedFault|Campaign|IngestFaults|Binary|TextFormat|BatchDecode|CrashReplay|CrashOracle|StateDiff|Snapshot|SnapshotMerge|HostIo|Serve|Protocol|LiveCoverage|ParseU|ParseF|Walk|Checkpoint|IncrementalMerge|FormatBytes|Partitioner|Schema|Analyzer|CoverageReport|Tcd|Untested|Merge|ParallelPipeline|ShardDriver|Sharding|ThreadPool|WorkStealing|FeasiblePairs|PairCoverage|PartitionOracle' \
+  -R 'Fsck|Fault|Campaign|IngestFaults|Binary|TextFormat|BatchDecode|CrashReplay|CrashOracle|StateDiff|Snapshot|SnapshotMerge|HostIo|Serve|Protocol|LiveCoverage|ParseU|ParseF|Walk|Checkpoint|IncrementalMerge|FormatBytes|Partitioner|Schema|Analyzer|CoverageReport|Tcd|Untested|Merge|ParallelPipeline|ShardDriver|Sharding|ThreadPool|WorkStealing|FeasiblePairs|PairCoverage|PartitionOracle|VariantSubstitution' \
   --output-on-failure -j "$(nproc)"

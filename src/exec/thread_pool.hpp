@@ -1,10 +1,10 @@
 // Minimal fixed-size thread pool used by the parallel analysis pipeline.
 //
 // Deliberately small: a FIFO of std::function jobs and N worker
-// threads; parallel_for is the completion barrier.  Pools are cheap enough to create per
-// parallel operation (thread spawn is microseconds next to parsing a
-// multi-megabyte trace), which keeps thread ownership obvious and
-// avoids global executor state.
+// threads; parallel_for() is the completion barrier.  Pools are cheap
+// enough to create per parallel operation (thread spawn is microseconds
+// next to parsing a multi-megabyte trace), which keeps thread ownership
+// obvious and avoids global executor state.
 #pragma once
 
 #include <condition_variable>

@@ -97,8 +97,11 @@ class PartitionHistogram {
     std::size_t partition_count() const { return rows_.size(); }
     bool empty() const { return rows_.empty(); }
 
-    /// Fraction of declared partitions with nonzero count, in [0,1].
-    /// This is the headline "input coverage" / "output coverage" number.
+    /// Fraction of all rows with nonzero count, in [0,1]: the declared
+    /// block and the dynamic tail alike, so a value outside the declared
+    /// partitions counts as one more tested row (0 when there are no
+    /// rows).  This is the headline "input coverage" / "output coverage"
+    /// number.
     double coverage_fraction() const;
 
     /// Adds every row of `other` into this histogram (union of labels).
