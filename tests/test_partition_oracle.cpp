@@ -16,6 +16,7 @@
 
 #include <map>
 #include <optional>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -195,11 +196,22 @@ TraceEvent return_event(const std::string& base, std::int64_t ret) {
     return ev;
 }
 
-class PartitionOracle
-    : public ::testing::TestWithParam<const std::vector<SyscallSpec>*> {};
+/// One registry under test.  gtest prints the parameter into every test
+/// name it lists, so it prints the registry's name: a bare pointer would
+/// print its load address and give the tests a new name on every build.
+struct Registry {
+    const char* name;
+    const std::vector<SyscallSpec>* specs;
+
+    friend void PrintTo(const Registry& r, std::ostream* os) {
+        *os << r.name;
+    }
+};
+
+class PartitionOracle : public ::testing::TestWithParam<Registry> {};
 
 TEST_P(PartitionOracle, EveryDeclaredInputLabelHasAnExactRepresentative) {
-    const auto& registry = *GetParam();
+    const auto& registry = *GetParam().specs;
     const Analyzer empty(registry);
     std::set<std::string> unreached;
     for (const auto& spec : registry) {
@@ -235,7 +247,7 @@ TEST_P(PartitionOracle, EveryDeclaredInputLabelHasAnExactRepresentative) {
 }
 
 TEST_P(PartitionOracle, DeclaredInputSpacesMatchTheAbiTables) {
-    const auto& registry = *GetParam();
+    const auto& registry = *GetParam().specs;
     Analyzer a(registry);
     for (const auto& spec : registry) {
         for (const auto& arg : spec.args) {
@@ -267,7 +279,7 @@ TEST_P(PartitionOracle, DeclaredInputSpacesMatchTheAbiTables) {
 }
 
 TEST_P(PartitionOracle, NumericBoundariesLandInTheirBuckets) {
-    const auto& registry = *GetParam();
+    const auto& registry = *GetParam().specs;
     for (const auto& spec : registry) {
         for (const auto& arg : spec.args) {
             if (arg.cls != ArgClass::Numeric) continue;
@@ -294,7 +306,7 @@ TEST_P(PartitionOracle, NumericBoundariesLandInTheirBuckets) {
 }
 
 TEST_P(PartitionOracle, EveryDeclaredOutputLabelHasAnExactRepresentative) {
-    const auto& registry = *GetParam();
+    const auto& registry = *GetParam().specs;
     const Analyzer empty(registry);
     for (const auto& spec : registry) {
         const auto& declared = empty.report().find_output(spec.base)->hist;
@@ -341,7 +353,7 @@ TEST_P(PartitionOracle, EveryDeclaredOutputLabelHasAnExactRepresentative) {
 }
 
 TEST_P(PartitionOracle, SizedSuccessBoundariesLandInTheirBuckets) {
-    const auto& registry = *GetParam();
+    const auto& registry = *GetParam().specs;
     for (const auto& spec : registry) {
         if (spec.success != SuccessKind::ByteCount &&
             spec.success != SuccessKind::Offset)
@@ -367,7 +379,7 @@ TEST_P(PartitionOracle, SizedSuccessBoundariesLandInTheirBuckets) {
 }
 
 TEST_P(PartitionOracle, OpenFlagCombinationsLandInTheirCountAndPairs) {
-    const auto& registry = *GetParam();
+    const auto& registry = *GetParam().specs;
     // OR-able, non-composite flags: each adds exactly one to the count.
     std::vector<const abi::OpenFlagInfo*> plain;
     for (const auto& info : abi::open_flag_table())
@@ -416,11 +428,8 @@ TEST_P(PartitionOracle, OpenFlagCombinationsLandInTheirCountAndPairs) {
 
 INSTANTIATE_TEST_SUITE_P(
     Registries, PartitionOracle,
-    ::testing::Values(&syscall_registry(), &extended_syscall_registry()),
-    [](const auto& param_info) {
-        return param_info.param == &syscall_registry() ? std::string("Paper")
-                                                 : std::string("Extended");
-    });
+    ::testing::Values(Registry{"Paper", &syscall_registry()},
+                      Registry{"Extended", &extended_syscall_registry()}));
 
 }  // namespace
 }  // namespace iocov::core
