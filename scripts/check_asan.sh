@@ -20,6 +20,9 @@
 # This configures a full IOCOV_SANITIZE=address tree and runs the
 # decoder-facing suites (binary format, binary pipeline, text format,
 # snapshot) under it.
+# The trace filter keeps per-pid fd and cwd state in a table keyed by
+# pids read from untrusted trace files, and the re-encoding relations
+# drive it with pids up to UINT32_MAX, so both suites run here too.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,7 +36,8 @@ cmake --build "$BUILD" -j --target \
   test_snapshot test_snapshot_merge test_host_io test_checkpoint \
   test_serve test_cli_parse test_walk test_format_bytes \
   test_core_partition test_core_coverage test_parallel_pipeline \
-  test_combos test_partition_oracle test_variant_metamorphic
+  test_combos test_partition_oracle test_variant_metamorphic \
+  test_filter test_encoding_metamorphic
 ctest --test-dir "$BUILD" \
-  -R 'Binary|TextFormat|MappedFile|BatchDecode|DirIngest|CrashReplay|CrashOracle|CrashTest|Snapshot|SnapshotMerge|HostIo|Checkpoint|IncrementalMerge|Serve|Protocol|LiveCoverage|ParseU|ParseF|Walk|FormatBytes|Partitioner|Schema|Analyzer|CoverageReport|Tcd|Untested|Merge|ParallelPipeline|ShardDriver|Sharding|ThreadPool|WorkStealing|FeasiblePairs|PairCoverage|PartitionOracle|VariantSubstitution' \
+  -R 'Binary|TextFormat|MappedFile|BatchDecode|DirIngest|CrashReplay|CrashOracle|CrashTest|Snapshot|SnapshotMerge|HostIo|Checkpoint|IncrementalMerge|Serve|Protocol|LiveCoverage|ParseU|ParseF|Walk|FormatBytes|Partitioner|Schema|Analyzer|CoverageReport|Tcd|Untested|Merge|ParallelPipeline|ShardDriver|Sharding|ThreadPool|WorkStealing|FeasiblePairs|PairCoverage|PartitionOracle|VariantSubstitution|TraceFilter|ReencodeRelation' \
   --output-on-failure -j "$(nproc)"

@@ -81,7 +81,7 @@ TEST(CrashReplay, RemovalEffectsSurviveNamesAliasingTheDirentKey) {
     EffectLog log;
     fs.set_effect_observer(&log);
     const auto root = vfs::Credentials::root();
-    const auto dir = fs.make_dir(vfs::kRootInode, "d", 0755, root).value();
+    (void)fs.make_dir(vfs::kRootInode, "d", 0755, root).value();
     (void)fs.create_file(vfs::kRootInode, "victim", 0644, root).value();
     (void)fs.create_file(vfs::kRootInode, "moved", 0644, root).value();
 

@@ -79,8 +79,9 @@ TEST(GapExtraction, EveryGapCarriesItsTcdShare) {
     for (std::size_t i = 1; i < gaps.input_gaps.size(); ++i) {
         const auto& prev = gaps.input_gaps[i - 1];
         const auto& cur = gaps.input_gaps[i];
-        if (prev.base == cur.base && prev.arg == cur.arg)
+        if (prev.base == cur.base && prev.arg == cur.arg) {
             EXPECT_GE(prev.tcd_share, cur.tcd_share);
+        }
     }
 }
 
