@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/schema.hpp"
+#include "trace/binary_format.hpp"
 #include "trace/syz_format.hpp"
 
 namespace iocov::core {
@@ -67,42 +68,29 @@ void Analyzer::consume(const trace::TraceEvent& event) {
     consume(event, schema_->table().bind(event.syscall));
 }
 
-void Analyzer::consume(const trace::TraceEvent& event,
-                       const SyscallTable::Binding& binding) {
+template <class ArgAt>
+void Analyzer::consume_bound(const SyscallTable::Binding& binding,
+                             std::int64_t ret, const ArgAt& arg_at) {
     ++report_.events_seen;
     if (!binding.tracked) return;
     ++report_.events_tracked;
-    const auto view = SyscallTable::view(binding, event);
-    consume_input(view);
-    // Declarative inputs (e.g. parsed syzkaller programs) carry no
-    // observed return value; they contribute input coverage only.
-    if (!trace::is_input_only(event)) consume_output(view);
-}
 
-void Analyzer::consume_all(const std::vector<trace::TraceEvent>& events) {
-    for (const auto& ev : events) consume(ev);
-}
-
-void Analyzer::consume_input(const CanonicalView& view) {
     const Schema& schema = *schema_;
-    const auto& args = view.spec->args;
-    const std::size_t base_slot = schema.table().arg_offset(view.id);
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        // Args arrive in prototype order, so slot i is the first place
-        // to look — the hint turns the common case into one compare.
-        const trace::ArgValue* value = view.find_hinted(args[i].key, i);
-        if (!value) continue;  // variant without this argument
+    const std::size_t base_slot = schema.table().arg_offset(binding.id);
+    for (std::size_t i = 0; i < binding.spec->args.size(); ++i) {
         const std::size_t slot = base_slot + i;
+        const trace::ArgView value = arg_at(i, slot);
+        if (!value) continue;  // variant without this argument
         ArgCoverage& cov = report_.inputs[slot];
 
         // Declared rows are bumped by index; only a value outside them
         // renders a label (SSO-sized), so the steady state allocates
         // nothing.
-        const Schema::Hits hits = schema.classify_input(slot, *value);
+        const Schema::Hits hits = schema.classify_input(slot, value);
         for (std::size_t h = 0; h < hits.n; ++h)
             cov.hist.add_declared(hits.rows[h]);
         if (hits.undeclared)
-            cov.hist.add(Schema::undeclared_input_label(*value));
+            cov.hist.add(Schema::undeclared_input_label(value));
 
         // Bitmap combination statistics (open flags only).
         if (slot != schema.open_flags_slot()) continue;
@@ -116,14 +104,53 @@ void Analyzer::consume_input(const CanonicalView& view) {
             for (std::size_t b = a + 1; b < hits.n; ++b)
                 cov.pairs.add(schema.pair_label(rows[a], rows[b]));
     }
-}
 
-void Analyzer::consume_output(const CanonicalView& view) {
-    auto& hist = report_.outputs[view.id].hist;
-    const std::int64_t ret = view.event->ret;
-    const std::size_t row = schema_->classify_output(view.id, ret);
+    // Declarative inputs (e.g. parsed syzkaller programs) carry no
+    // observed return value; they contribute input coverage only.
+    if (ret == trace::kSyzNoReturn) return;
+    auto& hist = report_.outputs[binding.id].hist;
+    const std::size_t row = schema.classify_output(binding.id, ret);
     if (row != Schema::npos) hist.add_declared(row);
     else hist.add(Schema::undeclared_output_label(ret));
+}
+
+void Analyzer::consume(const trace::TraceEvent& event,
+                       const SyscallTable::Binding& binding) {
+    const auto view = SyscallTable::view(binding, event);
+    consume_bound(binding, event.ret, [&](std::size_t i, std::size_t) {
+        // Args arrive in prototype order, so position i is the first
+        // place to look.
+        const trace::ArgValue* v = view.find_hinted(view.spec->args[i].key, i);
+        return v ? trace::ArgView(*v) : trace::ArgView();
+    });
+}
+
+void Analyzer::consume(const trace::EventBatch& batch,
+                       const trace::BatchRow& row,
+                       const std::vector<std::string_view>& strings,
+                       const SyscallTable::FileBinding& file) {
+    const SyscallTable::Binding& binding = file.names[row.name_id];
+    const trace::BatchArg* args = batch.args.data() + row.arg_begin;
+    const auto key_of = [&](std::uint32_t a) {
+        return file.keys[args[a].name_id];
+    };
+    consume_bound(binding, row.ret, [&](std::size_t i, std::size_t slot) {
+        // The same lookup as the event path's, by name code: position i
+        // first, then the first argument of that name, then the
+        // variant's implied argument.
+        const SyscallTable::KeyCode want = schema_->table().slot_key(slot);
+        if (i < row.arg_count && key_of(static_cast<std::uint32_t>(i)) == want)
+            return args[i].view(strings);
+        for (std::uint32_t a = 0; a < row.arg_count; ++a)
+            if (key_of(a) == want) return args[a].view(strings);
+        if (binding.implied && binding.implied_key == want)
+            return trace::ArgView(binding.implied->value);
+        return trace::ArgView();
+    });
+}
+
+void Analyzer::consume_all(const std::vector<trace::TraceEvent>& events) {
+    for (const auto& ev : events) consume(ev);
 }
 
 }  // namespace iocov::core

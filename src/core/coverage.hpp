@@ -68,6 +68,14 @@ struct CoverageReport {
 };
 
 class Schema;  // core/schema.hpp
+}  // namespace iocov::core
+
+namespace iocov::trace {
+struct BatchRow;    // trace/binary_format.hpp
+struct EventBatch;  // trace/binary_format.hpp
+}  // namespace iocov::trace
+
+namespace iocov::core {
 
 /// Streams trace events into a CoverageReport.
 class Analyzer {
@@ -82,13 +90,18 @@ class Analyzer {
     /// Consumes one (already filtered) trace event.
     void consume(const trace::TraceEvent& event);
 
-    /// Hot-path consume for callers that pre-resolved the event's
-    /// syscall name via table().bind() (the binary pipeline resolves
-    /// each interned name once per file instead of hashing per event).
-    /// Must behave exactly like consume(); `binding` must be
-    /// `table().bind(event.syscall)`.
+    /// consume() for callers that pre-resolved the event's syscall
+    /// name; `binding` must be `table().bind(event.syscall)`.
     void consume(const trace::TraceEvent& event,
                  const SyscallTable::Binding& binding);
+
+    /// The row path: consumes one decoded IOCT row exactly as consume()
+    /// would its materialized event.  `file` is
+    /// `table().bind_file(strings)`, `strings` the table `batch` was
+    /// decoded against.
+    void consume(const trace::EventBatch& batch, const trace::BatchRow& row,
+                 const std::vector<std::string_view>& strings,
+                 const SyscallTable::FileBinding& file);
 
     /// Convenience over a whole buffer.
     void consume_all(const std::vector<trace::TraceEvent>& events);
@@ -107,8 +120,12 @@ class Analyzer {
     CoverageReport take_report() { return std::move(report_); }
 
   private:
-    void consume_input(const CanonicalView& view);
-    void consume_output(const CanonicalView& view);
+    /// The one classify core: `arg_at(i, slot)` views the value of the
+    /// bound spec's argument i, flat arg slot `slot` (Missing when the
+    /// call lacks it).
+    template <class ArgAt>
+    void consume_bound(const SyscallTable::Binding& binding,
+                       std::int64_t ret, const ArgAt& arg_at);
 
     /// Shared and immutable; report_ starts as a copy of its empty
     /// report, so report_.inputs[slot] and report_.outputs[id] follow

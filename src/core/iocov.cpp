@@ -75,9 +75,9 @@ std::size_t IOCov::consume_text(std::istream& in) {
 std::size_t IOCov::ingest_refs(
     std::string_view data, const std::vector<std::string_view>& strings,
     const trace::EventRef* refs, std::size_t n,
-    const std::vector<SyscallTable::Binding>& bindings,
-    trace::ParseDiagnostics& diags) {
-    // Chunked through the reusable EventBatch/EventScratch so steady
+    const SyscallTable::FileBinding& file, trace::ParseDiagnostics& diags) {
+    // Decoded rows go straight to the filter and the analyzer, strings
+    // as table ids; chunked through the reusable EventBatch so steady
     // state performs zero heap allocations (tracked per thread via the
     // exec allocation hook).
     std::size_t dropped = 0;
@@ -89,11 +89,12 @@ std::size_t IOCov::ingest_refs(
         batch_.clear();
         trace::decode_batch(data, strings, refs + i, chunk, batch_, &dropped,
                             &diags);
-        for (std::size_t r = 0; r < batch_.rows.size(); ++r) {
-            const trace::TraceEvent& ev =
-                scratch_.materialize(batch_, r, strings);
-            if (filter_.admit(ev))
-                analyzer_.consume(ev, bindings[batch_.rows[r].name_id]);
+        for (const trace::BatchRow& row : batch_.rows) {
+            const auto call = trace::FilterCall::of(
+                batch_, row, strings, file.names[row.name_id].role,
+                file.keys.data());
+            if (filter_.admit(call))
+                analyzer_.consume(batch_, row, strings, file);
             else
                 ++filtered;
         }
@@ -114,7 +115,7 @@ std::size_t IOCov::ingest_ioct(std::string_view data,
     return scan.dropped +
            ingest_refs(data, scan.strings, scan.events.data(),
                        scan.events.size(),
-                       analyzer_.table().bind_all(scan.strings),
+                       analyzer_.table().bind_file(scan.strings),
                        decode_diags);
 }
 
@@ -134,7 +135,7 @@ std::size_t IOCov::consume_binary_parallel(std::string_view data,
     }
 
     const auto scan = trace::scan_ioct(data);
-    const auto bindings = analyzer_.table().bind_all(scan.strings);
+    const auto file = analyzer_.table().bind_file(scan.strings);
 
     // Shard record references (not events) by pid with a counting sort
     // sized from the scan itself, never from the footer's untrusted
@@ -158,7 +159,7 @@ std::size_t IOCov::consume_binary_parallel(std::string_view data,
         *this, items, n_threads, [&](std::size_t s, IOCov& shard) {
             return shard.ingest_refs(data, scan.strings,
                                      refs.data() + begin[s], items[s].records,
-                                     bindings, shard.diagnostics_);
+                                     file, shard.diagnostics_);
         });
     diagnostics_.merge(scan.diags);
     tally_.ingest.bytes += data.size();

@@ -88,9 +88,10 @@ class IOCov {
                                       unsigned n_threads = 0);
 
     /// Analyzes an IOCT binary trace held in memory (typically an
-    /// mmap'd file; see trace::MappedFile).  Events are decoded into a
-    /// reusable scratch event — no per-event string materialization —
-    /// and fed through the same filter + analyzer as consume_text, so
+    /// mmap'd file; see trace::MappedFile).  Events are decoded into
+    /// reusable rows — strings stay string-table ids, no per-event
+    /// TraceEvent — and fed through the same filter + analyzer core as
+    /// consume_text, so
     /// the report is bit-identical to analyzing the equivalent text
     /// trace.  Returns the number of undecodable records dropped
     /// (torn tails and corrupt payloads), mirroring consume_text's
@@ -261,12 +262,14 @@ class IOCov {
                             trace::ParseDiagnostics& decode_diags);
 
     /// The decode -> filter -> analyze row loop over `n` scan refs.
-    /// `bindings[name_id]` pre-resolves each interned syscall name.
-    /// Returns the records dropped (recorded into `diags`).
+    /// `file` is the string table bound once (SyscallTable::bind_file);
+    /// rows reach the filter and the analyzer without being
+    /// materialized.  Returns the records dropped (recorded into
+    /// `diags`).
     std::size_t ingest_refs(std::string_view data,
                             const std::vector<std::string_view>& strings,
                             const trace::EventRef* refs, std::size_t n,
-                            const std::vector<SyscallTable::Binding>& bindings,
+                            const SyscallTable::FileBinding& file,
                             trace::ParseDiagnostics& diags);
 
     /// Kept beyond construction so the shard driver can build one fresh
@@ -279,7 +282,6 @@ class IOCov {
     /// Decode scratch, persistent across consume_binary calls so
     /// repeated ingestion reuses warm capacity.
     trace::EventBatch batch_;
-    trace::EventScratch scratch_;
     Tally tally_;
 };
 

@@ -82,8 +82,8 @@ std::vector<std::string> names(const auto& table) {
 // ---- classification ----------------------------------------------------------
 
 /// A string where an integer belongs classifies as 0.
-std::int64_t as_int(const trace::ArgValue& v) {
-    return trace::int_value(v).value_or(0);
+std::int64_t as_int(const trace::ArgView& v) {
+    return v.int_value().value_or(0);
 }
 
 std::uint16_t fd_row(std::int64_t fd) {
@@ -95,11 +95,11 @@ std::uint16_t fd_row(std::int64_t fd) {
     return kOtherNegative;
 }
 
-void classify_path(const trace::ArgValue& value, Schema::Hits& hits) {
+void classify_path(const trace::ArgView& value, Schema::Hits& hits) {
     auto land = [&hits](std::uint16_t row) { hits.rows[hits.n++] = row; };
-    const auto* s = std::get_if<std::string>(&value);
-    if (!s || *s == "<fault>") return land(kFaulting);
-    const std::string& p = *s;
+    if (value.kind != trace::ArgView::Kind::Str || value.str == "<fault>")
+        return land(kFaulting);
+    const std::string_view p = value.str;
     if (p == "<via-fd>") return land(kViaFd);
     if (p.empty()) return land(kEmpty);
     if (p == "." || p.starts_with("./")) land(kDot);
@@ -261,7 +261,7 @@ Schema::Schema(const std::vector<SyscallSpec>& registry) : table_(registry) {
 }
 
 Schema::Hits Schema::classify_input(std::size_t slot,
-                                    const trace::ArgValue& value) const {
+                                    const trace::ArgView& value) const {
     Hits hits;
     auto land = [&hits](std::size_t row) {
         hits.rows[hits.n++] = static_cast<std::uint16_t>(row);
@@ -310,7 +310,7 @@ Schema::Hits Schema::classify_input(std::size_t slot,
     return hits;
 }
 
-std::string Schema::undeclared_input_label(const trace::ArgValue& value) {
+std::string Schema::undeclared_input_label(const trace::ArgView& value) {
     return stats::bucket_label(stats::log_bucket_of(as_int(value)));
 }
 

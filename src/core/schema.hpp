@@ -64,8 +64,8 @@ class Schema {
         /// Also lands under undeclared_input_label() (numeric > 2^32).
         bool undeclared = false;
     };
-    Hits classify_input(std::size_t slot, const trace::ArgValue& value) const;
-    static std::string undeclared_input_label(const trace::ArgValue& value);
+    Hits classify_input(std::size_t slot, const trace::ArgView& value) const;
+    static std::string undeclared_input_label(const trace::ArgView& value);
 
     /// The declared row of `ret` in base `id`'s output space, or npos:
     /// then it lands under undeclared_output_label().

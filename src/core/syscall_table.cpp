@@ -1,5 +1,7 @@
 #include "core/syscall_table.hpp"
 
+#include <stdexcept>
+
 #include "abi/fcntl.hpp"
 
 namespace iocov::core {
@@ -25,20 +27,55 @@ const trace::Arg* implied_variant_arg(std::string_view variant) {
 
 SyscallTable::SyscallTable(const std::vector<SyscallSpec>& registry)
     : registry_(&registry) {
+    // The filter's codes come first, in trace::FilterKey order.
+    for (const char* key : {"pathname", "dfd", "fd"}) key_code(key);
     arg_offset_.reserve(registry.size() + 1);
     std::size_t slot = 0;
-    std::size_t variant_count = 0;
-    for (const auto& spec : registry) variant_count += spec.variants.size();
-    variants_.reserve(variant_count);
     for (SyscallId id = 0; id < registry.size(); ++id) {
         const auto& spec = registry[id];
         arg_offset_.push_back(slot);
         slot += spec.args.size();
-        for (const auto& variant : spec.variants)
-            variants_.emplace(variant,
-                              VariantEntry{id, implied_variant_arg(variant)});
+        for (const auto& arg : spec.args) slot_key_.push_back(key_code(arg.key));
+        for (const auto& variant : spec.variants) {
+            Binding& b = names_[variant].binding;
+            b.tracked = true;
+            b.id = id;
+            b.spec = &spec;
+            b.implied = implied_variant_arg(variant);
+            if (b.implied) b.implied_key = key_code(b.implied->name);
+        }
     }
     arg_offset_.push_back(slot);
+    for (const auto& [name, role] : trace::syscall_roles())
+        names_[std::string(name)].binding.role = role;
+}
+
+SyscallTable::KeyCode SyscallTable::key_code(const std::string& key) {
+    NameEntry& entry = names_[key];
+    if (entry.key == kNoKey) {
+        if (next_key_ == kNoKey)
+            throw std::length_error("SyscallTable: too many argument names");
+        entry.key = next_key_++;
+    }
+    return entry.key;
+}
+
+SyscallTable::FileBinding SyscallTable::bind_file(
+    const std::vector<std::string_view>& strings) const {
+    FileBinding out;
+    out.names.reserve(strings.size());
+    out.keys.reserve(strings.size());
+    for (const auto sv : strings) {
+        auto it = names_.find(sv);
+        if (it == names_.end()) {
+            out.names.emplace_back();
+            out.keys.push_back(kNoKey);
+        } else {
+            out.names.push_back(it->second.binding);
+            out.keys.push_back(it->second.key);
+        }
+    }
+    return out;
 }
 
 }  // namespace iocov::core

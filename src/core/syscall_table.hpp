@@ -28,6 +28,7 @@
 
 #include "core/syscall_spec.hpp"
 #include "trace/event.hpp"
+#include "trace/filter.hpp"
 
 namespace iocov::core {
 
@@ -84,40 +85,55 @@ class SyscallTable {
     /// Resolves one event onto its base syscall without copying it;
     /// nullopt for untracked syscalls.  One hash lookup per event.
     std::optional<CanonicalView> resolve(const trace::TraceEvent& event) const {
-        auto it = variants_.find(event.syscall);
-        if (it == variants_.end()) return std::nullopt;
-        const VariantEntry& ve = it->second;
-        return CanonicalView{&(*registry_)[ve.id], ve.id, &event, ve.implied};
+        const Binding b = bind(event.syscall);
+        if (!b.tracked) return std::nullopt;
+        return view(b, event);
     }
 
-    /// A variant name resolved ahead of time.  The binary pipeline
+    /// Code of an argument name the filter or the analyzer reads: the
+    /// filter's three (trace::FilterKey) first, then every tracked and
+    /// implied argument name.  kNoKey marks any other name.
+    using KeyCode = std::uint8_t;
+    static constexpr KeyCode kNoKey = 0xFF;
+
+    /// The code of the key of flat arg slot `slot`.
+    KeyCode slot_key(std::size_t slot) const { return slot_key_[slot]; }
+
+    /// A syscall name resolved ahead of time.  The binary pipeline
     /// interns syscall names in its string table, so it resolves each
-    /// *name* once per trace file (bind) instead of hashing once per
-    /// event (resolve); `tracked == false` marks untracked names.
+    /// *name* once per trace file (bind_file) instead of hashing once
+    /// per event (resolve); `tracked == false` marks untracked names,
+    /// which still carry their filter role.
     struct Binding {
         bool tracked = false;
+        trace::SyscallRole role = trace::SyscallRole::Other;
+        KeyCode implied_key = kNoKey;  ///< code of `implied`'s name
         SyscallId id = 0;
         const SyscallSpec* spec = nullptr;
         const trace::Arg* implied = nullptr;
     };
 
-    Binding bind(std::string_view variant_name) const {
-        auto it = variants_.find(variant_name);
-        if (it == variants_.end()) return {};
-        const VariantEntry& ve = it->second;
-        return {true, ve.id, &(*registry_)[ve.id], ve.implied};
+    Binding bind(std::string_view name) const {
+        auto it = names_.find(name);
+        return it == names_.end() ? Binding{} : it->second.binding;
     }
 
-    /// Dense binding for a whole IOCT string table: out[i] ==
-    /// bind(strings[i]).  The batched decoder then resolves each event
-    /// by plain vector index on its interned name id — zero hashing per
-    /// event.
+    /// One IOCT string table resolved at once: names[i] == bind(strings[i])
+    /// and keys[i] is the code of strings[i] as an argument name.  The
+    /// row loop then resolves a row's syscall and finds its arguments by
+    /// plain vector index on interned ids — zero hashing per event.  A
+    /// code per string, not one id per name, keeps a table that interns
+    /// a string twice exact.
+    struct FileBinding {
+        std::vector<Binding> names;
+        std::vector<KeyCode> keys;
+    };
+    FileBinding bind_file(const std::vector<std::string_view>& strings) const;
+
+    /// bind_file(strings).names.
     std::vector<Binding> bind_all(
         const std::vector<std::string_view>& strings) const {
-        std::vector<Binding> out;
-        out.reserve(strings.size());
-        for (const auto sv : strings) out.push_back(bind(sv));
-        return out;
+        return bind_file(strings).names;
     }
 
     /// The view `resolve(event)` would produce, given the event's name
@@ -130,9 +146,9 @@ class SyscallTable {
     }
 
   private:
-    struct VariantEntry {
-        SyscallId id = 0;
-        const trace::Arg* implied = nullptr;  // static storage
+    struct NameEntry {
+        Binding binding;
+        KeyCode key = kNoKey;
     };
 
     /// Transparent hash so bind() takes string_views (string-table
@@ -144,10 +160,17 @@ class SyscallTable {
         }
     };
 
+    /// The code of argument name `key`, assigned on first use.
+    KeyCode key_code(const std::string& key);
+
     const std::vector<SyscallSpec>* registry_;
-    std::unordered_map<std::string, VariantEntry, NameHash, std::equal_to<>>
-        variants_;
+    /// Every name a binding or key code resolves: variants, role names
+    /// and argument names.
+    std::unordered_map<std::string, NameEntry, NameHash, std::equal_to<>>
+        names_;
     std::vector<std::size_t> arg_offset_;  // base_count() + 1 entries
+    std::vector<KeyCode> slot_key_;        // per flat arg slot
+    KeyCode next_key_ = 0;
 };
 
 }  // namespace iocov::core

@@ -208,6 +208,17 @@ struct BatchArg {
     std::uint64_t raw = 0;
     std::uint32_t name_id = 0;
     ArgType type = ArgType::Int;
+
+    /// The value, its string a view of `strings` (the table it was
+    /// decoded against).
+    ArgView view(const std::vector<std::string_view>& strings) const {
+        switch (type) {
+            case ArgType::Int: return {ArgView::Kind::Int, raw};
+            case ArgType::Uint: return {ArgView::Kind::Uint, raw};
+            case ArgType::Str: break;
+        }
+        return {ArgView::Kind::Str, 0, strings[static_cast<std::size_t>(raw)]};
+    }
 };
 
 /// One decoded event; args live at [arg_begin, arg_begin + arg_count)

@@ -8,11 +8,6 @@ const Arg* TraceEvent::find_arg(std::string_view name) const {
     return nullptr;
 }
 
-std::optional<std::int64_t> TraceEvent::int_arg(std::string_view name) const {
-    const Arg* a = find_arg(name);
-    return a ? int_value(a->value) : std::nullopt;
-}
-
 std::optional<std::string> TraceEvent::str_arg(std::string_view name) const {
     const Arg* a = find_arg(name);
     if (!a) return std::nullopt;

@@ -32,6 +32,38 @@ inline std::optional<std::uint64_t> uint_value(const ArgValue& v) {
     return std::nullopt;
 }
 
+/// A borrowed argument value, or its absence: what the filter and the
+/// analyzer classify.  An ArgValue and a decoded IOCT argument (whose
+/// string stays a view of the string table) project onto it alike.
+struct ArgView {
+    enum class Kind : std::uint8_t { Missing, Int, Uint, Str };
+
+    Kind kind = Kind::Missing;
+    std::uint64_t raw = 0;  ///< the integer's bits (Int, Uint)
+    std::string_view str;   ///< Str only
+
+    ArgView() = default;
+    ArgView(Kind k, std::uint64_t bits, std::string_view s = {})
+        : kind(k), raw(bits), str(s) {}
+    ArgView(const ArgValue& v) {  // NOLINT: an ArgValue views as itself
+        if (const auto* i = std::get_if<std::int64_t>(&v))
+            *this = {Kind::Int, static_cast<std::uint64_t>(*i)};
+        else if (const auto* u = std::get_if<std::uint64_t>(&v))
+            *this = {Kind::Uint, *u};
+        else
+            *this = {Kind::Str, 0, std::get<std::string>(v)};
+    }
+
+    explicit operator bool() const { return kind != Kind::Missing; }
+
+    /// int_value() of the viewed value; nullopt for a string or none.
+    std::optional<std::int64_t> int_value() const {
+        if (kind == Kind::Int || kind == Kind::Uint)
+            return static_cast<std::int64_t>(raw);
+        return std::nullopt;
+    }
+};
+
 struct Arg {
     std::string name;
     ArgValue value;
@@ -53,10 +85,8 @@ struct TraceEvent {
     /// Argument lookup by name; nullopt if the syscall has no such arg.
     const Arg* find_arg(std::string_view name) const;
 
-    /// Typed accessors; nullopt when missing or of a different type
-    /// (an unsigned value reads as signed; uint_value() reads either
-    /// kind of integer as unsigned).
-    std::optional<std::int64_t> int_arg(std::string_view name) const;
+    /// The string argument `name`; nullopt when missing or not a
+    /// string (int_value()/uint_value() read an integer argument).
     std::optional<std::string> str_arg(std::string_view name) const;
 
     friend bool operator==(const TraceEvent&, const TraceEvent&) = default;

@@ -7,14 +7,22 @@
 // textually, so the filter is stateful: it watches fds returned by admitted
 // open-family calls and admits subsequent fd-based calls on those fds.
 // This mirrors how one reconstructs fd provenance from an LTTng trace.
+//
+// The admit logic reads one small projection of a call, FilterCall.  A
+// TraceEvent projects onto it by argument name; a decoded IOCT row
+// projects onto it by comparing interned name codes, with the role of
+// its syscall resolved once per trace file (core/syscall_table).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "trace/binary_format.hpp"
 #include "trace/event.hpp"
 
 namespace iocov::trace {
@@ -34,14 +42,70 @@ struct FilterConfig {
     static FilterConfig mount_point(const std::string& mount);
 };
 
+/// What a syscall does to the filter's per-pid state.
+enum class SyscallRole : std::uint8_t {
+    Other,   ///< reads state only
+    Open,    ///< open family: a successful in-scope call watches its fd
+    Chdir,   ///< sets the cwd scope from its pathname
+    Fchdir,  ///< sets the cwd scope from a watched fd
+    Close,   ///< unwatches its fd
+};
+
+/// Every syscall name with a role other than Other.
+std::span<const std::pair<std::string_view, SyscallRole>> syscall_roles();
+SyscallRole syscall_role(std::string_view name);
+
+/// Codes of the three argument names the filter reads.  A row's
+/// arguments carry interned name ids; a per-file table maps each id to
+/// its name's code (core::SyscallTable::bind_file assigns these).
+enum FilterKey : std::uint8_t { kPathnameKey = 0, kDfdKey = 1, kFdKey = 2 };
+
+/// The part of one call the filter reads: pid, role, return value and
+/// the first argument named pathname, dfd and fd (Missing when absent).
+struct FilterCall {
+    std::uint32_t pid = 0;
+    SyscallRole role = SyscallRole::Other;
+    std::int64_t ret = 0;
+    ArgView pathname, dfd, fd;
+
+    /// Projection by argument name.
+    static FilterCall of(const TraceEvent& event);
+
+    /// Projection of one decoded row: `role` is its syscall's, and
+    /// `keys[id]` is the code of string id's name.
+    static FilterCall of(const EventBatch& batch, const BatchRow& row,
+                         const std::vector<std::string_view>& strings,
+                         SyscallRole role, const std::uint8_t* keys) {
+        FilterCall call;
+        call.pid = row.pid;
+        call.role = role;
+        call.ret = row.ret;
+        const BatchArg* args = batch.args.data() + row.arg_begin;
+        for (std::uint32_t i = 0; i < row.arg_count; ++i) {
+            ArgView* slot = nullptr;
+            switch (keys[args[i].name_id]) {
+                case kPathnameKey: slot = &call.pathname; break;
+                case kDfdKey: slot = &call.dfd; break;
+                case kFdKey: slot = &call.fd; break;
+                default: continue;
+            }
+            if (!*slot) *slot = args[i].view(strings);
+        }
+        return call;
+    }
+};
+
 class TraceFilter {
   public:
     explicit TraceFilter(const FilterConfig& config);
 
-    /// Decides whether `event` targets the file system under test,
-    /// updating fd-watch state as a side effect.  Events must be fed in
+    /// Decides whether `call` targets the file system under test,
+    /// updating fd-watch state as a side effect.  Calls must be fed in
     /// trace order (fd admission depends on the preceding opens).
-    bool admit(const TraceEvent& event);
+    bool admit(const FilterCall& call);
+
+    /// admit(FilterCall::of(event)).
+    bool admit(const TraceEvent& event) { return admit(FilterCall::of(event)); }
 
     /// Convenience: runs admit() over a whole trace, returning the kept
     /// events. Resets state first so a filter can be reused.
@@ -70,20 +134,37 @@ class TraceFilter {
             auto it = std::lower_bound(fds_.begin(), fds_.end(), fd);
             if (it != fds_.end() && *it == fd) fds_.erase(it);
         }
-        std::size_t size() const { return fds_.size(); }
 
       private:
         std::vector<std::int64_t> fds_;
     };
 
-    bool path_in_scope(const std::string& path) const;
+    /// What the filter knows about one pid: the fds it opened within
+    /// the mount point, and whether its cwd is inside it (tracked via
+    /// chdir/fchdir so relative paths resolve correctly).
+    struct PidState {
+        std::uint32_t pid = 0;
+        bool cwd_in_scope = false;
+        FdSet watched;
+    };
+
+    /// The state of `pid`, or nullptr: a pid gets an entry only once it
+    /// has state.
+    PidState* find(std::uint32_t pid);
+    PidState& find_or_add(std::uint32_t pid);
+
+    bool path_in_scope(std::string_view path) const;
 
     FilterConfig config_;
-    /// pid -> set of fds opened within the mount point.
-    std::map<std::uint32_t, FdSet> watched_;
-    /// pid -> whether its cwd is inside the mount point (tracked via
-    /// chdir/fchdir so relative paths resolve correctly).
-    std::map<std::uint32_t, bool> cwd_in_scope_;
+    /// One flat table of the pids that have state.  Pids come from
+    /// untrusted files, so nothing is sized or indexed by a pid value:
+    /// `slots_` is an open-addressing hash index (power-of-two size,
+    /// at most half full) of positions in `pids_` plus one, 0 = empty.
+    /// Traces interleave a handful of pids, so the last hit is checked
+    /// first.
+    std::vector<PidState> pids_;
+    std::vector<std::uint32_t> slots_;
+    std::size_t last_ = 0;
 };
 
 }  // namespace iocov::trace

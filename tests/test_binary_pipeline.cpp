@@ -5,6 +5,8 @@
 // so both representations describe the exact same event stream.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -15,11 +17,13 @@
 #include "abi/fcntl.hpp"
 #include "abi/seek.hpp"
 #include "core/iocov.hpp"
+#include "exec/alloc_hook.hpp"
 #include "syscall/kernel.hpp"
 #include "syscall/process.hpp"
 #include "testers/fixtures.hpp"
 #include "testers/generator.hpp"
 #include "trace/binary_format.hpp"
+#include "trace/detail/wire.hpp"
 #include "trace/sink.hpp"
 #include "vfs/filesystem.hpp"
 
@@ -186,6 +190,179 @@ TEST(BinaryPipeline, MmappedFileMatchesInMemoryBuffer) {
 
     EXPECT_FALSE(
         IOCov(config).consume_binary_file("/no/such/file").has_value());
+}
+
+// ---- the row loop on forged input -------------------------------------------
+
+/// Calls of `n_pids` processes, interleaved round-robin so consecutive
+/// events never share a pid: pids 0 and UINT32_MAX, then pids spread
+/// over the whole u32 range.  Each process gains filter state (an fd
+/// opened in scope, its cwd moved into the mount) and uses it.
+std::vector<trace::TraceEvent> forged_pid_events(std::size_t n_pids) {
+    std::vector<std::uint32_t> pids = {0u, UINT32_MAX};
+    for (std::uint32_t i = 1; pids.size() < n_pids; ++i)
+        pids.push_back(i * 2654435761u);
+    const std::int64_t at_fdcwd = abi::AT_FDCWD;
+    std::vector<trace::TraceEvent> out;
+    for (int step = 0; step < 7; ++step) {
+        for (const std::uint32_t pid : pids) {
+            trace::TraceEvent ev;
+            ev.seq = out.size();
+            ev.pid = ev.tid = pid;
+            const std::string mine = "/mnt/test/p" + std::to_string(pid);
+            const auto fd = static_cast<std::int64_t>(3 + pid % 5);
+            switch (step) {
+                case 0:
+                    ev.syscall = "openat";
+                    ev.args = {{"dfd", at_fdcwd},
+                               {"pathname", mine},
+                               {"flags", std::uint64_t{abi::O_RDWR |
+                                                       abi::O_CREAT}},
+                               {"mode", std::uint64_t{0644}}};
+                    ev.ret = fd;
+                    break;
+                case 1:
+                    ev.syscall = "write";
+                    ev.args = {{"fd", fd},
+                               {"count", std::uint64_t{1} << (pid % 20)}};
+                    ev.ret = static_cast<std::int64_t>(1u << (pid % 20));
+                    break;
+                case 2:
+                    ev.syscall = "chdir";
+                    ev.args = {{"pathname", std::string(pid % 3 ? "/mnt/test"
+                                                                : "/tmp")}};
+                    break;
+                case 3:
+                    ev.syscall = "creat";
+                    ev.args = {{"pathname", "rel" + std::to_string(pid % 7)},
+                               {"mode", std::uint64_t{0600}}};
+                    ev.ret = pid % 4 ? fd + 1 : -13;
+                    break;
+                case 4:
+                    ev.syscall = "lseek";
+                    ev.args = {{"fd", fd + 1},
+                               {"offset", std::int64_t{-1} * (pid % 2)},
+                               {"whence", std::int64_t{pid % 5}}};
+                    ev.ret = pid % 2 ? -22 : 0;
+                    break;
+                case 5:
+                    ev.syscall = "fchdir";
+                    ev.args = {{"fd", fd}};
+                    break;
+                default:
+                    ev.syscall = "close";
+                    ev.args = {{"fd", fd}};
+                    break;
+            }
+            out.push_back(std::move(ev));
+        }
+    }
+    return out;
+}
+
+/// `events` as an IOCT file whose string table interns nothing: every
+/// syscall name, argument name and string value gets a STR record of
+/// its own, so one name has many ids.  No footer (it is optional).
+std::string forged_ioct(const std::vector<trace::TraceEvent>& events) {
+    using trace::detail::put_varint;
+    std::string out = trace::ioct_header();
+    std::uint64_t next_id = 0;
+    auto str = [&](std::string_view s) {
+        std::string payload(1, static_cast<char>(trace::detail::kStrTag));
+        payload += s;
+        trace::detail::put_record(out, payload);
+        return next_id++;
+    };
+    for (const auto& ev : events) {
+        std::string payload(1, static_cast<char>(trace::IoctTag::Event));
+        put_varint(payload, ev.seq);
+        put_varint(payload, ev.pid);
+        put_varint(payload, ev.tid);
+        put_varint(payload, str(ev.syscall));
+        put_varint(payload, trace::detail::zigzag64(ev.ret));
+        put_varint(payload, ev.args.size());
+        for (const auto& arg : ev.args) {
+            put_varint(payload, str(arg.name));
+            if (const auto* i = std::get_if<std::int64_t>(&arg.value)) {
+                payload.push_back(static_cast<char>(trace::ArgType::Int));
+                put_varint(payload, trace::detail::zigzag64(*i));
+            } else if (const auto* u =
+                           std::get_if<std::uint64_t>(&arg.value)) {
+                payload.push_back(static_cast<char>(trace::ArgType::Uint));
+                put_varint(payload, *u);
+            } else {
+                payload.push_back(static_cast<char>(trace::ArgType::Str));
+                put_varint(payload, str(std::get<std::string>(arg.value)));
+            }
+        }
+        trace::detail::put_record(out, payload);
+    }
+    return out;
+}
+
+long max_rss_kib() {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_maxrss;
+}
+
+TEST(BinaryPipeline, ForgedPidsIngestWithBoundedMemory) {
+    constexpr std::size_t kPids = 5000;
+    const auto bytes = trace::encode_trace(forged_pid_events(kPids));
+    const auto config = trace::FilterConfig::mount_point("/mnt/test");
+    const long rss0 = max_rss_kib();
+    const std::uint64_t allocs0 = exec::thread_allocation_count();
+    IOCov iocov(config);
+    EXPECT_EQ(iocov.consume_binary(bytes), 0u);
+    const std::uint64_t allocs = exec::thread_allocation_count() - allocs0;
+    // Every process was tracked: its opens, writes and closes counted.
+    EXPECT_EQ(iocov.report().find_output("close")->hist.total(), kPids);
+    EXPECT_GT(iocov.events_filtered_out(), 0u);
+    // Filter state costs a few allocations per pid that has state, and
+    // nothing is sized by a pid value (UINT32_MAX among them).
+    if (exec::has_allocation_counting()) {
+        EXPECT_LT(allocs, 8 * kPids);
+    }
+    EXPECT_LT(max_rss_kib() - rss0, 64L * 1024) << "KiB";
+}
+
+TEST(BinaryPipeline, ForgedPidsMatchDecodedEvents) {
+    const auto events = forged_pid_events(3000);
+    const auto config = trace::FilterConfig::mount_point("/mnt/test");
+    IOCov reference(config);
+    reference.consume_all(events);
+    ASSERT_GT(reference.report().events_tracked, 0u);
+    for (const auto& bytes : {trace::encode_trace(events),
+                              forged_ioct(events)}) {
+        std::size_t dropped = 1;
+        IOCov decoded(config);
+        decoded.consume_all(trace::decode_trace(bytes, &dropped));
+        EXPECT_EQ(dropped, 0u);
+        IOCov serial(config), sharded(config);
+        EXPECT_EQ(serial.consume_binary(bytes), 0u);
+        EXPECT_EQ(sharded.consume_binary_parallel(bytes, 3), 0u);
+        for (const IOCov* run : {&decoded, &serial, &sharded}) {
+            EXPECT_EQ(run->report(), reference.report());
+            EXPECT_EQ(run->events_filtered_out(),
+                      reference.events_filtered_out());
+        }
+    }
+}
+
+TEST(BinaryPipeline, SecondPassOverTheSameBufferAllocatesNothing) {
+    if (!exec::has_allocation_counting())
+        GTEST_SKIP() << "allocation hook compiled out (sanitizer build)";
+    const auto config = trace::FilterConfig::mount_point("/mnt/test");
+    for (const auto& bytes :
+         {twin_traces(20000).binary,
+          trace::encode_trace(forged_pid_events(500))}) {
+        IOCov iocov(config);
+        iocov.consume_binary(bytes);
+        const std::uint64_t warm = iocov.hot_loop_allocs();
+        iocov.consume_binary(bytes);
+        EXPECT_EQ(iocov.hot_loop_allocs(), warm);
+        EXPECT_EQ(iocov.report().events_seen % 2, 0u);
+    }
 }
 
 }  // namespace

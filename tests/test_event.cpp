@@ -26,10 +26,9 @@ TEST(TraceEvent, FindArgByName) {
 
 TEST(TraceEvent, TypedAccessors) {
     const auto ev = sample();
-    EXPECT_EQ(*ev.int_arg("i"), -7);
+    EXPECT_EQ(*int_value(ev.find_arg("i")->value), -7);
     EXPECT_EQ(*uint_value(ev.find_arg("u")->value), 42u);
     EXPECT_EQ(*ev.str_arg("s"), "hello");
-    EXPECT_FALSE(ev.int_arg("missing").has_value());
     EXPECT_FALSE(ev.str_arg("missing").has_value());
 }
 
@@ -39,9 +38,9 @@ TEST(TraceEvent, SignedUnsignedInterconvert) {
     EXPECT_EQ(*uint_value(ev.find_arg("i")->value),
               static_cast<std::uint64_t>(-7));
     // uint stored, int requested.
-    EXPECT_EQ(*ev.int_arg("u"), 42);
+    EXPECT_EQ(*int_value(ev.find_arg("u")->value), 42);
     // string never converts to a number.
-    EXPECT_FALSE(ev.int_arg("s").has_value());
+    EXPECT_FALSE(int_value(ev.find_arg("s")->value).has_value());
     EXPECT_FALSE(uint_value(ev.find_arg("s")->value).has_value());
 }
 

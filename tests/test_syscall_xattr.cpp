@@ -165,9 +165,11 @@ TEST_F(XattrTest, TraceRecordsSizeAndFlags) {
     user_.sys_setxattr(path_.c_str(), "user.t", value(123), XATTR_CREATE_);
     user_.sys_getxattr(path_.c_str(), "user.t", 4096);
     ASSERT_EQ(buffer_.size(), 2u);
-    EXPECT_EQ(*trace::uint_value(buffer_.events()[0].find_arg("size")->value), 123u);
-    EXPECT_EQ(*buffer_.events()[0].int_arg("flags"), XATTR_CREATE_);
-    EXPECT_EQ(*trace::uint_value(buffer_.events()[1].find_arg("size")->value), 4096u);
+    const auto& events = buffer_.events();
+    EXPECT_EQ(*trace::uint_value(events[0].find_arg("size")->value), 123u);
+    EXPECT_EQ(*trace::int_value(events[0].find_arg("flags")->value),
+              XATTR_CREATE_);
+    EXPECT_EQ(*trace::uint_value(events[1].find_arg("size")->value), 4096u);
     EXPECT_EQ(buffer_.events()[1].ret, 123);
 }
 

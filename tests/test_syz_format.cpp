@@ -23,7 +23,8 @@ TEST(SyzParser, ParsesOpenatWithResultBinding) {
         &resources);
     ASSERT_TRUE(ev.has_value());
     EXPECT_EQ(ev->syscall, "openat");
-    EXPECT_EQ(*ev->int_arg("dfd"), abi::AT_FDCWD);  // 0xff..9c wraps to -100
+    // 0xff..9c wraps to -100.
+    EXPECT_EQ(*int_value(ev->find_arg("dfd")->value), abi::AT_FDCWD);
     EXPECT_EQ(*ev->str_arg("pathname"), "./file0");
     EXPECT_EQ(*uint_value(ev->find_arg("flags")->value), 0x42u);
     EXPECT_EQ(*uint_value(ev->find_arg("mode")->value), 0x1ffu);
@@ -38,11 +39,12 @@ TEST(SyzParser, ResourceReferencesBecomeFds) {
     auto write = parse_syz_line("write(r0, &(0x7f0000000040), 0x1000)",
                                 &resources);
     ASSERT_TRUE(write.has_value());
-    EXPECT_EQ(*write->int_arg("fd"), 3);  // first resource -> fd 3
+    // First resource -> fd 3.
+    EXPECT_EQ(*int_value(write->find_arg("fd")->value), 3);
     EXPECT_EQ(*uint_value(write->find_arg("count")->value), 0x1000u);
     auto close = parse_syz_line("close(r0)", &resources);
     ASSERT_TRUE(close.has_value());
-    EXPECT_EQ(*close->int_arg("fd"), 3);
+    EXPECT_EQ(*int_value(close->find_arg("fd")->value), 3);
 }
 
 TEST(SyzParser, SecondResourceGetsNextFd) {
@@ -53,7 +55,7 @@ TEST(SyzParser, SecondResourceGetsNextFd) {
                    &resources);
     auto ev = parse_syz_line("ftruncate(r1, 0x100)", &resources);
     ASSERT_TRUE(ev.has_value());
-    EXPECT_EQ(*ev->int_arg("fd"), 4);
+    EXPECT_EQ(*int_value(ev->find_arg("fd")->value), 4);
 }
 
 TEST(SyzParser, NilPointerBecomesFaultingPath) {
@@ -90,8 +92,8 @@ TEST(SyzParser, StringEscapesAndNulPadding) {
 TEST(SyzParser, AutoConstantsAndDecimalNumbers) {
     auto ev = parse_one("lseek(0x3, 512, AUTO)");
     ASSERT_TRUE(ev.has_value());
-    EXPECT_EQ(*ev->int_arg("offset"), 512);
-    EXPECT_EQ(*ev->int_arg("whence"), 0);
+    EXPECT_EQ(*int_value(ev->find_arg("offset")->value), 512);
+    EXPECT_EQ(*int_value(ev->find_arg("whence")->value), 0);
 }
 
 TEST(SyzParser, SkipsCommentsBlanksAndUnknownSyscalls) {
