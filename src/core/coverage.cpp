@@ -120,7 +120,8 @@ void Analyzer::consume(const trace::TraceEvent& event,
     consume_bound(binding, event.ret, [&](std::size_t i, std::size_t) {
         // Args arrive in prototype order, so position i is the first
         // place to look.
-        const trace::ArgValue* v = view.find_hinted(view.spec->args[i].key, i);
+        const trace::ArgValue* v =
+            view.find_hinted(view.spec->args[i].key, i);
         return v ? trace::ArgView(*v) : trace::ArgView();
     });
 }
@@ -131,7 +132,7 @@ void Analyzer::consume(const trace::EventBatch& batch,
                        const SyscallTable::FileBinding& file) {
     const SyscallTable::Binding& binding = file.names[row.name_id];
     const trace::BatchArg* args = batch.args.data() + row.arg_begin;
-    const auto key_of = [&](std::uint32_t a) {
+    const auto key_of = [&](std::size_t a) {
         return file.keys[args[a].name_id];
     };
     consume_bound(binding, row.ret, [&](std::size_t i, std::size_t slot) {
@@ -139,9 +140,9 @@ void Analyzer::consume(const trace::EventBatch& batch,
         // first, then the first argument of that name, then the
         // variant's implied argument.
         const SyscallTable::KeyCode want = schema_->table().slot_key(slot);
-        if (i < row.arg_count && key_of(static_cast<std::uint32_t>(i)) == want)
+        if (i < row.arg_count && key_of(i) == want)
             return args[i].view(strings);
-        for (std::uint32_t a = 0; a < row.arg_count; ++a)
+        for (std::size_t a = 0; a < row.arg_count; ++a)
             if (key_of(a) == want) return args[a].view(strings);
         if (binding.implied && binding.implied_key == want)
             return trace::ArgView(binding.implied->value);

@@ -35,7 +35,8 @@ SyscallTable::SyscallTable(const std::vector<SyscallSpec>& registry)
         const auto& spec = registry[id];
         arg_offset_.push_back(slot);
         slot += spec.args.size();
-        for (const auto& arg : spec.args) slot_key_.push_back(key_code(arg.key));
+        for (const auto& arg : spec.args)
+            slot_key_.push_back(key_code(arg.key));
         for (const auto& variant : spec.variants) {
             Binding& b = names_[variant].binding;
             b.tracked = true;

@@ -130,7 +130,8 @@ class SyscallTable {
     };
     FileBinding bind_file(const std::vector<std::string_view>& strings) const;
 
-    /// bind_file(strings).names.
+    /// bind_file(strings).names: the bindings alone, for callers that
+    /// look arguments up by name (perfbench's traced replay).
     std::vector<Binding> bind_all(
         const std::vector<std::string_view>& strings) const {
         return bind_file(strings).names;
