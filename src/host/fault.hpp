@@ -2,12 +2,27 @@
 //
 // vfs/fault.hpp injects errnos into the *simulated* file system so
 // testers can cover hard-to-reach error outputs.  FaultHook does the
-// same to iocov's own host I/O: every primitive in host/io.cpp (and the
-// MappedFile read path) consults it before touching the kernel, so a
-// chaos harness can make the tool's own writes fail with ENOSPC/EIO,
-// come up short, get interrupted with EINTR, or SIGKILL the process at
-// an exact operation — and then assert the durability oracle on what
-// is left on disk.
+// same to iocov's own host I/O, so a chaos harness can make the tool's
+// own writes fail with ENOSPC/EIO, come up short, get interrupted with
+// EINTR, or SIGKILL the process at an exact operation — and then assert
+// the durability oracle on what is left on disk.
+//
+// Every host syscall iocov makes on its own files and sockets goes
+// through one primitive pair at the bottom of this header:
+//
+//   hooked(phase, call)                    one attempt: count the op
+//                                          under `phase`, fail it with
+//                                          an injected errno, otherwise
+//                                          run call(action)
+//   retried(phase, policy, retries, call)  hooked() plus the bounded
+//                                          transient-errno loop with
+//                                          Backoff under RetryPolicy
+//
+// The call receives the armed Action and applies the clauses that
+// belong to its syscall (a shortened write, an eof read, the torn-write
+// kill); everything else about injection and retry lives here once.
+// host/io.cpp (AtomicWriter, write_fd, read_fd), MappedFile::open and
+// the serve daemon's accept/recv/send are the callers.
 //
 // Configuration is process-global (host I/O is a process-wide
 // resource): the `IOCOV_SELF_FAULT` environment variable or the hidden
@@ -43,6 +58,7 @@
 // single relaxed atomic load.
 #pragma once
 
+#include <cerrno>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -59,8 +75,6 @@ class FaultHook {
     /// perform.  Fields compose: a kill action overrides the rest.
     struct Action {
         int inject_errno = 0;  ///< fail with this errno (0 = no fault)
-        /// Clamp a write/read to this many bytes (SIZE_MAX = no clamp).
-        std::size_t clamp_bytes = SIZE_MAX;
         bool shorten = false;  ///< halve this write (short-write clause)
         bool eof = false;   ///< make read() return 0 ("file shrank")
         bool kill = false;  ///< raise(SIGKILL) — before the op, or ...
@@ -104,5 +118,46 @@ class FaultHook {
 
 /// Parses a symbolic ("ENOSPC") or decimal errno; 0 on failure.
 int parse_errno_name(std::string_view name);
+
+// ---- the one hooked syscall ------------------------------------------------
+
+/// One attempt of a host syscall.  While a self-fault run is active the
+/// op is counted under `phase`, and an armed errno fails it (errno set,
+/// -1 returned) without calling the kernel — unless an eof or a torn-
+/// write kill fired on the same op: those outrank the errno and are the
+/// call's to apply.  Otherwise returns `call(action)`, which makes the
+/// syscall and returns its result (-1 with errno set on failure).
+template <class Call>
+auto hooked(IoPhase phase, Call&& call) {
+    FaultHook::Action action;
+    if (FaultHook::active()) {
+        action = FaultHook::consult(phase);
+        if (action.inject_errno && !action.eof && !action.kill) {
+            errno = action.inject_errno;
+            return decltype(call(action)){-1};
+        }
+    }
+    return call(action);
+}
+
+/// hooked() in a loop: an attempt that fails with a transient errno
+/// (EINTR, EAGAIN) is retried after a Backoff wait until one succeeds,
+/// one fails otherwise, or `retries` reaches `policy.max_retries`.
+/// `retries` is the caller's count: the full-write and full-read loops
+/// pass the same one to every chunk's call, so the bound covers the
+/// whole operation.  Returns the last attempt's result.
+template <class Call>
+auto retried(IoPhase phase, const RetryPolicy& policy, unsigned& retries,
+             Call&& call) {
+    Backoff backoff(policy);
+    for (;;) {
+        const auto rc = hooked(phase, call);
+        if (rc >= 0 || !transient_errno(errno) ||
+            retries >= policy.max_retries)
+            return rc;
+        ++retries;
+        backoff.wait(errno);
+    }
+}
 
 }  // namespace iocov::host

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <utility>
 
 #include "host/fault.hpp"
 
@@ -24,26 +25,6 @@ constexpr std::string_view kPhaseNames[] = {
     "accept",      "sock-read", "sock-write",
 };
 
-/// Exponential backoff state for one logical operation.  EINTR retries
-/// immediately (the op was interrupted, not refused); everything else
-/// transient sleeps, doubling up to the cap.
-struct Backoff {
-    explicit Backoff(const RetryPolicy& p)
-        : policy(p), next_us(p.backoff_initial_us) {}
-
-    void wait(int err) {
-        if (err == EINTR || next_us == 0) return;
-        timespec ts{next_us / 1'000'000,
-                    static_cast<long>(next_us % 1'000'000) * 1000};
-        ::nanosleep(&ts, nullptr);
-        if (next_us < policy.backoff_cap_us)
-            next_us = std::min(policy.backoff_cap_us, next_us * 2);
-    }
-
-    const RetryPolicy& policy;
-    std::uint32_t next_us;
-};
-
 /// Splits "dir/name" into the directory that must be fsync'd after a
 /// rename in it ("." for a bare name).
 std::string parent_dir(const std::string& path) {
@@ -51,45 +32,6 @@ std::string parent_dir(const std::string& path) {
     if (slash == std::string::npos) return ".";
     if (slash == 0) return "/";
     return path.substr(0, slash);
-}
-
-/// open() with fault consultation and EINTR retry.
-int open_retry(const char* path, int flags, unsigned mode, IoPhase phase,
-               const RetryPolicy& policy, unsigned& retries) {
-    Backoff backoff(policy);
-    for (;;) {
-        int injected = 0;
-        if (FaultHook::active())
-            injected = FaultHook::consult(phase).inject_errno;
-        const int fd = injected
-                           ? (errno = injected, -1)
-                           : ::open(path, flags,
-                                    static_cast<mode_t>(mode));
-        if (fd >= 0) return fd;
-        if (!transient_errno(errno) || retries >= policy.max_retries)
-            return -1;
-        ++retries;
-        backoff.wait(errno);
-    }
-}
-
-/// fsync() with fault consultation and transient retry.
-bool fsync_retry(int fd, IoPhase phase, const RetryPolicy& policy,
-                 unsigned& retries) {
-    Backoff backoff(policy);
-    for (;;) {
-        int injected = 0;
-        if (FaultHook::active()) {
-            const auto a = FaultHook::consult(phase);
-            injected = a.inject_errno;
-        }
-        const int rc = injected ? (errno = injected, -1) : ::fsync(fd);
-        if (rc == 0) return true;
-        if (!transient_errno(errno) || retries >= policy.max_retries)
-            return false;
-        ++retries;
-        backoff.wait(errno);
-    }
 }
 
 }  // namespace
@@ -127,6 +69,15 @@ bool transient_errno(int err) {
            || err == EWOULDBLOCK
 #endif
         ;  // NOLINT(whitespace/semicolon)
+}
+
+void Backoff::wait(int err) {
+    if (err == EINTR || next_us == 0) return;
+    timespec ts{next_us / 1'000'000,
+                static_cast<long>(next_us % 1'000'000) * 1000};
+    ::nanosleep(&ts, nullptr);
+    if (next_us < policy.backoff_cap_us)
+        next_us = std::min(policy.backoff_cap_us, next_us * 2);
 }
 
 RetryPolicy RetryPolicy::standard() {
@@ -171,10 +122,13 @@ IoStatus AtomicWriter::open(std::string path, WriteOptions opts) {
         temp_path_ = dir + "." + base + ".tmp." +
                      std::to_string(static_cast<unsigned long>(::getpid())) +
                      (attempt ? "." + std::to_string(attempt) : std::string());
-        fd_ = open_retry(temp_path_.c_str(),
-                         O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
-                         opts_.mode, IoPhase::TempCreate, opts_.retry,
-                         retries);
+        fd_ = retried(IoPhase::TempCreate, opts_.retry, retries,
+                      [&](const FaultHook::Action&) {
+                          return ::open(temp_path_.c_str(),
+                                        O_WRONLY | O_CREAT | O_EXCL |
+                                            O_CLOEXEC,
+                                        static_cast<mode_t>(opts_.mode));
+                      });
         if (fd_ >= 0) return std::nullopt;
         if (errno != EEXIST) break;
     }
@@ -185,118 +139,63 @@ IoStatus AtomicWriter::open(std::string path, WriteOptions opts) {
 
 IoStatus AtomicWriter::write(std::string_view bytes) {
     if (fd_ < 0) return fail(IoPhase::Write, EBADF);
-    std::size_t done = 0;
-    unsigned retries = 0;
-    Backoff backoff(opts_.retry);
-    while (done < bytes.size()) {
-        std::size_t want = bytes.size() - done;
-        int injected = 0;
-        if (FaultHook::active()) {
-            const auto a = FaultHook::consult(IoPhase::Write);
-            if (a.kill) {
-                // Torn host write: persist the prefix, then die exactly
-                // here — the chaos oracle must still find a complete
-                // artifact at the destination.
-                const std::size_t pre = std::min(a.kill_after_bytes, want);
-                if (pre > 0) {
-                    [[maybe_unused]] const ssize_t n =
-                        ::write(fd_, bytes.data() + done, pre);
-                }
-                ::raise(SIGKILL);
-            }
-            injected = a.inject_errno;
-            if (a.shorten && want > 1) want = std::max<std::size_t>(1,
-                                                                    want / 2);
-            want = std::min(want, a.clamp_bytes);
-        }
-        const ssize_t n = injected
-                              ? (errno = injected, ssize_t{-1})
-                              : ::write(fd_, bytes.data() + done, want);
-        if (n > 0) {
-            if (FaultHook::active())
-                FaultHook::note_write_bytes(static_cast<std::uint64_t>(n));
-            done += static_cast<std::size_t>(n);
-            continue;
-        }
-        const int err = n == 0 ? 0 : errno;
-        if (transient_errno(err) && retries < opts_.retry.max_retries) {
-            ++retries;
-            backoff.wait(err);
-            continue;
-        }
-        if (n == 0) {
-            // write() returning 0 for a nonzero count: either a fault
-            // hook EOF or a pathological fs.  Bounded like any other
-            // non-progress condition.
-            if (retries < opts_.retry.max_retries) {
-                ++retries;
-                continue;
-            }
-            return fail(IoPhase::Write, ENOSPC, retries);
-        }
-        return fail(IoPhase::Write, err, retries);
-    }
-    return std::nullopt;
+    auto e = write_fd(fd_, bytes, IoPhase::Write, opts_.retry, path_,
+                      /*zero_is_enospc=*/true);
+    if (e) abort();
+    return e;
 }
 
 IoStatus AtomicWriter::commit() {
     if (fd_ < 0) return fail(IoPhase::Sync, EBADF);
     unsigned retries = 0;
     if (opts_.durable &&
-        !fsync_retry(fd_, IoPhase::Sync, opts_.retry, retries))
+        retried(IoPhase::Sync, opts_.retry, retries,
+                [&](const FaultHook::Action&) { return ::fsync(fd_); }) != 0)
         return fail(IoPhase::Sync, errno, retries);
     {
-        int injected = 0;
-        if (FaultHook::active())
-            injected = FaultHook::consult(IoPhase::Close).inject_errno;
         // close() EINTR is treated as success: POSIX leaves the fd state
         // unspecified and Linux always releases it — retrying risks
-        // closing someone else's fd.
-        const int rc = injected && injected != EINTR
-                           ? (errno = injected, -1)
-                           : ::close(fd_);
-        fd_ = -1;
-        if (rc != 0 && errno != EINTR)
-            return fail(IoPhase::Close, errno);
-    }
-    {
-        Backoff backoff(opts_.retry);
-        retries = 0;
-        for (;;) {
-            int injected = 0;
-            if (FaultHook::active())
-                injected = FaultHook::consult(IoPhase::Rename).inject_errno;
-            const int rc = injected
-                               ? (errno = injected, -1)
-                               : ::rename(temp_path_.c_str(), path_.c_str());
-            if (rc == 0) break;
-            if (!transient_errno(errno) ||
-                retries >= opts_.retry.max_retries)
-                return fail(IoPhase::Rename, errno, retries);
-            ++retries;
-            backoff.wait(errno);
+        // closing someone else's fd.  An injected EINTR releases it too.
+        const int fd = std::exchange(fd_, -1);
+        bool called = false;
+        if (hooked(IoPhase::Close, [&](const FaultHook::Action&) {
+                called = true;
+                return ::close(fd);
+            }) != 0) {
+            const int err = errno;
+            if (err != EINTR) return fail(IoPhase::Close, err);
+            if (!called) ::close(fd);
         }
     }
+    retries = 0;
+    if (retried(IoPhase::Rename, opts_.retry, retries,
+                [&](const FaultHook::Action&) {
+                    return ::rename(temp_path_.c_str(), path_.c_str());
+                }) != 0)
+        return fail(IoPhase::Rename, errno, retries);
     // The rename has happened: from here on the destination holds the
     // new complete artifact, so failures are reported (durability of
     // the rename is not yet guaranteed) without rolling anything back.
     committed_ = true;
     temp_path_.clear();
     if (opts_.durable) {
+        const std::string dir = parent_dir(path_);
         retries = 0;
-        const int dfd = open_retry(parent_dir(path_).c_str(),
-                                   O_RDONLY | O_DIRECTORY | O_CLOEXEC, 0,
-                                   IoPhase::DirOpen, opts_.retry, retries);
-        if (dfd < 0) {
-            IoError e{IoPhase::DirOpen, errno, path_, retries};
-            return e;
-        }
+        const int dfd = retried(IoPhase::DirOpen, opts_.retry, retries,
+                                [&](const FaultHook::Action&) {
+                                    return ::open(dir.c_str(),
+                                                  O_RDONLY | O_DIRECTORY |
+                                                      O_CLOEXEC);
+                                });
+        if (dfd < 0) return IoError{IoPhase::DirOpen, errno, path_, retries};
         retries = 0;
-        const bool synced =
-            fsync_retry(dfd, IoPhase::DirSync, opts_.retry, retries);
+        const int rc = retried(IoPhase::DirSync, opts_.retry, retries,
+                               [&](const FaultHook::Action&) {
+                                   return ::fsync(dfd);
+                               });
         const int err = errno;
         ::close(dfd);
-        if (!synced) return IoError{IoPhase::DirSync, err, path_, retries};
+        if (rc != 0) return IoError{IoPhase::DirSync, err, path_, retries};
     }
     return std::nullopt;
 }
@@ -327,71 +226,73 @@ void ignore_sigpipe() {
 }
 
 IoStatus write_fd(int fd, std::string_view bytes, IoPhase phase,
-                  const RetryPolicy& policy, std::string label) {
+                  const RetryPolicy& policy, std::string_view label,
+                  bool zero_is_enospc) {
     std::size_t done = 0;
     unsigned retries = 0;
-    Backoff backoff(policy);
     while (done < bytes.size()) {
-        std::size_t want = bytes.size() - done;
-        int injected = 0;
-        if (FaultHook::active()) {
-            const auto a = FaultHook::consult(phase);
-            injected = a.inject_errno;
-            if (a.shorten && want > 1)
-                want = std::max<std::size_t>(1, want / 2);
-            want = std::min(want, a.clamp_bytes);
-        }
-        const ssize_t n = injected
-                              ? (errno = injected, ssize_t{-1})
-                              : ::write(fd, bytes.data() + done, want);
+        const char* at = bytes.data() + done;
+        const std::size_t left = bytes.size() - done;
+        const ssize_t n = retried(
+            phase, policy, retries, [&](const FaultHook::Action& a) {
+                if (a.kill) {
+                    // Torn host write: persist the prefix, then die
+                    // exactly here — the chaos oracle must still find a
+                    // complete artifact at the destination.
+                    const std::size_t pre =
+                        std::min(a.kill_after_bytes, left);
+                    if (pre > 0) {
+                        [[maybe_unused]] const ssize_t w =
+                            ::write(fd, at, pre);
+                    }
+                    ::raise(SIGKILL);
+                }
+                return ::write(fd, at,
+                               a.shorten && left > 1 ? left / 2 : left);
+            });
         if (n > 0) {
+            // The stats probe's torn-write offset space: payload bytes
+            // of the phase `kill:write:K:OFF` can tear.
+            if (phase == IoPhase::Write && FaultHook::active())
+                FaultHook::note_write_bytes(static_cast<std::uint64_t>(n));
             done += static_cast<std::size_t>(n);
-            continue;
-        }
-        const int err = n == 0 ? 0 : errno;
-        if (transient_errno(err) && retries < policy.max_retries) {
+        } else if (n == 0 && zero_is_enospc &&
+                   retries < policy.max_retries) {
+            // write() returning 0 for a nonzero count: a pathological
+            // fs.  Bounded like any other non-progress condition.
             ++retries;
-            backoff.wait(err);
-            continue;
+        } else {
+            const int err = n < 0 ? errno : zero_is_enospc ? ENOSPC : 0;
+            return IoError{phase, err, std::string(label), retries};
         }
-        return IoError{phase, err, std::move(label), retries};
     }
     return std::nullopt;
 }
 
 IoStatus read_fd(int fd, std::size_t want, std::string& out, IoPhase phase,
-                 const RetryPolicy& policy, std::string label) {
+                 const RetryPolicy& policy, std::string_view label,
+                 std::size_t chunk) {
+    const std::size_t base = out.size();
     std::size_t done = 0;
     unsigned retries = 0;
-    Backoff backoff(policy);
-    char buf[1 << 16];
+    IoStatus status;
     while (done < want) {
-        const std::size_t chunk = std::min(want - done, sizeof buf);
-        int injected = 0;
-        bool eof = false;
-        if (FaultHook::active()) {
-            const auto a = FaultHook::consult(phase);
-            injected = a.inject_errno;
-            eof = a.eof;
+        const std::size_t ask = std::min(want - done, chunk);
+        out.resize(base + done + ask);
+        char* at = out.data() + base + done;
+        const ssize_t n = retried(
+            phase, policy, retries, [&](const FaultHook::Action& a) {
+                return a.eof ? ssize_t{0} : ::read(fd, at, ask);
+            });
+        if (n <= 0) {  // n == 0: EOF mid-message, a torn read, err 0
+            status = IoError{phase, n < 0 ? errno : 0, std::string(label),
+                             retries};
+            break;
         }
-        const ssize_t n = eof ? 0
-                              : injected ? (errno = injected, ssize_t{-1})
-                                         : ::read(fd, buf, chunk);
-        if (n > 0) {
-            out.append(buf, static_cast<std::size_t>(n));
-            done += static_cast<std::size_t>(n);
-            continue;
-        }
-        if (n == 0)  // peer closed mid-message: torn frame, err == 0
-            return IoError{phase, 0, std::move(label), retries};
-        if (transient_errno(errno) && retries < policy.max_retries) {
-            ++retries;
-            backoff.wait(errno);
-            continue;
-        }
-        return IoError{phase, errno, std::move(label), retries};
+        done += static_cast<std::size_t>(n);
     }
-    return std::nullopt;
+    out.resize(base + done);
+    return status;
 }
 
 }  // namespace iocov::host

@@ -22,6 +22,7 @@
 // policy instead of aborting the write.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -94,6 +95,20 @@ struct RetryPolicy {
 
 /// True for errnos worth retrying (EINTR, EAGAIN/EWOULDBLOCK).
 bool transient_errno(int err);
+
+/// Backoff state for one run of retries (host::retried in
+/// host/fault.hpp): EINTR retries immediately (the op was interrupted,
+/// not refused); any other transient errno sleeps, doubling up to the
+/// cap.
+struct Backoff {
+    explicit Backoff(const RetryPolicy& p)
+        : policy(p), next_us(p.backoff_initial_us) {}
+
+    void wait(int err);
+
+    const RetryPolicy& policy;
+    std::uint32_t next_us;
+};
 
 // ---- atomic writer ---------------------------------------------------------
 
@@ -172,18 +187,26 @@ void ignore_sigpipe();
 /// Full write of `bytes` to a blocking fd (pipe, socket, plain file),
 /// looping over short writes, retrying transient errnos per the policy,
 /// consulting FaultHook under `phase` per write() call.  `label` names
-/// the peer in IoError::path (there is no filesystem path).
+/// the peer in IoError::path (there is no filesystem path).  A write()
+/// that returns 0 is a torn write (err 0) — or, with `zero_is_enospc`
+/// (AtomicWriter's rule), retried without backoff and then ENOSPC.
+/// This is also AtomicWriter::write's loop, so it applies the short
+/// and torn-write (`kill:write:K:OFF`) clauses.
 IoStatus write_fd(int fd, std::string_view bytes,
                   IoPhase phase = IoPhase::SockWrite,
                   const RetryPolicy& policy = RetryPolicy::standard(),
-                  std::string label = "fd");
+                  std::string_view label = "fd",
+                  bool zero_is_enospc = false);
 
 /// Full read of exactly `want` bytes from a blocking fd into `out`
-/// (appended).  Early EOF and injected `eof` faults surface as an
-/// IoError with err == 0.  Phase SockRead unless overridden.
+/// (appended), at most `chunk` bytes per read() call.  Early EOF and
+/// injected `eof` faults surface as an IoError with err == 0, `out`
+/// holding the prefix that did arrive.  Phase SockRead unless
+/// overridden.
 IoStatus read_fd(int fd, std::size_t want, std::string& out,
                  IoPhase phase = IoPhase::SockRead,
                  const RetryPolicy& policy = RetryPolicy::standard(),
-                 std::string label = "fd");
+                 std::string_view label = "fd",
+                 std::size_t chunk = std::size_t{1} << 16);
 
 }  // namespace iocov::host

@@ -40,48 +40,6 @@ void on_signal(int) {
     [[maybe_unused]] const ssize_t n = ::write(fd, &one, sizeof one);
 }
 
-/// accept4 with FaultHook consultation; injected errnos behave exactly
-/// like real ones (EAGAIN ends the drain, anything else is diagnosed).
-int accept_checked(int listen_fd) {
-    if (host::FaultHook::active()) {
-        const auto a = host::FaultHook::consult(host::IoPhase::Accept);
-        if (a.inject_errno) {
-            errno = a.inject_errno;
-            return -1;
-        }
-    }
-    return ::accept4(listen_fd, nullptr, nullptr,
-                     SOCK_NONBLOCK | SOCK_CLOEXEC);
-}
-
-ssize_t recv_checked(int fd, char* buf, std::size_t cap) {
-    if (host::FaultHook::active()) {
-        const auto a = host::FaultHook::consult(host::IoPhase::SockRead);
-        if (a.inject_errno) {
-            errno = a.inject_errno;
-            return -1;
-        }
-        if (a.eof) return 0;
-    }
-    return ::recv(fd, buf, cap, 0);
-}
-
-ssize_t send_checked(int fd, const char* buf, std::size_t len) {
-    if (host::FaultHook::active()) {
-        const auto a = host::FaultHook::consult(host::IoPhase::SockWrite);
-        if (a.inject_errno) {
-            errno = a.inject_errno;
-            return -1;
-        }
-        if (a.shorten && len > 1) len = std::max<std::size_t>(1, len / 2);
-        len = std::min(len, a.clamp_bytes);
-    }
-    // MSG_NOSIGNAL belt-and-braces next to the process-wide
-    // ignore_sigpipe(): a disconnecting client must never kill the
-    // daemon.
-    return ::send(fd, buf, len, MSG_NOSIGNAL);
-}
-
 std::string format_gaps(const core::CoverageReport& report) {
     std::string out;
     char line[512];
@@ -281,7 +239,13 @@ void Server::run() {
 void Server::accept_ready(int listen_fd) {
     // Drain the whole accept backlog every time the listener reports.
     for (;;) {
-        const int fd = accept_checked(listen_fd);
+        // Injected errnos behave exactly like real ones: EAGAIN ends the
+        // drain, anything else is diagnosed.
+        const int fd = host::hooked(
+            host::IoPhase::Accept, [&](const host::FaultHook::Action&) {
+                return ::accept4(listen_fd, nullptr, nullptr,
+                                 SOCK_NONBLOCK | SOCK_CLOEXEC);
+            });
         if (fd < 0) {
             if (errno == EINTR) continue;
             if (errno == EAGAIN
@@ -315,7 +279,10 @@ void Server::conn_readable(int fd) {
     Conn& conn = it->second;
     char buf[1 << 16];
     for (;;) {
-        const ssize_t n = recv_checked(fd, buf, sizeof buf);
+        const ssize_t n = host::hooked(
+            host::IoPhase::SockRead, [&](const host::FaultHook::Action&) {
+                return ::recv(fd, buf, sizeof buf, 0);
+            });
         if (n > 0) {
             conn.decoder.feed({buf, static_cast<std::size_t>(n)});
             continue;
@@ -507,8 +474,14 @@ void Server::conn_writable(int fd) {
     Conn& conn = it->second;
     bool want_out = false;
     while (conn.out_off < conn.out.size()) {
-        const ssize_t n = send_checked(fd, conn.out.data() + conn.out_off,
-                                       conn.out.size() - conn.out_off);
+        // MSG_NOSIGNAL belt-and-braces next to the process-wide
+        // ignore_sigpipe(): a disconnecting client must never kill the
+        // daemon.
+        const ssize_t n = host::hooked(
+            host::IoPhase::SockWrite, [&](const host::FaultHook::Action&) {
+                return ::send(fd, conn.out.data() + conn.out_off,
+                              conn.out.size() - conn.out_off, MSG_NOSIGNAL);
+            });
         if (n > 0) {
             conn.out_off += static_cast<std::size_t>(n);
             continue;

@@ -487,105 +487,61 @@ std::optional<MappedFile> MappedFile::open(const std::string& path,
                                            Mode mode,
                                            host::IoError* err) {
     const auto policy = host::RetryPolicy::standard();
-    const auto fail = [&](host::IoPhase phase, int fd,
-                          unsigned retries) -> std::optional<MappedFile> {
+    unsigned retries = 0;
+    const auto fail = [&](host::IoPhase phase,
+                          int fd) -> std::optional<MappedFile> {
         if (err) *err = {phase, errno, path, retries};
         if (fd >= 0) ::close(fd);
         return std::nullopt;
     };
 
-    // open() with bounded EINTR retry (+ self-fault consultation).
-    int fd = -1;
-    unsigned retries = 0;
-    for (;;) {
-        int injected = 0;
-        if (host::FaultHook::active())
-            injected =
-                host::FaultHook::consult(host::IoPhase::Open).inject_errno;
-        fd = injected ? (errno = injected, -1)
-                      : ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-        if (fd >= 0) break;
-        if (!host::transient_errno(errno) || retries >= policy.max_retries)
-            return fail(host::IoPhase::Open, -1, retries);
-        ++retries;
+    const int fd = host::retried(
+        host::IoPhase::Open, policy, retries,
+        [&](const host::FaultHook::Action&) {
+            return ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+        });
+    if (fd < 0) return fail(host::IoPhase::Open, -1);
+    // fstat() with the same bounded transient retry: an EINTR here would
+    // otherwise hard-fail the whole load one syscall in.
+    struct stat st{};
+    retries = 0;
+    if (host::retried(host::IoPhase::Stat, policy, retries,
+                      [&](const host::FaultHook::Action&) {
+                          return ::fstat(fd, &st);
+                      }) != 0)
+        return fail(host::IoPhase::Stat, fd);
+    if (st.st_size < 0) {
+        errno = EINVAL;  // nonsense size: not retryable
+        return fail(host::IoPhase::Stat, fd);
     }
-    {
-        // fstat() with the same bounded transient retry: an EINTR here
-        // would otherwise hard-fail the whole load one syscall in.
-        struct stat st{};
-        retries = 0;
-        for (;;) {
-            int injected = 0;
-            if (host::FaultHook::active())
-                injected = host::FaultHook::consult(host::IoPhase::Stat)
-                               .inject_errno;
-            const bool bad = injected ? (errno = injected, true)
-                                      : ::fstat(fd, &st) != 0;
-            if (!bad && st.st_size < 0) {
-                errno = EINVAL;  // nonsense size: not retryable
-                return fail(host::IoPhase::Stat, fd, retries);
-            }
-            if (!bad) break;
-            if (!host::transient_errno(errno) ||
-                retries >= policy.max_retries)
-                return fail(host::IoPhase::Stat, fd, retries);
-            ++retries;
-        }
 
-        const auto size = static_cast<std::size_t>(st.st_size);
-        MappedFile mf;
-        if (mode == Mode::Auto && size > 0) {
-            void* p = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-            if (p != MAP_FAILED) {
-                mf.mapped_ = p;
-                mf.size_ = size;
-                ::close(fd);
-                return mf;
-            }
+    const auto size = static_cast<std::size_t>(st.st_size);
+    MappedFile mf;
+    if (mode == Mode::Auto && size > 0) {
+        void* p = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+        if (p != MAP_FAILED) {
+            mf.mapped_ = p;
+            mf.size_ = size;
+            ::close(fd);
+            return mf;
         }
-        // read() fallback (and the ReadCopy benchmark mode).  EINTR /
-        // EAGAIN are transient: retry them (bounded, with the standard
-        // policy) instead of abandoning a multi-GB load at the last
-        // page.  A true EOF before the fstat'd size means the file
-        // shrank under us — keep what still existed and say so via
-        // shrank(), distinct from a read *error* which fails the open.
-        mf.copy_.resize(size);
-        std::size_t got = 0;
-        retries = 0;
-        while (got < size) {
-            std::size_t want = size - got;
-            int injected_read = 0;
-            bool forced_eof = false;
-            if (host::FaultHook::active()) {
-                const auto a =
-                    host::FaultHook::consult(host::IoPhase::Read);
-                injected_read = a.inject_errno;
-                forced_eof = a.eof;
-                want = std::min(want, a.clamp_bytes);
-            }
-            const ssize_t n =
-                forced_eof ? 0
-                : injected_read
-                    ? (errno = injected_read, ssize_t{-1})
-                    : ::read(fd, mf.copy_.data() + got, want);
-            if (n < 0) {
-                if (host::transient_errno(errno) &&
-                    retries < policy.max_retries) {
-                    ++retries;
-                    continue;
-                }
-                return fail(host::IoPhase::Read, fd, retries);
-            }
-            if (n == 0) {
-                mf.shrank_ = true;
-                break;  // shrank mid-read; keep what we have
-            }
-            got += static_cast<std::size_t>(n);
-        }
-        mf.copy_.resize(got);
-        ::close(fd);
-        return mf;
     }
+    // read() fallback (and the ReadCopy benchmark mode), one read() for
+    // whatever is left per call.  A true EOF before the fstat'd size
+    // means the file shrank under us — keep what still existed and say
+    // so via shrank(), distinct from a read *error* which fails the
+    // open.
+    if (auto e = host::read_fd(fd, size, mf.copy_, host::IoPhase::Read,
+                               policy, path, SIZE_MAX)) {
+        if (e->err != 0) {
+            if (err) *err = *e;
+            ::close(fd);
+            return std::nullopt;
+        }
+        mf.shrank_ = true;
+    }
+    ::close(fd);
+    return mf;
 }
 
 MappedFile::MappedFile(MappedFile&& other) noexcept

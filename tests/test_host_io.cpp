@@ -1,22 +1,30 @@
 // host::io durability primitives: atomic create/replace semantics,
 // temp-file hygiene, the bounded transient-retry policy, structured
-// IoError contents, the FaultHook spec parser, and the MappedFile
-// read()-fallback retry/shrank behavior — all driven through the
-// self-fault hook so injected errnos travel the same code paths real
-// kernel failures would.
+// IoError contents, the FaultHook spec parser, the MappedFile
+// read()-fallback retry/shrank behavior, and the one-op-per-attempt
+// count of every site built on hooked()/retried() — all driven through
+// the self-fault hook so injected errnos travel the same code paths
+// real kernel failures would.
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
+#include "core/live.hpp"
 #include "host/fault.hpp"
 #include "host/io.hpp"
+#include "serve/protocol.hpp"
+#include "serve/server.hpp"
 #include "trace/binary_format.hpp"
 
 namespace iocov::host {
@@ -393,6 +401,202 @@ TEST_F(HostIo, FdIoRetriesTransientErrnosToSuccess) {
     EXPECT_EQ(got, "eventually lands");
     ::close(fds[0]);
     ::close(fds[1]);
+}
+
+// ---- one op per attempt: every site on hooked()/retried() -------------------
+
+TEST_F(HostIo, MappedFileEagainExhaustionIsBoundedPerPhase) {
+    const std::string path = target("trace.bin");
+    ASSERT_EQ(write_file_atomic(path, "never loaded"), std::nullopt);
+    const unsigned max = RetryPolicy::standard().max_retries;
+    for (const char* phase : {"open", "stat", "read"}) {
+        FaultHook::reset();
+        ASSERT_EQ(FaultHook::configure(std::string("errno:") + phase +
+                                       ":EAGAIN:0"),
+                  std::nullopt);
+        host::IoError err;
+        const auto mf = trace::MappedFile::open(
+            path, trace::MappedFile::Mode::ReadCopy, &err);
+        EXPECT_FALSE(mf.has_value()) << phase;
+        EXPECT_EQ(phase_name(err.phase), phase);
+        EXPECT_EQ(err.err, EAGAIN) << phase;
+        EXPECT_EQ(err.retries, max) << phase;
+        EXPECT_EQ(FaultHook::ops(err.phase), max + 1u) << phase;
+    }
+}
+
+TEST_F(HostIo, AtomicWriterCountsOneOpPerAttempt) {
+    constexpr IoPhase kRetried[] = {IoPhase::TempCreate, IoPhase::Write,
+                                    IoPhase::Sync,       IoPhase::Rename,
+                                    IoPhase::DirOpen,    IoPhase::DirSync};
+    // Armed but never firing: counting only.
+    ASSERT_EQ(FaultHook::configure("errno:any:ENOSPC:999999"), std::nullopt);
+    ASSERT_EQ(write_file_atomic(target(), "count me"), std::nullopt);
+    for (const IoPhase phase : kRetried)
+        EXPECT_EQ(FaultHook::ops(phase), 1u) << phase_name(phase);
+    EXPECT_EQ(FaultHook::ops(IoPhase::Close), 1u);
+    EXPECT_EQ(FaultHook::total_ops(), 7u);
+
+    // One EINTR per phase: each retried phase makes a second attempt;
+    // close() EINTR counts as success, so close makes one.
+    FaultHook::reset();
+    ASSERT_EQ(FaultHook::configure(
+                  "errno:temp-create:EINTR:1,errno:write:EINTR:1,"
+                  "errno:sync:EINTR:1,errno:close:EINTR:1,"
+                  "errno:rename:EINTR:1,errno:dir-open:EINTR:1,"
+                  "errno:dirsync:EINTR:1"),
+              std::nullopt);
+    ASSERT_EQ(write_file_atomic(target(), "count me twice"), std::nullopt);
+    EXPECT_EQ(read_all(target()), "count me twice");
+    for (const IoPhase phase : kRetried)
+        EXPECT_EQ(FaultHook::ops(phase), 2u) << phase_name(phase);
+    EXPECT_EQ(FaultHook::ops(IoPhase::Close), 1u);
+    EXPECT_EQ(temp_debris(dir_), 0u);
+}
+
+TEST_F(HostIo, MappedFileCountsOneOpPerAttempt) {
+    const std::string path = target("trace.bin");
+    ASSERT_EQ(write_file_atomic(path, "mapped bytes"), std::nullopt);
+    ASSERT_EQ(FaultHook::configure("errno:any:ENOSPC:999999"), std::nullopt);
+    ASSERT_TRUE(trace::MappedFile::open(path).has_value());
+    EXPECT_EQ(FaultHook::ops(IoPhase::Open), 1u);
+    EXPECT_EQ(FaultHook::ops(IoPhase::Stat), 1u);
+    EXPECT_EQ(FaultHook::ops(IoPhase::Read), 0u) << "mmap reads nothing";
+
+    FaultHook::reset();
+    ASSERT_EQ(FaultHook::configure("errno:open:EINTR:1,errno:stat:EAGAIN:1,"
+                                   "errno:read:EINTR:1"),
+              std::nullopt);
+    const auto mf =
+        trace::MappedFile::open(path, trace::MappedFile::Mode::ReadCopy);
+    ASSERT_TRUE(mf.has_value());
+    EXPECT_EQ(mf->data(), "mapped bytes");
+    EXPECT_EQ(FaultHook::ops(IoPhase::Open), 2u);
+    EXPECT_EQ(FaultHook::ops(IoPhase::Stat), 2u);
+    EXPECT_EQ(FaultHook::ops(IoPhase::Read), 2u)
+        << "one interrupted read, then the whole file in one";
+}
+
+TEST_F(HostIo, FdIoCountsOneOpPerAttempt) {
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    ASSERT_EQ(FaultHook::configure("errno:sock-write:EINTR:1,"
+                                   "errno:sock-read:EAGAIN:1"),
+              std::nullopt);
+    EXPECT_EQ(write_fd(fds[1], "twelve bytes", IoPhase::SockWrite,
+                       RetryPolicy{3, 1, 2}),
+              std::nullopt);
+    std::string got;
+    EXPECT_EQ(read_fd(fds[0], 12, got, IoPhase::SockRead,
+                      RetryPolicy{3, 1, 2}),
+              std::nullopt);
+    EXPECT_EQ(got, "twelve bytes");
+    EXPECT_EQ(FaultHook::ops(IoPhase::SockWrite), 2u);
+    EXPECT_EQ(FaultHook::ops(IoPhase::SockRead), 2u);
+    ::close(fds[0]);
+    ::close(fds[1]);
+}
+
+TEST_F(HostIo, EofOutranksAnErrnoOnTheSameRead) {
+    // Both clauses fire on the first read(): the eof wins, as it always
+    // has — MappedFile keeps the (empty) prefix and flags shrank(), and
+    // read_fd reports a torn read with err 0.
+    const std::string path = target("trace.bin");
+    ASSERT_EQ(write_file_atomic(path, "shrinks to nothing"), std::nullopt);
+    ASSERT_EQ(FaultHook::configure("eof:1,errno:read:EIO:1"), std::nullopt);
+    host::IoError err;
+    const auto mf =
+        trace::MappedFile::open(path, trace::MappedFile::Mode::ReadCopy, &err);
+    ASSERT_TRUE(mf.has_value()) << err.to_string();
+    EXPECT_TRUE(mf->shrank());
+    EXPECT_EQ(mf->data(), "");
+
+    FaultHook::reset();
+    ASSERT_EQ(FaultHook::configure("eof:1,errno:read:EIO:1"), std::nullopt);
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    ASSERT_EQ(write_fd(fds[1], "data"), std::nullopt);
+    std::string got;
+    const auto rerr = read_fd(fds[0], 4, got, IoPhase::Read);
+    ASSERT_TRUE(rerr.has_value());
+    EXPECT_EQ(rerr->phase, IoPhase::Read);
+    EXPECT_EQ(rerr->err, 0) << "the eof, not the EIO";
+    EXPECT_EQ(got, "");
+    ::close(fds[0]);
+    ::close(fds[1]);
+}
+
+/// A raw (unhooked) Unix-socket client, so every counted op is the
+/// daemon's.  -1 on failure.
+int connect_unix(const std::string& sock_path) {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    if (sock_path.size() >= sizeof addr.sun_path) return -1;
+    std::memcpy(addr.sun_path, sock_path.c_str(), sock_path.size() + 1);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd >= 0 &&
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+/// Sends one `ping` query on `fd` and returns the whole reply frame.
+std::string ping(int fd) {
+    const std::string frame = serve::encode_query("ping");
+    if (::send(fd, frame.data(), frame.size(), 0) !=
+        static_cast<ssize_t>(frame.size()))
+        return {};
+    std::string reply;
+    std::size_t want = 4;  // u32le payload length, then the payload
+    char buf[256];
+    while (reply.size() < want) {
+        const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+        if (n <= 0) break;
+        reply.append(buf, static_cast<std::size_t>(n));
+        if (reply.size() >= 4) {
+            std::uint32_t len = 0;
+            for (int i = 3; i >= 0; --i)
+                len = len << 8 | static_cast<std::uint8_t>(reply[i]);
+            want = 4 + len;
+        }
+    }
+    return reply;
+}
+
+TEST_F(HostIo, ServeSocketOpsCountOnePerAttempt) {
+    // The daemon drains to EAGAIN: accept = the connection + EAGAIN;
+    // sock-read = the query frame + EAGAIN; sock-write = the reply.
+    // One injected EINTR per phase adds exactly one attempt to each.
+    // The client hangs up only after the daemon is stopped, so its EOF
+    // read is never counted.
+    for (const bool interrupt : {false, true}) {
+        FaultHook::reset();
+        ASSERT_EQ(FaultHook::configure(
+                      interrupt ? "errno:accept:EINTR:1,"
+                                  "errno:sock-read:EINTR:1,"
+                                  "errno:sock-write:EINTR:1"
+                                : "errno:any:ENOSPC:999999"),
+                  std::nullopt);
+        core::LiveCoverage live;
+        serve::ServeOptions opts;
+        opts.unix_path = target(interrupt ? "eintr.sock" : "plain.sock");
+        serve::Server server(live, opts);
+        ASSERT_EQ(server.start(), std::nullopt);
+        std::thread loop([&server] { server.run(); });
+        const int fd = connect_unix(opts.unix_path);
+        EXPECT_GE(fd, 0);
+        const std::string reply = fd >= 0 ? ping(fd) : std::string();
+        const std::uint64_t extra = interrupt ? 1 : 0;
+        EXPECT_EQ(FaultHook::ops(IoPhase::Accept), 2 + extra);
+        EXPECT_EQ(FaultHook::ops(IoPhase::SockRead), 2 + extra);
+        EXPECT_EQ(FaultHook::ops(IoPhase::SockWrite), 1 + extra);
+        server.request_stop();
+        loop.join();
+        if (fd >= 0) ::close(fd);
+        EXPECT_NE(reply.find("pong"), std::string::npos) << interrupt;
+    }
 }
 
 }  // namespace
