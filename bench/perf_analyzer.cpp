@@ -213,9 +213,10 @@ void BM_IngestTextSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_IngestTextSerial);
 
-/// Binary ingest: structural scan + zero-copy decode into one reused
-/// scratch event (the analyzer-facing hot path — no per-event
-/// materialization).
+/// Binary ingest, per record: structural scan, then decode_event of
+/// every record into one reused TraceEvent — each record is
+/// materialized (name, args and strings copied into the event), the
+/// per-event path the IOCov row loop no longer takes.
 void BM_IngestBinarySerial(benchmark::State& state) {
     const auto& binary = canned_twin_traces().binary;
     for (auto _ : state) {
@@ -331,6 +332,8 @@ void BM_ConsumeBinaryParallel(benchmark::State& state) {
         benchmark::DoNotOptimize(iocov.report().events_tracked);
     }
     state.SetItemsProcessed(state.iterations() * canned_text_lines());
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(binary.size()));
 }
 BENCHMARK(BM_ConsumeBinaryParallel)
     ->Arg(1)

@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
-# Performance smoke gate: the batched IOCT decode and the snapshot
-# save/load/merge paths must not regress.
+# Performance smoke gate: the batched IOCT decode, the serial row loop
+# and the snapshot save/load/merge paths must not regress.
 #
 #   ./scripts/check_perf.sh
 #
 # Builds the Release bench binary, runs a short pass over the gated
-# benches (BM_IngestBinaryBatched + BM_Snapshot{Save,SaveDurable,Load,
-# Merge} + BM_ServeIngest), and fails (exit 1) if any median
-# throughput drops more than 20% below the checked-in floor
-# (scripts/perf_floor.txt).
+# benches (BM_IngestBinaryBatched + BM_ConsumeBinaryParallel/1 +
+# BM_Snapshot{Save,SaveDurable,Load,Merge} + BM_ServeIngest), and fails
+# (exit 1) if any median throughput drops more than 20% below the
+# checked-in floor (scripts/perf_floor.txt).
+# BM_IngestBinaryBatched times scan + decode only; the serial row loop
+# behind `iocov analyze` (decode + filter + analyze, one lane) is gated
+# by BM_ConsumeBinaryParallel/1.
 # BM_SnapshotSaveDurable covers the atomic temp+fsync+rename write
 # path every artifact now goes through.
 # BM_SnapshotMerge's floor is deliberately ≥10x the ingest floor: its
@@ -33,7 +36,7 @@ OUT=$(mktemp /tmp/iocov_check_perf.XXXXXX.json)
 trap 'rm -f "$OUT"' EXIT
 
 "$BUILD"/bench/perf_analyzer \
-  --benchmark_filter='^BM_(IngestBinaryBatched|SnapshotSave|SnapshotSaveDurable|SnapshotLoad|SnapshotMerge|ServeIngest)$' \
+  --benchmark_filter='^BM_(IngestBinaryBatched|ConsumeBinaryParallel/1/real_time|SnapshotSave|SnapshotSaveDurable|SnapshotLoad|SnapshotMerge|ServeIngest)$' \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \
   --benchmark_format=json \

@@ -303,7 +303,7 @@ IOCovSnapshot merge_snapshots(std::vector<NamedSnapshot> snapshots,
     return out;
 }
 
-std::string merge_summary_json(const SnapshotDirLoad& load,
+std::string merge_summary_json(std::size_t snapshots, std::size_t rejected,
                                const IOCovSnapshot& merged) {
     std::string json = "{\n";
     auto num = [&](const char* key, std::uint64_t v, bool comma = true) {
@@ -311,8 +311,8 @@ std::string merge_summary_json(const SnapshotDirLoad& load,
         json += key;
         json += "\": " + std::to_string(v) + (comma ? ",\n" : "\n");
     };
-    num("snapshots", load.snapshots.size());
-    num("rejected", load.rejected);
+    num("snapshots", snapshots);
+    num("rejected", rejected);
     num("events_seen", merged.report.events_seen);
     num("events_tracked", merged.report.events_tracked);
     num("filtered_out", merged.filtered_out);

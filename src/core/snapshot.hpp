@@ -195,10 +195,11 @@ IOCovSnapshot merge_snapshots(std::vector<NamedSnapshot> snapshots,
                               unsigned n_threads = 1);
 
 /// Deterministic JSON summary of a merged fleet snapshot (stable key
-/// order, fixed float formatting): file/reject counts plus per-space
-/// declared/tested/coverage rows.  Byte-identical across reruns and
-/// thread counts for the same directory.
-std::string merge_summary_json(const SnapshotDirLoad& load,
+/// order, fixed float formatting): the `snapshots` merged and the
+/// `rejected` input count, plus per-space declared/tested/coverage
+/// rows.  Byte-identical across reruns and thread counts for the same
+/// directory.
+std::string merge_summary_json(std::size_t snapshots, std::size_t rejected,
                                const IOCovSnapshot& merged);
 
 }  // namespace iocov::core

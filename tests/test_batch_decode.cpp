@@ -131,7 +131,7 @@ bool read_one(std::string_view bytes, std::size_t rec_len,
     return ok;
 }
 
-TEST(BatchDecode, ScalarIsAlwaysAvailable) {
+TEST(BatchDecode, VarintReaderHandlesEncodingBoundaries) {
     // The one varint reader every binary format shares, at the 1-byte,
     // 2-byte and 10-byte boundaries.
     const std::pair<std::uint64_t, std::size_t> cases[] = {
@@ -165,7 +165,7 @@ TEST(BatchDecode, ScalarIsAlwaysAvailable) {
     EXPECT_FALSE(read_one(two_bytes, 0, out));
 }
 
-TEST(BatchDecode, RoundTripsRandomizedEventsOnEveryIsa) {
+TEST(BatchDecode, RoundTripsRandomizedEvents) {
     const auto events = random_events(20260808, 2000);
     const auto data = encode_trace(events);
     std::size_t dropped = 1;
@@ -186,7 +186,7 @@ TEST(BatchDecode, MatchesDecodeTraceOnCleanInput) {
     EXPECT_EQ(batched, reference);
 }
 
-TEST(BatchDecode, IsasAgreeOnTruncatedTails) {
+TEST(BatchDecode, MatchesReferenceOnTruncatedTails) {
     const auto data = encode_trace(random_events(7, 200));
     // Chop at every offset across the last few records plus a spread of
     // earlier cuts: every truncation must decode exactly as the
@@ -201,7 +201,7 @@ TEST(BatchDecode, IsasAgreeOnTruncatedTails) {
                                  "cut " + std::to_string(cut));
 }
 
-TEST(BatchDecode, IsasAgreeUnderRandomCorruption) {
+TEST(BatchDecode, MatchesReferenceUnderRandomCorruption) {
     const auto clean = encode_trace(random_events(11, 300));
     std::mt19937_64 rng(99);
     for (int trial = 0; trial < 200; ++trial) {

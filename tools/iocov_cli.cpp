@@ -704,13 +704,11 @@ int cmd_merge(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     merged.snapshot.report.events_seen));
     if (json_path) {
-        // The summary renders only the load's counts.
-        core::SnapshotDirLoad shape;
-        shape.snapshots.resize(static_cast<std::size_t>(merged.leaves));
-        shape.rejected = static_cast<std::size_t>(walk->rejected);
-        shape.bytes = walk->bytes;
         if (!write_artifact(json_path,
-                            core::merge_summary_json(shape, merged.snapshot)))
+                            core::merge_summary_json(
+                                static_cast<std::size_t>(merged.leaves),
+                                static_cast<std::size_t>(walk->rejected),
+                                merged.snapshot)))
             return kExitIo;
         std::printf("json summary saved to %s\n", json_path);
     }
@@ -1140,7 +1138,8 @@ int cmd_demo(int argc, char** argv) {
     for (int i = 0; i < argc; ++i) {
         if (flag_str(argc, argv, i, "--suite", suite, bad)) {
         } else if (flag_f64(argc, argv, i, "--scale", scale, bad)) {
-        }
+        } else
+            return usage();
         if (bad) return kExitUsage;
     }
     vfs::FileSystem fs(testers::recommended_fs_config());
@@ -1330,6 +1329,8 @@ int cmd_bugstudy(int argc, char** argv) {
         if (flag_f64(argc, argv, i, "--scale", scale, bad)) {
         } else if (!std::strcmp(argv[i], "--export"))
             export_dataset = true;
+        else
+            return usage();
         if (bad) return kExitUsage;
     }
     if (export_dataset) {
