@@ -1,6 +1,7 @@
 #include "core/coverage.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/schema.hpp"
 #include "trace/binary_format.hpp"
@@ -60,7 +61,11 @@ Analyzer::Analyzer(const std::vector<SyscallSpec>& registry)
     : Analyzer(Schema::of(registry)) {}
 
 Analyzer::Analyzer(std::shared_ptr<const Schema> schema)
-    : schema_(std::move(schema)), report_(schema_->empty_report()) {}
+    : schema_(std::move(schema)), report_(schema_->empty_report()) {
+    if (schema_->open_flags_slot() == Schema::npos) return;
+    pair_counts_.assign(schema_->pair_cells(), 0);
+    touched_cells_.resize(schema_->pair_cells());
+}
 
 const SyscallTable& Analyzer::table() const { return schema_->table(); }
 
@@ -101,8 +106,12 @@ void Analyzer::consume_bound(const SyscallTable::Binding& binding,
             rows + hits.n)
             cov.combo_cardinality_rdonly.add_declared(count);
         for (std::size_t a = 0; a < hits.n; ++a)
-            for (std::size_t b = a + 1; b < hits.n; ++b)
-                cov.pairs.add(schema.pair_label(rows[a], rows[b]));
+            for (std::size_t b = a + 1; b < hits.n; ++b) {
+                const std::size_t cell = schema.pair_cell(rows[a], rows[b]);
+                if (pair_counts_[cell]++ == 0)
+                    touched_cells_[touched_++] =
+                        static_cast<std::uint32_t>(cell);
+            }
     }
 
     // Declarative inputs (e.g. parsed syzkaller programs) carry no
@@ -112,6 +121,17 @@ void Analyzer::consume_bound(const SyscallTable::Binding& binding,
     const std::size_t row = schema.classify_output(binding.id, ret);
     if (row != Schema::npos) hist.add_declared(row);
     else hist.add(Schema::undeclared_output_label(ret));
+}
+
+void Analyzer::fold_pairs() {
+    if (touched_ == 0) return;
+    auto& pairs = report_.inputs[schema_->open_flags_slot()].pairs;
+    for (std::size_t i = 0; i < touched_; ++i) {
+        const std::uint32_t cell = touched_cells_[i];
+        pairs.add(schema_->pair_label(cell),
+                  std::exchange(pair_counts_[cell], 0));
+    }
+    touched_ = 0;
 }
 
 void Analyzer::consume(const trace::TraceEvent& event,
@@ -124,30 +144,33 @@ void Analyzer::consume(const trace::TraceEvent& event,
             view.find_hinted(view.spec->args[i].key, i);
         return v ? trace::ArgView(*v) : trace::ArgView();
     });
+    fold_pairs();
 }
 
 void Analyzer::consume(const trace::EventBatch& batch,
-                       const trace::BatchRow& row,
                        const std::vector<std::string_view>& strings,
                        const SyscallTable::FileBinding& file) {
-    const SyscallTable::Binding& binding = file.names[row.name_id];
-    const trace::BatchArg* args = batch.args.data() + row.arg_begin;
-    const auto key_of = [&](std::size_t a) {
-        return file.keys[args[a].name_id];
-    };
-    consume_bound(binding, row.ret, [&](std::size_t i, std::size_t slot) {
-        // The same lookup as the event path's, by name code: position i
-        // first, then the first argument of that name, then the
-        // variant's implied argument.
-        const SyscallTable::KeyCode want = schema_->table().slot_key(slot);
-        if (i < row.arg_count && key_of(i) == want)
-            return args[i].view(strings);
-        for (std::size_t a = 0; a < row.arg_count; ++a)
-            if (key_of(a) == want) return args[a].view(strings);
-        if (binding.implied && binding.implied_key == want)
-            return trace::ArgView(binding.implied->value);
-        return trace::ArgView();
-    });
+    for (const trace::BatchRow& row : batch.rows) {
+        const SyscallTable::Binding& binding = file.names[row.name_id];
+        const trace::BatchArg* args = batch.args.data() + row.arg_begin;
+        const auto key_of = [&](std::size_t a) {
+            return file.keys[args[a].name_id];
+        };
+        consume_bound(binding, row.ret, [&](std::size_t i, std::size_t slot) {
+            // The same lookup as the event path's, by name code: position
+            // i first, then the first argument of that name, then the
+            // variant's implied argument.
+            const SyscallTable::KeyCode want = schema_->table().slot_key(slot);
+            if (i < row.arg_count && key_of(i) == want)
+                return args[i].view(strings);
+            for (std::size_t a = 0; a < row.arg_count; ++a)
+                if (key_of(a) == want) return args[a].view(strings);
+            if (binding.implied && binding.implied_key == want)
+                return trace::ArgView(binding.implied->value);
+            return trace::ArgView();
+        });
+    }
+    fold_pairs();
 }
 
 void Analyzer::consume_all(const std::vector<trace::TraceEvent>& events) {

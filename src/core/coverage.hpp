@@ -95,11 +95,12 @@ class Analyzer {
     void consume(const trace::TraceEvent& event,
                  const SyscallTable::Binding& binding);
 
-    /// The row path: consumes one decoded IOCT row exactly as consume()
-    /// would its materialized event.  `file` is
+    /// The row path: consumes every row of one decoded IOCT batch (the
+    /// caller has already dropped the rows its filter rejects) exactly
+    /// as consume() would their materialized events.  `file` is
     /// `table().bind_file(strings)`, `strings` the table `batch` was
     /// decoded against.
-    void consume(const trace::EventBatch& batch, const trace::BatchRow& row,
+    void consume(const trace::EventBatch& batch,
                  const std::vector<std::string_view>& strings,
                  const SyscallTable::FileBinding& file);
 
@@ -126,6 +127,10 @@ class Analyzer {
     template <class ArgAt>
     void consume_bound(const SyscallTable::Binding& binding,
                        std::int64_t ret, const ArgAt& arg_at);
+    /// Adds each pending pair cell to the open-flags `pairs` histogram
+    /// (one add per distinct pair) and zeroes it.  Every public consume
+    /// ends with it, so report() is always complete.
+    void fold_pairs();
 
     /// Shared and immutable; report_ starts as a copy of its empty
     /// report, so report_.inputs[slot] and report_.outputs[id] follow
@@ -133,6 +138,13 @@ class Analyzer {
     /// classification.
     std::shared_ptr<const Schema> schema_;
     CoverageReport report_;
+    /// Open-flag pair counts since the last fold, by Schema::pair_cell,
+    /// and the first `touched_` entries of `touched_cells_`: the cells
+    /// that went 0 -> 1.  Both are sized at construction, so counting a
+    /// pair never allocates.
+    std::vector<std::uint64_t> pair_counts_;
+    std::vector<std::uint32_t> touched_cells_;
+    std::size_t touched_ = 0;
 };
 
 }  // namespace iocov::core

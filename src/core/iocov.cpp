@@ -89,16 +89,22 @@ std::size_t IOCov::ingest_refs(
         batch_.clear();
         trace::decode_batch(data, strings, refs + i, chunk, batch_, &dropped,
                             &diags);
+        // The admitted rows are compacted to the front of the batch
+        // (row i is read before any later write can reach it), then
+        // analyzed in one call.
+        std::size_t admitted = 0;
         for (const trace::BatchRow& row : batch_.rows) {
             const auto call = trace::FilterCall::of(
                 batch_, row, strings, file.names[row.name_id].role,
                 file.keys.data());
             if (filter_.admit(call))
-                analyzer_.consume(batch_, row, strings, file);
+                batch_.rows[admitted++] = row;
             else
                 ++filtered;
         }
         events += batch_.rows.size();
+        batch_.rows.resize(admitted);
+        analyzer_.consume(batch_, strings, file);
     }
     tally_.hot_loop_allocs += exec::thread_allocation_count() - allocs0;
     tally_.ingest.events += events;

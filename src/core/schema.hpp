@@ -73,14 +73,21 @@ class Schema {
     static std::string undeclared_output_label(std::int64_t ret);
 
     /// Open-flag combination statistics: the open/flags slot (npos if
-    /// untracked), O_RDONLY's row, the row of a call combining `flags`
-    /// flags (1..6, then one row for 7 or more) and the label of the pair
-    /// at rows a, b.
+    /// untracked), O_RDONLY's row and the row of a call combining
+    /// `flags` flags (1..6, then one row for 7 or more).
     std::size_t open_flags_slot() const { return open_flags_slot_; }
     std::uint16_t rdonly_row() const { return rdonly_row_; }
     static std::size_t cardinality_row(std::size_t flags);
-    const std::string& pair_label(std::size_t a, std::size_t b) const {
-        return pair_labels_[a * flag_count_ + b];
+
+    /// Open-flag pairs are counted by cell: the unordered pair of flag
+    /// rows a != b has one cell in [0, pair_cells()), whatever the
+    /// argument order, and pair_label(cell) is its "A+B" row label.
+    std::size_t pair_cells() const { return flag_count_ * flag_count_; }
+    std::size_t pair_cell(std::size_t a, std::size_t b) const {
+        return a < b ? a * flag_count_ + b : b * flag_count_ + a;
+    }
+    const std::string& pair_label(std::size_t cell) const {
+        return pair_labels_[cell];
     }
 
     /// How an input space partitions: its ArgClass, refined by base/key.

@@ -102,12 +102,21 @@ double PartitionHistogram::coverage_fraction() const {
 }
 
 void PartitionHistogram::merge(const PartitionHistogram& other) {
-    for (const auto& row : other.rows_) {
+    const auto& rows = other.rows_;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        // Two histograms on one schema share their declared block, so
+        // row i is usually declared row i here too.  Labels are unique,
+        // so a match is the row add() would find; add() never inserts
+        // into the declared block, so the indices stay put.
+        if (i < declared_ && rows_[i].label == rows[i].label) {
+            rows_[i].count += rows[i].count;
+            continue;
+        }
         // add() with n==0 still creates the partition, preserving the
         // union of declared (possibly untested) labels; labels new to
         // this histogram land in the canonical sorted tail, so merge is
         // commutative over row order as well as counts.
-        add(row.label, row.count);
+        add(rows[i].label, rows[i].count);
     }
 }
 

@@ -104,7 +104,10 @@ class PartitionHistogram {
     /// number.
     double coverage_fraction() const;
 
-    /// Adds every row of `other` into this histogram (union of labels).
+    /// Adds every row of `other` into this histogram (union of labels),
+    /// exactly as add(label, count) per row would.  Row i that is
+    /// declared row i here too is added in place, so merging histograms
+    /// that share a declared block is linear in the rows.
     void merge(const PartitionHistogram& other);
 
     /// Row with the maximum count (nullopt when empty).

@@ -1,9 +1,49 @@
 #include "stats/histogram.hpp"
 
+#include <algorithm>
+#include <array>
+#include <random>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace iocov::stats {
 namespace {
+
+/// merge() as a plain add() loop: the reference the positional merge
+/// must equal.
+PartitionHistogram add_loop_merge(PartitionHistogram into,
+                                  const PartitionHistogram& other) {
+    for (const auto& row : other.rows()) into.add(row.label, row.count);
+    return into;
+}
+
+/// A random histogram over the labels p00..p23.  Its declared block is
+/// p00..p11 as a schema declares it or, as a loaded report's may be,
+/// that block reordered, cut short or extended by a label of its own;
+/// its sorted tail is a random subset of the other labels.  Counts
+/// include zero.
+PartitionHistogram random_histogram(std::mt19937& rng) {
+    std::vector<std::string> pool;
+    for (int i = 0; i < 24; ++i)
+        pool.push_back((i < 10 ? "p0" : "p") + std::to_string(i));
+    std::vector<std::string> declared(pool.begin(), pool.begin() + 12);
+    switch (rng() % 4) {
+        case 0: break;
+        case 1: std::shuffle(declared.begin(), declared.end(), rng); break;
+        case 2: declared.resize(rng() % declared.size()); break;
+        case 3: declared.push_back(pool[12 + rng() % 12]); break;
+    }
+    std::vector<PartitionCount> rows;
+    for (const auto& label : declared) rows.push_back({label, rng() % 4});
+    for (const auto& label : pool)  // pool is label-sorted
+        if (std::find(declared.begin(), declared.end(), label) ==
+                declared.end() &&
+            rng() % 2)
+            rows.push_back({label, rng() % 4});
+    return PartitionHistogram::from_rows(std::move(rows), declared.size());
+}
 
 TEST(PartitionHistogram, StartsEmpty) {
     PartitionHistogram h;
@@ -159,6 +199,25 @@ TEST(PartitionHistogram, MergeOrderCannotChangeTheResult) {
     m21.merge(shard1);
     EXPECT_EQ(m12, serial);
     EXPECT_EQ(m21, serial);
+}
+
+TEST(PartitionHistogram, MergeEqualsAnAddLoopUnderEveryPermutation) {
+    std::mt19937 rng(2023);
+    for (int round = 0; round < 200; ++round) {
+        std::vector<PartitionHistogram> set;
+        for (int i = 0; i < 4; ++i) set.push_back(random_histogram(rng));
+        std::array<std::size_t, 4> order = {0, 1, 2, 3};
+        do {
+            PartitionHistogram merged = set[order[0]];
+            PartitionHistogram expected = set[order[0]];
+            for (std::size_t k = 1; k < order.size(); ++k) {
+                merged.merge(set[order[k]]);
+                expected = add_loop_merge(std::move(expected), set[order[k]]);
+            }
+            ASSERT_EQ(merged.rows(), expected.rows()) << "round " << round;
+            ASSERT_EQ(merged.declared_count(), expected.declared_count());
+        } while (std::next_permutation(order.begin(), order.end()));
+    }
 }
 
 }  // namespace
