@@ -51,7 +51,12 @@ std::string IoError::to_string() const {
     s += ' ';
     s += path;
     s += ": ";
-    s += err ? std::strerror(err) : "short write";
+    // err 0 is a transfer cut short: EOF on a read phase, a zero-byte
+    // write on a write phase.
+    if (err) s += std::strerror(err);
+    else if (phase == IoPhase::Read || phase == IoPhase::SockRead)
+        s += "unexpected end of file";
+    else s += "short write";
     s += " (errno ";
     s += std::to_string(err);
     if (retries) {
@@ -155,7 +160,8 @@ IoStatus AtomicWriter::commit() {
     {
         // close() EINTR is treated as success: POSIX leaves the fd state
         // unspecified and Linux always releases it — retrying risks
-        // closing someone else's fd.  An injected EINTR releases it too.
+        // closing someone else's fd.  An injected fault skips the real
+        // close, so the fd is released here before it is reported.
         const int fd = std::exchange(fd_, -1);
         bool called = false;
         if (hooked(IoPhase::Close, [&](const FaultHook::Action&) {
@@ -163,8 +169,8 @@ IoStatus AtomicWriter::commit() {
                 return ::close(fd);
             }) != 0) {
             const int err = errno;
-            if (err != EINTR) return fail(IoPhase::Close, err);
             if (!called) ::close(fd);
+            if (err != EINTR) return fail(IoPhase::Close, err);
         }
     }
     retries = 0;

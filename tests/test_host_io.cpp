@@ -1,10 +1,11 @@
 // host::io durability primitives: atomic create/replace semantics,
 // temp-file hygiene, the bounded transient-retry policy, structured
 // IoError contents, the FaultHook spec parser, the MappedFile
-// read()-fallback retry/shrank behavior, and the one-op-per-attempt
-// count of every site built on hooked()/retried() — all driven through
-// the self-fault hook so injected errnos travel the same code paths
-// real kernel failures would.
+// read()-fallback retry/shrank behavior, descriptor release on an
+// injected close fault, and the one-op-per-attempt count of every site
+// built on hooked()/retried() — all driven through the self-fault hook
+// so injected errnos travel the same code paths real kernel failures
+// would.
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -50,6 +51,16 @@ std::size_t temp_debris(const fs::path& dir) {
     for (const auto& e : fs::directory_iterator(dir))
         if (e.path().filename().string().find(".tmp.") != std::string::npos)
             ++n;
+    return n;
+}
+
+/// Descriptors this process holds (the directory's own fd included,
+/// the same on every call).
+std::size_t open_fds() {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& e :
+         fs::directory_iterator("/proc/self/fd"))
+        ++n;
     return n;
 }
 
@@ -360,6 +371,29 @@ TEST_F(HostIo, ReadFdEarlyEofIsATornReadWithErrZero) {
     ::close(fds[0]);
 }
 
+TEST_F(HostIo, ErrZeroOnAReadPhaseSaysEndOfFile) {
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    ASSERT_EQ(write_fd(fds[1], "torn"), std::nullopt);
+    ::close(fds[1]);
+    std::string got;
+    const auto err = read_fd(fds[0], 64, got, IoPhase::SockRead,
+                             RetryPolicy::none(), "serve");
+    ::close(fds[0]);
+    ASSERT_TRUE(err.has_value());
+    EXPECT_EQ(err->to_string(),
+              "sock-read serve: unexpected end of file (errno 0)");
+    EXPECT_EQ((IoError{IoPhase::Read, 0, "in.ioct"}).to_string(),
+              "read in.ioct: unexpected end of file (errno 0)");
+}
+
+TEST_F(HostIo, ErrZeroOnAWritePhaseSaysShortWrite) {
+    EXPECT_EQ((IoError{IoPhase::Write, 0, "out.iocs"}).to_string(),
+              "write out.iocs: short write (errno 0)");
+    EXPECT_EQ((IoError{IoPhase::SockWrite, 0, "serve", 2}).to_string(),
+              "sock-write serve: short write (errno 0 after 2 retries)");
+}
+
 TEST_F(HostIo, FdIoConsultsTheFaultHookAtSocketPhases) {
     int fds[2];
     ASSERT_EQ(::pipe(fds), 0);
@@ -423,6 +457,22 @@ TEST_F(HostIo, MappedFileEagainExhaustionIsBoundedPerPhase) {
         EXPECT_EQ(err.retries, max) << phase;
         EXPECT_EQ(FaultHook::ops(err.phase), max + 1u) << phase;
     }
+}
+
+TEST_F(HostIo, InjectedCloseFaultReleasesTheTempFd) {
+    // k == 0 fires on every temp-file close: the hook fails the op
+    // without running the real close, so the writer must release it.
+    const std::size_t before = open_fds();
+    ASSERT_EQ(FaultHook::configure("errno:close:EIO:0"), std::nullopt);
+    for (int i = 0; i < 16; ++i) {
+        const IoStatus st = write_file_atomic(target(), "payload");
+        ASSERT_TRUE(st.has_value());
+        EXPECT_EQ(st->phase, IoPhase::Close);
+        EXPECT_EQ(st->err, EIO);
+    }
+    FaultHook::reset();
+    EXPECT_EQ(open_fds(), before);
+    EXPECT_EQ(temp_debris(dir_), 0u);
 }
 
 TEST_F(HostIo, AtomicWriterCountsOneOpPerAttempt) {
