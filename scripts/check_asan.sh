@@ -15,8 +15,8 @@
 # strict CLI numeric parsers chew on junk — both run here too.  The
 # analyzer counts into histogram rows by index (core/schema), so its
 # suites — partitioning, coverage, the partition-inverse oracle, flag
-# pairs, the parallel pipeline and the variant-substitution relations
-# — run here as well.
+# pairs and their per-analyzer cells, the histogram merge, the parallel
+# pipeline and the variant-substitution relations — run here as well.
 # This configures a full IOCOV_SANITIZE=address tree and runs the
 # decoder-facing suites (binary format, binary pipeline, text format,
 # snapshot) under it.
@@ -37,7 +37,7 @@ cmake --build "$BUILD" -j --target \
   test_serve test_cli_parse test_walk test_format_bytes \
   test_core_partition test_core_coverage test_parallel_pipeline \
   test_combos test_partition_oracle test_variant_metamorphic \
-  test_filter test_encoding_metamorphic
+  test_filter test_encoding_metamorphic test_histogram test_pair_cells
 ctest --test-dir "$BUILD" \
-  -R 'Binary|TextFormat|MappedFile|BatchDecode|DirIngest|CrashReplay|CrashOracle|CrashTest|Snapshot|SnapshotMerge|HostIo|Checkpoint|IncrementalMerge|Serve|Protocol|LiveCoverage|ParseU|ParseF|Walk|FormatBytes|Partitioner|Schema|Analyzer|CoverageReport|Tcd|Untested|Merge|ParallelPipeline|ShardDriver|Sharding|ThreadPool|WorkStealing|FeasiblePairs|PairCoverage|PartitionOracle|VariantSubstitution|TraceFilter|ReencodeRelation' \
+  -R 'Binary|TextFormat|MappedFile|BatchDecode|DirIngest|CrashReplay|CrashOracle|CrashTest|Snapshot|SnapshotMerge|HostIo|Checkpoint|IncrementalMerge|Serve|Protocol|LiveCoverage|ParseU|ParseF|Walk|FormatBytes|Partitioner|Schema|Analyzer|CoverageReport|Tcd|Untested|Merge|ParallelPipeline|ShardDriver|Sharding|ThreadPool|WorkStealing|FeasiblePairs|PairCoverage|PairCells|PartitionHistogram|PartitionOracle|VariantSubstitution|TraceFilter|ReencodeRelation' \
   --output-on-failure -j "$(nproc)"

@@ -15,9 +15,9 @@
 # socket bytes), the live-coverage merge path, and the strict CLI
 # numeric parsers (overflow rejection is exactly where UB would hide).
 # The analyzer's index arithmetic (core/schema: row indices, log2
-# buckets, errno tables) runs here too: partitioning, coverage, the
-# partition-inverse oracle, flag pairs, the parallel pipeline and the
-# variant-substitution relations.
+# buckets, errno tables, pair cells) runs here too: partitioning,
+# coverage, the partition-inverse oracle, flag pairs, the histogram
+# merge, the parallel pipeline and the variant-substitution relations.
 # The trace filter's per-pid table (pids read from untrusted trace
 # files) and the re-encoding relations, which renumber pids up to
 # UINT32_MAX, run here too.
@@ -35,7 +35,7 @@ cmake --build "$BUILD" -j --target \
   test_serve test_cli_parse test_walk test_checkpoint test_format_bytes \
   test_core_partition test_core_coverage test_parallel_pipeline \
   test_combos test_partition_oracle test_variant_metamorphic \
-  test_filter test_encoding_metamorphic
+  test_filter test_encoding_metamorphic test_histogram test_pair_cells
 ctest --test-dir "$BUILD" \
-  -R 'Fsck|Fault|Campaign|IngestFaults|Binary|TextFormat|BatchDecode|CrashReplay|CrashOracle|StateDiff|Snapshot|SnapshotMerge|HostIo|Serve|Protocol|LiveCoverage|ParseU|ParseF|Walk|Checkpoint|IncrementalMerge|FormatBytes|Partitioner|Schema|Analyzer|CoverageReport|Tcd|Untested|Merge|ParallelPipeline|ShardDriver|Sharding|ThreadPool|WorkStealing|FeasiblePairs|PairCoverage|PartitionOracle|VariantSubstitution|TraceFilter|ReencodeRelation' \
+  -R 'Fsck|Fault|Campaign|IngestFaults|Binary|TextFormat|BatchDecode|CrashReplay|CrashOracle|StateDiff|Snapshot|SnapshotMerge|HostIo|Serve|Protocol|LiveCoverage|ParseU|ParseF|Walk|Checkpoint|IncrementalMerge|FormatBytes|Partitioner|Schema|Analyzer|CoverageReport|Tcd|Untested|Merge|ParallelPipeline|ShardDriver|Sharding|ThreadPool|WorkStealing|FeasiblePairs|PairCoverage|PairCells|PartitionHistogram|PartitionOracle|VariantSubstitution|TraceFilter|ReencodeRelation' \
   --output-on-failure -j "$(nproc)"
