@@ -6,7 +6,9 @@
 //   CrashMonkey O_RDONLY: 9.3  2.8 21.9 65.6 0.5 0
 //   xfstests all:         6.1 28.2 18.2 46.8 0.5 0.4
 //   xfstests O_RDONLY:    6.0 30.8 10.5 51.9 0.5 0.3
+#include <cstdint>
 #include <cstdio>
+#include <string>
 
 #include "common.hpp"
 #include "report/table.hpp"
@@ -72,16 +74,22 @@ int main() {
         }
         return best2;
     };
+    const std::string cm_mode = cm->combo_cardinality.max_row()->label;
+    const std::string xfs_mode = xfs->combo_cardinality.max_row()->label;
+    const std::string cm_second = second_most(cm->combo_cardinality);
+    const std::string xfs_second = second_most(xfs->combo_cardinality);
+    const std::uint64_t cm_7 = cm->combo_cardinality.count("7+");
+    const std::uint64_t xfs_7 = xfs->combo_cardinality.count("7+");
     std::printf("\nmost common combo size: CM=%s xfs=%s (paper: 4 / 4)\n",
-                cm->combo_cardinality.max_row()->label.c_str(),
-                xfs->combo_cardinality.max_row()->label.c_str());
+                cm_mode.c_str(), xfs_mode.c_str());
     std::printf("second most common:     CM=%s xfs=%s (paper: 3 / 2)\n",
-                second_most(cm->combo_cardinality).c_str(),
-                second_most(xfs->combo_cardinality).c_str());
+                cm_second.c_str(), xfs_second.c_str());
     std::printf("7+ flag combinations:   CM=%llu xfs=%llu (paper: none)\n",
-                static_cast<unsigned long long>(
-                    cm->combo_cardinality.count("7+")),
-                static_cast<unsigned long long>(
-                    xfs->combo_cardinality.count("7+")));
-    return 0;
+                static_cast<unsigned long long>(cm_7),
+                static_cast<unsigned long long>(xfs_7));
+    // The three observations are the gate: exit 1 when any fails.
+    const bool holds = cm_mode == "4" && xfs_mode == "4" &&
+                       cm_second == "3" && xfs_second == "2" && cm_7 == 0 &&
+                       xfs_7 == 0;
+    return holds ? 0 : 1;
 }

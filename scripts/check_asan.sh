@@ -23,6 +23,9 @@
 # The trace filter keeps per-pid fd and cwd state in a table keyed by
 # pids read from untrusted trace files, and the re-encoding relations
 # drive it with pids up to UINT32_MAX, so both suites run here too.
+# The one-pass IOCT reader's late-string, damaged and every-truncation
+# cases run with the binary pipeline suite, and a one-file directory
+# walk of each with the directory ingest suite.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -20,7 +20,10 @@
 # merge, the parallel pipeline and the variant-substitution relations.
 # The trace filter's per-pid table (pids read from untrusted trace
 # files) and the re-encoding relations, which renumber pids up to
-# UINT32_MAX, run here too.
+# UINT32_MAX, run here too.  So do the binary pipeline and directory
+# ingest suites: the one-pass IOCT reader indexes a string table and a
+# binding that grow while it decodes, on late-string, damaged and
+# truncated files.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,7 +32,8 @@ BUILD="${1:-build-ubsan}"
 cmake -B "$BUILD" -G Ninja -DIOCOV_SANITIZE=undefined >/dev/null
 cmake --build "$BUILD" -j --target \
   test_fsck test_fault test_campaign test_ingest_faults \
-  test_binary_format test_text_format test_batch_decode \
+  test_binary_format test_binary_pipeline test_dir_ingest \
+  test_text_format test_batch_decode \
   test_crash_replay test_crash_oracle test_state_diff \
   test_snapshot test_snapshot_merge test_host_io \
   test_serve test_cli_parse test_walk test_checkpoint test_format_bytes \
@@ -37,5 +41,5 @@ cmake --build "$BUILD" -j --target \
   test_combos test_partition_oracle test_variant_metamorphic \
   test_filter test_encoding_metamorphic test_histogram test_pair_cells
 ctest --test-dir "$BUILD" \
-  -R 'Fsck|Fault|Campaign|IngestFaults|Binary|TextFormat|BatchDecode|CrashReplay|CrashOracle|StateDiff|Snapshot|SnapshotMerge|HostIo|Serve|Protocol|LiveCoverage|ParseU|ParseF|Walk|Checkpoint|IncrementalMerge|FormatBytes|Partitioner|Schema|Analyzer|CoverageReport|Tcd|Untested|Merge|ParallelPipeline|ShardDriver|Sharding|ThreadPool|WorkStealing|FeasiblePairs|PairCoverage|PairCells|PartitionHistogram|PartitionOracle|VariantSubstitution|TraceFilter|ReencodeRelation' \
+  -R 'Fsck|Fault|Campaign|IngestFaults|Binary|DirIngest|TextFormat|BatchDecode|CrashReplay|CrashOracle|StateDiff|Snapshot|SnapshotMerge|HostIo|Serve|Protocol|LiveCoverage|ParseU|ParseF|Walk|Checkpoint|IncrementalMerge|FormatBytes|Partitioner|Schema|Analyzer|CoverageReport|Tcd|Untested|Merge|ParallelPipeline|ShardDriver|Sharding|ThreadPool|WorkStealing|FeasiblePairs|PairCoverage|PairCells|PartitionHistogram|PartitionOracle|VariantSubstitution|TraceFilter|ReencodeRelation' \
   --output-on-failure -j "$(nproc)"

@@ -1,6 +1,8 @@
 #include "core/coverage.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <tuple>
 #include <utility>
 
 #include "core/schema.hpp"
@@ -65,6 +67,10 @@ Analyzer::Analyzer(std::shared_ptr<const Schema> schema)
     if (schema_->open_flags_slot() == Schema::npos) return;
     pair_counts_.assign(schema_->pair_cells(), 0);
     touched_cells_.resize(schema_->pair_cells());
+    const std::size_t rows = schema_->flag_rows();
+    cells_per_entry_ = rows * (rows - 1) / 2;
+    flags_memo_.resize(kFlagsMemoEntries);
+    flags_cells_.resize(kFlagsMemoEntries * cells_per_entry_);
 }
 
 const SyscallTable& Analyzer::table() const { return schema_->table(); }
@@ -88,6 +94,10 @@ void Analyzer::consume_bound(const SyscallTable::Binding& binding,
         if (!value) continue;  // variant without this argument
         ArgCoverage& cov = report_.inputs[slot];
 
+        if (slot == schema.open_flags_slot()) {
+            count_open_flags(cov, value);
+            continue;
+        }
         // Declared rows are bumped by index; only a value outside them
         // renders a label (SSO-sized), so the steady state allocates
         // nothing.
@@ -96,22 +106,6 @@ void Analyzer::consume_bound(const SyscallTable::Binding& binding,
             cov.hist.add_declared(hits.rows[h]);
         if (hits.undeclared)
             cov.hist.add(Schema::undeclared_input_label(value));
-
-        // Bitmap combination statistics (open flags only).
-        if (slot != schema.open_flags_slot()) continue;
-        const auto* rows = hits.rows.data();
-        const std::size_t count = Schema::cardinality_row(hits.n);
-        cov.combo_cardinality.add_declared(count);
-        if (std::find(rows, rows + hits.n, schema.rdonly_row()) !=
-            rows + hits.n)
-            cov.combo_cardinality_rdonly.add_declared(count);
-        for (std::size_t a = 0; a < hits.n; ++a)
-            for (std::size_t b = a + 1; b < hits.n; ++b) {
-                const std::size_t cell = schema.pair_cell(rows[a], rows[b]);
-                if (pair_counts_[cell]++ == 0)
-                    touched_cells_[touched_++] =
-                        static_cast<std::uint32_t>(cell);
-            }
     }
 
     // Declarative inputs (e.g. parsed syzkaller programs) carry no
@@ -121,6 +115,50 @@ void Analyzer::consume_bound(const SyscallTable::Binding& binding,
     const std::size_t row = schema.classify_output(binding.id, ret);
     if (row != Schema::npos) hist.add_declared(row);
     else hist.add(Schema::undeclared_output_label(ret));
+}
+
+void Analyzer::count_open_flags(ArgCoverage& cov,
+                                const trace::ArgView& value) {
+    // Keyed by the whole word classification reads (a string reads as
+    // 0); the multiplicative hash spreads the flag bits, which sit
+    // above the low bits, over the entries.
+    const auto word =
+        static_cast<std::uint32_t>(value.int_value().value_or(0));
+    static_assert((kFlagsMemoEntries & (kFlagsMemoEntries - 1)) == 0);
+    const std::size_t index =
+        (word * 0x9E3779B1u) >> (32 - std::countr_zero(kFlagsMemoEntries));
+    FlagsEntry& e = flags_memo_[index];
+    std::uint16_t* const cells =
+        flags_cells_.data() + index * cells_per_entry_;
+    if (!e.used || e.word != word) {
+        // A miss classifies the word, then runs its cardinality, O_RDONLY
+        // and pair work once for every later call with the same word.
+        const Schema& schema = *schema_;
+        const Schema::Hits hits =
+            schema.classify_input(schema.open_flags_slot(), value);
+        static_assert(std::tuple_size_v<decltype(hits.rows)> ==
+                      FlagsEntry::kMaxRows);
+        e.word = word;
+        e.used = true;
+        e.n = static_cast<std::uint16_t>(hits.n);
+        std::copy_n(hits.rows.begin(), hits.n, e.rows.begin());
+        e.cardinality =
+            static_cast<std::uint16_t>(Schema::cardinality_row(hits.n));
+        e.rdonly = std::find(e.rows.begin(), e.rows.begin() + e.n,
+                             schema.rdonly_row()) != e.rows.begin() + e.n;
+        e.n_cells = 0;
+        for (std::size_t a = 0; a < e.n; ++a)
+            for (std::size_t b = a + 1; b < e.n; ++b)
+                cells[e.n_cells++] = static_cast<std::uint16_t>(
+                    schema.pair_cell(e.rows[a], e.rows[b]));
+    }
+
+    for (std::size_t h = 0; h < e.n; ++h) cov.hist.add_declared(e.rows[h]);
+    cov.combo_cardinality.add_declared(e.cardinality);
+    if (e.rdonly) cov.combo_cardinality_rdonly.add_declared(e.cardinality);
+    for (std::size_t c = 0; c < e.n_cells; ++c)
+        if (pair_counts_[cells[c]]++ == 0)
+            touched_cells_[touched_++] = cells[c];
 }
 
 void Analyzer::fold_pairs() {

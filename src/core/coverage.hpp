@@ -1,6 +1,7 @@
 // Coverage data model and the analyzer that fills it from a trace.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -107,6 +108,10 @@ class Analyzer {
     /// Convenience over a whole buffer.
     void consume_all(const std::vector<trace::TraceEvent>& events);
 
+    /// Entries of the open-flags memo (direct-mapped by a hash of the
+    /// flags word).
+    static constexpr std::size_t kFlagsMemoEntries = 64;
+
     /// The name-interning table (for pre-binding via bind()).
     const SyscallTable& table() const;
 
@@ -127,6 +132,10 @@ class Analyzer {
     template <class ArgAt>
     void consume_bound(const SyscallTable::Binding& binding,
                        std::int64_t ret, const ArgAt& arg_at);
+    /// Counts one open-flags value into `cov` (the open/flags space):
+    /// its declared rows, cardinality, O_RDONLY cardinality and pairs,
+    /// through the memo.
+    void count_open_flags(ArgCoverage& cov, const trace::ArgView& value);
     /// Adds each pending pair cell to the open-flags `pairs` histogram
     /// (one add per distinct pair) and zeroes it.  Every public consume
     /// ends with it, so report() is always complete.
@@ -145,6 +154,25 @@ class Analyzer {
     std::vector<std::uint64_t> pair_counts_;
     std::vector<std::uint32_t> touched_cells_;
     std::size_t touched_ = 0;
+
+    /// One open-flags word classified once: its declared rows, the row
+    /// of its cardinality, whether it includes O_RDONLY, and its pair
+    /// cells (the n_cells at flags_cells_[entry * cells_per_entry_]).
+    struct FlagsEntry {
+        static constexpr std::size_t kMaxRows = 24;  ///< Schema::Hits
+        std::uint32_t word = 0;
+        bool used = false;
+        bool rdonly = false;
+        std::uint16_t cardinality = 0;
+        std::uint16_t n = 0;
+        std::uint16_t n_cells = 0;
+        std::array<std::uint16_t, kMaxRows> rows{};
+    };
+    /// kFlagsMemoEntries entries and their cells, sized at construction
+    /// (empty when the registry does not track open flags).
+    std::vector<FlagsEntry> flags_memo_;
+    std::vector<std::uint16_t> flags_cells_;
+    std::size_t cells_per_entry_ = 0;
 };
 
 }  // namespace iocov::core

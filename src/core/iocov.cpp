@@ -72,6 +72,24 @@ std::size_t IOCov::consume_text(std::istream& in) {
     return dropped;
 }
 
+void IOCov::analyze_batch(const std::vector<std::string_view>& strings,
+                          const SyscallTable::FileBinding& file) {
+    // The admitted rows are compacted to the front of the batch (row i
+    // is read before any later write can reach it), then analyzed in
+    // one call.
+    std::size_t admitted = 0;
+    for (const trace::BatchRow& row : batch_.rows) {
+        const auto call = trace::FilterCall::of(
+            batch_, row, strings, file.names[row.name_id].role,
+            file.keys.data());
+        if (filter_.admit(call)) batch_.rows[admitted++] = row;
+    }
+    tally_.ingest.events += batch_.rows.size();
+    tally_.filtered_out += batch_.rows.size() - admitted;
+    batch_.rows.resize(admitted);
+    analyzer_.consume(batch_, strings, file);
+}
+
 std::size_t IOCov::ingest_refs(
     std::string_view data, const std::vector<std::string_view>& strings,
     const trace::EventRef* refs, std::size_t n,
@@ -81,53 +99,62 @@ std::size_t IOCov::ingest_refs(
     // state performs zero heap allocations (tracked per thread via the
     // exec allocation hook).
     std::size_t dropped = 0;
-    std::uint64_t events = 0;
-    std::uint64_t filtered = 0;
     const std::uint64_t allocs0 = exec::thread_allocation_count();
     for (std::size_t i = 0; i < n; i += kBatchRows) {
-        const std::size_t chunk = std::min(kBatchRows, n - i);
         batch_.clear();
-        trace::decode_batch(data, strings, refs + i, chunk, batch_, &dropped,
+        trace::decode_batch(data, strings, refs + i,
+                            std::min(kBatchRows, n - i), batch_, &dropped,
                             &diags);
-        // The admitted rows are compacted to the front of the batch
-        // (row i is read before any later write can reach it), then
-        // analyzed in one call.
-        std::size_t admitted = 0;
-        for (const trace::BatchRow& row : batch_.rows) {
-            const auto call = trace::FilterCall::of(
-                batch_, row, strings, file.names[row.name_id].role,
-                file.keys.data());
-            if (filter_.admit(call))
-                batch_.rows[admitted++] = row;
-            else
-                ++filtered;
-        }
-        events += batch_.rows.size();
-        batch_.rows.resize(admitted);
-        analyzer_.consume(batch_, strings, file);
+        analyze_batch(strings, file);
     }
     tally_.hot_loop_allocs += exec::thread_allocation_count() - allocs0;
-    tally_.ingest.events += events;
-    tally_.filtered_out += filtered;
     return dropped;
 }
 
 std::size_t IOCov::ingest_ioct(std::string_view data,
                                trace::ParseDiagnostics& scan_diags,
                                trace::ParseDiagnostics& decode_diags) {
-    const auto scan = trace::scan_ioct(data);
-    scan_diags.merge(scan.diags);
     tally_.ingest.bytes += data.size();
-    return scan.dropped +
-           ingest_refs(data, scan.strings, scan.events.data(),
-                       scan.events.size(),
-                       analyzer_.table().bind_file(scan.strings),
-                       decode_diags);
+    const SyscallTable& table = analyzer_.table();
+    strings_.clear();
+    binding_.names.clear();
+    binding_.keys.clear();
+    trace::IoctReader reader(data, scan_diags);
+    std::size_t dropped = 0;
+    while (reader.read(strings_, window_, kBatchRows)) {
+        table.bind_more(binding_, strings_);
+        // The window's decode -> filter -> analyze is the hot loop
+        // ingest_refs counts; completing the string table is not.
+        std::uint64_t allocs0 = exec::thread_allocation_count();
+        batch_.clear();
+        std::size_t bad = 0;
+        trace::decode_batch(data, strings_, window_.data(), window_.size(),
+                            batch_, &bad);
+        if (bad != 0) {
+            // A row may name a string defined later in the file.  Decode
+            // the window again against the complete table, as a
+            // scan-then-decode reader would, recording its drops, before
+            // any of its rows reach the filter (which keeps state).
+            const std::uint64_t allocs1 = exec::thread_allocation_count();
+            reader.read_strings(strings_);
+            table.bind_more(binding_, strings_);
+            allocs0 += exec::thread_allocation_count() - allocs1;
+            batch_.clear();
+            bad = 0;
+            trace::decode_batch(data, strings_, window_.data(),
+                                window_.size(), batch_, &bad, &decode_diags);
+            dropped += bad;
+        }
+        analyze_batch(strings_, binding_);
+        tally_.hot_loop_allocs += exec::thread_allocation_count() - allocs0;
+    }
+    return reader.dropped() + dropped;
 }
 
 std::size_t IOCov::consume_binary(std::string_view data) {
-    trace::ParseDiagnostics decode_diags;
-    const std::size_t dropped = ingest_ioct(data, diagnostics_, decode_diags);
+    trace::ParseDiagnostics scan_diags, decode_diags;
+    const std::size_t dropped = ingest_ioct(data, scan_diags, decode_diags);
+    diagnostics_.merge(scan_diags);
     diagnostics_.merge(decode_diags);
     return dropped;
 }
@@ -370,10 +397,13 @@ IOCov::DirIngest ShardDriver::consume_binary_files(
                 return 0;
             }
             ++shard.tally_.ingest.files;
-            // One accumulator: scan drops, then decode drops in record
-            // order.
-            return shard.ingest_ioct(mapped->data(), shard.diagnostics_,
-                                     shard.diagnostics_);
+            // One accumulator: scan drops, then decode drops, each in
+            // record order (the shard's accumulator starts empty).
+            trace::ParseDiagnostics decode_diags;
+            const std::size_t dropped = shard.ingest_ioct(
+                mapped->data(), shard.diagnostics_, decode_diags);
+            shard.diagnostics_.append(decode_diags);
+            return dropped;
         });
 
     // Analyzed files counted themselves; the rest were lost or rejected.

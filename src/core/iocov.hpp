@@ -254,9 +254,13 @@ class IOCov {
               const trace::ParseDiagnostics& diags,
               std::string_view label = {});
 
-    /// Scans one IOCT buffer and ingests every record in it.  Scan drops
-    /// merge into `scan_diags`; decode drops are recorded into
-    /// `decode_diags`, in record order.  Returns the records dropped.
+    /// Ingests every record of one IOCT buffer in one pass: the reader
+    /// (trace::IoctReader) hands out windows of at most kBatchRows refs,
+    /// each decoded, filtered and analyzed before the next is read, so
+    /// memory beyond the buffer is O(strings + window).  Scan drops are
+    /// recorded into `scan_diags` and decode drops into `decode_diags`
+    /// (distinct accumulators), each in record order.  Returns the
+    /// records dropped.
     std::size_t ingest_ioct(std::string_view data,
                             trace::ParseDiagnostics& scan_diags,
                             trace::ParseDiagnostics& decode_diags);
@@ -272,6 +276,11 @@ class IOCov {
                             const SyscallTable::FileBinding& file,
                             trace::ParseDiagnostics& diags);
 
+    /// Filters the rows decoded into batch_ and analyzes the admitted
+    /// ones (compacted to its front).
+    void analyze_batch(const std::vector<std::string_view>& strings,
+                       const SyscallTable::FileBinding& file);
+
     /// Kept beyond construction so the shard driver can build one fresh
     /// IOCov per item from the same configuration (and schema).
     trace::FilterConfig filter_config_;
@@ -279,9 +288,14 @@ class IOCov {
     Analyzer analyzer_;
     trace::CallbackSink live_sink_;
     trace::ParseDiagnostics diagnostics_;
-    /// Decode scratch, persistent across consume_binary calls so
-    /// repeated ingestion reuses warm capacity.
+    /// Ingest scratch, persistent across consume_binary calls so
+    /// repeated ingestion reuses warm capacity: the decoded rows, the
+    /// serial reader's window of refs, its string table and that
+    /// table's binding.
     trace::EventBatch batch_;
+    std::vector<trace::EventRef> window_;
+    std::vector<std::string_view> strings_;
+    SyscallTable::FileBinding binding_;
     Tally tally_;
 };
 

@@ -83,6 +83,8 @@ class Schema {
     /// rows a != b has one cell in [0, pair_cells()), whatever the
     /// argument order, and pair_label(cell) is its "A+B" row label.
     std::size_t pair_cells() const { return flag_count_ * flag_count_; }
+    /// The open-flag rows (declared rows of the open/flags space).
+    std::size_t flag_rows() const { return flag_count_; }
     std::size_t pair_cell(std::size_t a, std::size_t b) const {
         return a < b ? a * flag_count_ + b : b * flag_count_ + a;
     }

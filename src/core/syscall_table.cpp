@@ -66,17 +66,22 @@ SyscallTable::FileBinding SyscallTable::bind_file(
     FileBinding out;
     out.names.reserve(strings.size());
     out.keys.reserve(strings.size());
-    for (const auto sv : strings) {
-        auto it = names_.find(sv);
+    bind_more(out, strings);
+    return out;
+}
+
+void SyscallTable::bind_more(
+    FileBinding& file, const std::vector<std::string_view>& strings) const {
+    for (std::size_t i = file.names.size(); i < strings.size(); ++i) {
+        auto it = names_.find(strings[i]);
         if (it == names_.end()) {
-            out.names.emplace_back();
-            out.keys.push_back(kNoKey);
+            file.names.emplace_back();
+            file.keys.push_back(kNoKey);
         } else {
-            out.names.push_back(it->second.binding);
-            out.keys.push_back(it->second.key);
+            file.names.push_back(it->second.binding);
+            file.keys.push_back(it->second.key);
         }
     }
-    return out;
 }
 
 }  // namespace iocov::core

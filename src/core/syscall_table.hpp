@@ -130,6 +130,12 @@ class SyscallTable {
     };
     FileBinding bind_file(const std::vector<std::string_view>& strings) const;
 
+    /// Extends `file` over the entries of `strings` past the ones it
+    /// already binds, one lookup per new string: a table read a window
+    /// at a time (trace::IoctReader) stays bound as it grows.
+    void bind_more(FileBinding& file,
+                   const std::vector<std::string_view>& strings) const;
+
     /// bind_file(strings).names: the bindings alone, for callers that
     /// look arguments up by name (perfbench's traced replay).
     std::vector<Binding> bind_all(

@@ -24,6 +24,7 @@ namespace {
 // Plain integer (not a class type) so reading it never allocates and
 // thread start-up needs no dynamic initialization.
 thread_local std::uint64_t t_alloc_count = 0;
+thread_local std::uint64_t t_alloc_bytes = 0;
 
 }  // namespace
 
@@ -31,14 +32,21 @@ bool has_allocation_counting() { return IOCOV_ALLOC_HOOK != 0; }
 
 std::uint64_t thread_allocation_count() { return t_alloc_count; }
 
+std::uint64_t thread_allocated_bytes() { return t_alloc_bytes; }
+
 }  // namespace iocov::exec
 
 #if IOCOV_ALLOC_HOOK
 
 namespace {
 
-void* counted_alloc(std::size_t size) {
+void note_alloc(std::size_t size) {
     ++iocov::exec::t_alloc_count;
+    iocov::exec::t_alloc_bytes += size;
+}
+
+void* counted_alloc(std::size_t size) {
+    note_alloc(size);
     for (;;) {
         if (void* p = std::malloc(size ? size : 1)) return p;
         std::new_handler handler = std::get_new_handler();
@@ -52,11 +60,11 @@ void* counted_alloc(std::size_t size) {
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-    ++iocov::exec::t_alloc_count;
+    note_alloc(size);
     return std::malloc(size ? size : 1);
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-    ++iocov::exec::t_alloc_count;
+    note_alloc(size);
     return std::malloc(size ? size : 1);
 }
 

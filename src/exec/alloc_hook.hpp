@@ -6,7 +6,7 @@
 // operator new/delete are replaced with counting wrappers and each
 // thread keeps a running allocation count, so a test (or `iocov
 // analyze --stats`) can snapshot the counter around a loop and assert
-// the delta is zero.
+// the delta is zero.  It also sums the bytes each allocation requests.
 //
 // The replacement is compiled out under ASan/TSan/MSan — sanitizers
 // interpose the allocator themselves — in which case
@@ -26,5 +26,10 @@ bool has_allocation_counting();
 /// started (0 when counting is unavailable).  Snapshot before/after a
 /// region and subtract.
 std::uint64_t thread_allocation_count();
+
+/// Bytes those allocations requested (0 when counting is unavailable):
+/// what a region asks of the heap, freed or not, so a test can check
+/// that it does not grow with the input.
+std::uint64_t thread_allocated_bytes();
 
 }  // namespace iocov::exec

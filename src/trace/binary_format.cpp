@@ -146,35 +146,36 @@ void BinarySink::flush_buffer() {
 
 // ---- decoding --------------------------------------------------------------
 
-IoctScan scan_ioct(std::string_view data) {
-    IoctScan scan;
-    if (!is_ioct(data) || data.size() < kIoctHeaderSize) {
-        if (!data.empty())
-            scan.diags.record(0, 0, "not an IOCT file (bad magic/version)");
-        return scan;
-    }
-    scan.header_ok = true;
-    // ~20 bytes/record in practice; one up-front reserve beats a dozen
-    // doubling copies on a multi-megabyte trace (over-estimate is freed
-    // with the scan).
-    scan.events.reserve(data.size() / 20 + 1);
+IoctReader::IoctReader(std::string_view data, ParseDiagnostics& diags,
+                       std::optional<IoctFooter>* footer)
+    : records_{data}, diags_(&diags), footer_(footer) {
+    header_ok_ = is_ioct(data) && data.size() >= kIoctHeaderSize;
+    ended_ = !header_ok_;
+    if (!header_ok_ && !data.empty())
+        diags.record(0, 0, "not an IOCT file (bad magic/version)");
+}
 
-    auto drop = [&scan](std::size_t offset, const char* reason) {
-        ++scan.dropped;
-        scan.diags.record(0, offset, reason);
-    };
+void IoctReader::drop(std::size_t offset, const char* reason) {
+    ++dropped_;
+    diags_->record(0, offset, reason);
+}
 
-    RecordReader records{data};
+bool IoctReader::read(std::vector<std::string_view>& strings,
+                      std::vector<EventRef>& refs, std::size_t max) {
+    refs.clear();
+    const char* const base = records_.data.data();
     detail::Record rec;
-    for (RecordReader::Status status;
-         (status = records.next(rec)) != RecordReader::Status::End;) {
+    while (!ended_ && refs.size() < max) {
+        const RecordReader::Status status = records_.next(rec);
         if (status != RecordReader::Status::Ok) {
-            drop(rec.start, torn_reason(status));
+            if (status != RecordReader::Status::End)
+                drop(rec.start, torn_reason(status));
+            ended_ = true;
             break;
         }
         switch (static_cast<IoctTag>(rec.tag())) {
             case IoctTag::Str:
-                scan.strings.push_back(rec.body());
+                if (!strings_read_) strings.push_back(rec.body());
                 break;
             case IoctTag::Event: {
                 PayloadCursor c(rec.body());
@@ -184,9 +185,8 @@ IoctScan scan_ioct(std::string_view data) {
                     drop(rec.start, "truncated event header");
                     break;
                 }
-                scan.events.push_back(
-                    {static_cast<std::uint64_t>(rec.payload.data() -
-                                                data.data()),
+                refs.push_back(
+                    {static_cast<std::uint64_t>(rec.payload.data() - base),
                      static_cast<std::uint32_t>(rec.payload.size()),
                      static_cast<std::uint32_t>(pid)});
                 break;
@@ -200,15 +200,15 @@ IoctScan scan_ioct(std::string_view data) {
                     std::uint64_t pid = 0, count = 0;
                     ok = c.read_varint(pid) && pid <= UINT32_MAX &&
                          c.read_varint(count);
-                    if (ok)
+                    if (ok && footer_)
                         footer.pid_events.emplace_back(
                             static_cast<std::uint32_t>(pid), count);
                 }
                 ok = ok && c.read_varint(footer.total_events) && c.done();
-                if (ok)
-                    scan.footer = std::move(footer);
-                else
+                if (!ok)
                     drop(rec.start, "malformed footer");
+                else if (footer_)
+                    *footer_ = std::move(footer);
                 break;
             }
             default:
@@ -217,6 +217,32 @@ IoctScan scan_ioct(std::string_view data) {
                 break;
         }
     }
+    return !refs.empty();
+}
+
+void IoctReader::read_strings(std::vector<std::string_view>& strings) {
+    if (ended_ || strings_read_) return;
+    strings_read_ = true;
+    // A copy of the walk's cursor: the walk itself still has to visit
+    // (and diagnose) every record ahead.
+    RecordReader ahead = records_;
+    detail::Record rec;
+    while (ahead.next(rec) == RecordReader::Status::Ok)
+        if (static_cast<IoctTag>(rec.tag()) == IoctTag::Str)
+            strings.push_back(rec.body());
+}
+
+IoctScan scan_ioct(std::string_view data) {
+    IoctScan scan;
+    IoctReader reader(data, scan.diags, &scan.footer);
+    if (!reader.header_ok()) return scan;
+    scan.header_ok = true;
+    // ~20 bytes/record in practice; one up-front reserve beats a dozen
+    // doubling copies on a multi-megabyte trace (over-estimate is freed
+    // with the scan).
+    scan.events.reserve(data.size() / 20 + 1);
+    reader.read(scan.strings, scan.events, SIZE_MAX);
+    scan.dropped = reader.dropped();
     return scan;
 }
 

@@ -146,14 +146,62 @@ struct EventRef {
     std::uint32_t pid = 0;
 };
 
-/// Structural scan of a whole IOCT buffer: builds the string table
-/// (views aliasing `data`), locates every EVT payload, and pre-decodes
-/// each event's pid — everything the parallel pipeline needs to cut the
-/// file into record-aligned shards without materializing any event.
-/// Undecodable records (bad tag, torn tail, truncated varints) are
-/// counted into `dropped` and skipped, like parse_stream's torn lines;
-/// each drop is also recorded into `diags` with its byte offset and a
-/// stable reason.
+/// The one IOCT record walker.  One pass over the container appends
+/// each STR record's body (a view aliasing `data`) to a caller-owned
+/// string table and hands out EVT refs, with each event's pid
+/// pre-decoded, a window at a time — so a serial reader holds
+/// O(strings + window) beyond the mapping, never an index of every
+/// record.  Undecodable records (bad tag, torn tail, truncated event
+/// header, malformed footer) are counted and skipped, like
+/// parse_stream's torn lines; each drop is also recorded into `diags`
+/// with its byte offset and a stable reason.  A framing failure (torn
+/// length prefix, overrun) drops the tail and ends the walk.
+class IoctReader {
+  public:
+    /// Checks the header.  A bad one (with `data` non-empty) records
+    /// "not an IOCT file" into `diags`, is not counted as a drop, and
+    /// leaves nothing to read.  `footer`, when non-null, receives the
+    /// footer once the walk has parsed it; either way a malformed
+    /// footer is a drop.
+    IoctReader(std::string_view data, ParseDiagnostics& diags,
+               std::optional<IoctFooter>* footer = nullptr);
+
+    bool header_ok() const { return header_ok_; }
+
+    /// Replaces `refs` with the next EVT refs, walking on until it holds
+    /// `max` of them or the records end, and appends every STR record
+    /// passed on the way to `strings` (unless read_strings() already
+    /// did).  Returns false once no refs are left.
+    bool read(std::vector<std::string_view>& strings,
+              std::vector<EventRef>& refs, std::size_t max);
+
+    /// Appends every STR record past the walk's position to `strings`,
+    /// completing the table read() has built, so an event that names a
+    /// string defined later in the file can be decoded as a whole-file
+    /// scan would.  Records and counts nothing; later read() calls skip
+    /// those STR records.  Idempotent.
+    void read_strings(std::vector<std::string_view>& strings);
+
+    /// Records dropped so far (each also recorded into `diags`).
+    std::size_t dropped() const { return dropped_; }
+
+  private:
+    void drop(std::size_t offset, const char* reason);
+
+    detail::RecordReader records_;
+    ParseDiagnostics* diags_;
+    std::optional<IoctFooter>* footer_;
+    std::size_t dropped_ = 0;
+    bool header_ok_ = false;
+    bool ended_ = false;         ///< end of data or a torn tail reached
+    bool strings_read_ = false;  ///< read_strings() took the rest
+};
+
+/// Structural scan of a whole IOCT buffer: IoctReader run to the end
+/// with every ref kept — the string table, every EVT payload with its
+/// pid, the footer and the drops.  Everything the parallel pipeline
+/// needs to cut the file into record-aligned shards without
+/// materializing any event.
 struct IoctScan {
     std::vector<std::string_view> strings;
     std::vector<EventRef> events;

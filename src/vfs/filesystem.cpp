@@ -212,7 +212,7 @@ Result<ParentAndName> FileSystem::resolve_parent(std::string_view path,
     // Re-join the directory part and resolve it (always following
     // intermediate symlinks).
     std::string dir_part;
-    if (is_absolute(path)) dir_part = "/";
+    if (is_absolute(path)) dir_part.push_back('/');
     for (std::size_t i = 0; i < comps.size(); ++i) {
         if (i) dir_part += '/';
         dir_part += comps[i];

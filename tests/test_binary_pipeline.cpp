@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "abi/fcntl.hpp"
 #include "abi/seek.hpp"
 #include "core/iocov.hpp"
+#include "core/live.hpp"
 #include "exec/alloc_hook.hpp"
 #include "syscall/kernel.hpp"
 #include "syscall/process.hpp"
@@ -363,6 +366,326 @@ TEST(BinaryPipeline, SecondPassOverTheSameBufferAllocatesNothing) {
         EXPECT_EQ(iocov.hot_loop_allocs(), warm);
         EXPECT_EQ(iocov.report().events_seen % 2, 0u);
     }
+}
+
+TEST(BinaryPipeline, IngestRequestsNoMoreHeapForMoreEvents) {
+    if (!exec::has_allocation_counting())
+        GTEST_SKIP() << "allocation hook compiled out (sanitizer build)";
+    // The same strings, twice the events: a serial ingest holds the
+    // string table and one window of refs, never a ref per event, so
+    // it asks the heap for the same bytes either way.
+    const auto events = forged_pid_events(2000);
+    auto doubled = events;
+    doubled.insert(doubled.end(), events.begin(), events.end());
+    const auto config = trace::FilterConfig::mount_point("/mnt/test");
+    auto requested = [&](const std::string& bytes) {
+        IOCov iocov(config);
+        const std::uint64_t bytes0 = exec::thread_allocated_bytes();
+        EXPECT_EQ(iocov.consume_binary(bytes), 0u);
+        return exec::thread_allocated_bytes() - bytes0;
+    };
+    const std::string once = trace::encode_trace(events);
+    const std::string twice = trace::encode_trace(doubled);
+    ASSERT_GT(twice.size(), once.size() + 100000);
+    const std::uint64_t a = requested(once);
+    const std::uint64_t b = requested(twice);
+    EXPECT_GT(a, 0u);
+    EXPECT_LE(b, a + 1024) << "bytes requested: " << a << " -> " << b;
+    EXPECT_LE(a, b + 1024) << "bytes requested: " << a << " -> " << b;
+}
+
+// ---- the one-pass reader: late strings, mixed drops, truncations ---------
+
+/// A damaged record late_ioct() inserts: the first three are dropped by
+/// the record walk, the last three by the decode.
+enum class Damage {
+    UnknownTag,
+    TruncatedHeader,
+    MalformedFooter,
+    NameOutOfRange,
+    BadArgType,
+    TrailingBytes,
+};
+constexpr int kDamageKinds = 6;
+
+/// `events` as an IOCT file whose string table is written late.  The
+/// k-th string in first-use order gets its STR record before the first
+/// event that names it (k % 3 == 0, as the writer does), right after
+/// that event (1), or after the last event (2); ids follow STR record
+/// order.  A footer follows.  With `damage_every` > 0 a damaged record,
+/// cycling through Damage, follows every damage_every-th event, and a
+/// torn record follows the footer.
+std::string late_ioct(const std::vector<trace::TraceEvent>& events,
+                      std::size_t damage_every = 0) {
+    using trace::detail::put_varint;
+    std::map<std::string, std::size_t> first_use;
+    std::vector<std::string> by_use;
+    std::vector<std::vector<std::size_t>> before(events.size()),
+        after(events.size());
+    std::vector<std::size_t> at_end;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        auto see = [&](const std::string& s) {
+            if (first_use.count(s)) return;
+            const std::size_t k = by_use.size();
+            first_use[s] = k;
+            by_use.push_back(s);
+            (k % 3 == 0 ? before[i] : k % 3 == 1 ? after[i] : at_end)
+                .push_back(k);
+        };
+        see(events[i].syscall);
+        for (const auto& arg : events[i].args) {
+            see(arg.name);
+            if (const auto* v = std::get_if<std::string>(&arg.value)) see(*v);
+        }
+    }
+    std::vector<std::uint64_t> id(by_use.size());
+    std::uint64_t next_id = 0;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        for (const std::size_t k : before[i]) id[k] = next_id++;
+        for (const std::size_t k : after[i]) id[k] = next_id++;
+    }
+    for (const std::size_t k : at_end) id[k] = next_id++;
+    auto id_of = [&](const std::string& s) { return id[first_use.at(s)]; };
+
+    std::string out = trace::ioct_header();
+    auto str = [&](std::size_t k) {
+        std::string payload(1, static_cast<char>(trace::detail::kStrTag));
+        trace::detail::put_record(out, payload + by_use[k]);
+    };
+    auto evt = [](std::uint64_t name, std::uint64_t argc) {
+        std::string payload(1, static_cast<char>(trace::IoctTag::Event));
+        for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{21},
+                                      std::uint64_t{21}, name,
+                                      std::uint64_t{0}, argc})
+            put_varint(payload, v);
+        return payload;
+    };
+    int damage = 0;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        const auto& ev = events[i];
+        for (const std::size_t k : before[i]) str(k);
+        std::string payload(1, static_cast<char>(trace::IoctTag::Event));
+        put_varint(payload, ev.seq);
+        put_varint(payload, ev.pid);
+        put_varint(payload, ev.tid);
+        put_varint(payload, id_of(ev.syscall));
+        put_varint(payload, trace::detail::zigzag64(ev.ret));
+        put_varint(payload, ev.args.size());
+        for (const auto& arg : ev.args) {
+            put_varint(payload, id_of(arg.name));
+            if (const auto* n = std::get_if<std::int64_t>(&arg.value)) {
+                payload.push_back(static_cast<char>(trace::ArgType::Int));
+                put_varint(payload, trace::detail::zigzag64(*n));
+            } else if (const auto* u =
+                           std::get_if<std::uint64_t>(&arg.value)) {
+                payload.push_back(static_cast<char>(trace::ArgType::Uint));
+                put_varint(payload, *u);
+            } else {
+                payload.push_back(static_cast<char>(trace::ArgType::Str));
+                put_varint(payload, id_of(std::get<std::string>(arg.value)));
+            }
+        }
+        trace::detail::put_record(out, payload);
+        for (const std::size_t k : after[i]) str(k);
+        if (damage_every == 0 || (i + 1) % damage_every != 0) continue;
+        switch (static_cast<Damage>(damage++ % kDamageKinds)) {
+            case Damage::UnknownTag:
+                trace::detail::put_record(out, "\x09x");
+                break;
+            case Damage::TruncatedHeader:  // unterminated seq varint
+                trace::detail::put_record(out, "\x02\x80");
+                break;
+            case Damage::MalformedFooter:  // 5 pids promised, none given
+                trace::detail::put_record(out, "\x03\x05");
+                break;
+            case Damage::NameOutOfRange:  // no table ever gets that long
+                trace::detail::put_record(out, evt(1000000, 0));
+                break;
+            case Damage::BadArgType: {
+                std::string bad = evt(0, 1);  // string 0 comes first
+                put_varint(bad, 0);
+                bad += "\x07";
+                put_varint(bad, 0);
+                trace::detail::put_record(out, bad);
+                break;
+            }
+            case Damage::TrailingBytes:
+                trace::detail::put_record(out, evt(0, 0) + '\0');
+                break;
+        }
+    }
+    for (const std::size_t k : at_end) str(k);
+    std::string footer(1, static_cast<char>(trace::IoctTag::Footer));
+    put_varint(footer, 0);
+    put_varint(footer, events.size());
+    trace::detail::put_record(out, footer);
+    if (damage_every != 0) {
+        trace::detail::put_u32le(out, 100);  // torn: 100 bytes promised
+        out += "\x02\x01";
+    }
+    return out;
+}
+
+/// What scan-then-decode retains for a one-file directory walk: every
+/// scan drop, then every decode drop, each in record order.
+trace::ParseDiagnostics scan_then_decode(std::string_view bytes) {
+    const auto scan = trace::scan_ioct(bytes);
+    trace::ParseDiagnostics out = scan.diags;
+    trace::TraceEvent ev;
+    for (const auto& ref : scan.events) {
+        const char* reason = nullptr;
+        if (!trace::decode_event(bytes.substr(ref.offset, ref.length),
+                                 scan.strings, ev, nullptr, &reason))
+            out.record(0, ref.offset, reason);
+    }
+    return out;
+}
+
+/// A temp directory holding one trace file, "t.ioct", rewritten per
+/// input.
+class OneFileDir {
+  public:
+    OneFileDir()
+        : dir_(std::filesystem::temp_directory_path() /
+               ("iocov_one_pass_" + std::to_string(::getpid()))) {
+        std::filesystem::create_directories(dir_);
+    }
+    ~OneFileDir() {
+        std::error_code ec;
+        std::filesystem::remove_all(dir_, ec);
+    }
+    std::string hold(std::string_view bytes) const {
+        std::ofstream out(dir_ / "t.ioct", std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        return dir_.string();
+    }
+
+  private:
+    std::filesystem::path dir_;
+};
+
+/// consume_binary, a one-file directory walk (when `dir` is non-null)
+/// and a serve push of `bytes` give what decoding the whole file first
+/// gives: the report, the filtered and dropped counts, and the retained
+/// diagnostics (merged for consume_binary, scan-then-decode for the
+/// walk).  Returns the dropped count.
+std::size_t expect_whole_file_results(std::string_view bytes,
+                                      const OneFileDir* dir) {
+    const auto config = trace::FilterConfig::mount_point("/mnt/test");
+    std::size_t dropped = 0;
+    trace::ParseDiagnostics diags;
+    IOCov reference(config);
+    reference.consume_all(trace::decode_trace(bytes, &dropped, &diags));
+    const std::string at = "at " + std::to_string(bytes.size()) + " bytes";
+
+    IOCov serial(config);
+    EXPECT_EQ(serial.consume_binary(bytes), dropped) << at;
+    EXPECT_EQ(serial.report(), reference.report()) << at;
+    EXPECT_EQ(serial.events_filtered_out(), reference.events_filtered_out())
+        << at;
+    EXPECT_EQ(serial.diagnostics().to_string(), diags.to_string()) << at;
+
+    LiveCoverage live(config);
+    const auto push = live.push("t.ioct", bytes);
+    EXPECT_EQ(push.dropped, dropped) << at;
+    const auto& state = live.read()->state;
+    EXPECT_EQ(state.report, reference.report()) << at;
+    EXPECT_EQ(state.filtered_out, reference.events_filtered_out()) << at;
+    EXPECT_EQ(state.dropped, diags.total()) << at;
+
+    if (dir != nullptr) {
+        IOCov walk(config);
+        const auto result = walk.consume_binary_dir(dir->hold(bytes), 1);
+        EXPECT_TRUE(result.has_value()) << at;
+        if (result) {
+            EXPECT_EQ(result->dropped, dropped) << at;
+        }
+        EXPECT_EQ(walk.report(), reference.report()) << at;
+        EXPECT_EQ(walk.events_filtered_out(), reference.events_filtered_out())
+            << at;
+        trace::ParseDiagnostics labelled;
+        labelled.append(scan_then_decode(bytes), "t.ioct");
+        EXPECT_EQ(walk.diagnostics().to_string(), labelled.to_string()) << at;
+    }
+    return dropped;
+}
+
+TEST(BinaryPipeline, OnePassResolvesStringsDefinedLater) {
+    const auto events = forged_pid_events(200);  // 1400 events: 3 windows
+    const std::string bytes = late_ioct(events);
+    const auto config = trace::FilterConfig::mount_point("/mnt/test");
+    IOCov reference(config);
+    reference.consume_all(events);
+    ASSERT_GT(reference.report().events_tracked, 0u);
+    IOCov serial(config);
+    EXPECT_EQ(serial.consume_binary(bytes), 0u);
+    EXPECT_EQ(serial.report(), reference.report());
+
+    OneFileDir dir;
+    EXPECT_EQ(expect_whole_file_results(bytes, &dir), 0u);
+}
+
+TEST(BinaryPipeline, OnePassKeepsScanAndDecodeDropsApart) {
+    // Every damage kind and the torn tail, past the 16 retained.  Dense
+    // damage fills the retained entries from the first window; sparse
+    // damage leaves room in them for drops of later windows, so an
+    // accumulator that took scan and decode drops as they come would
+    // retain other entries than scan-then-decode.
+    OneFileDir dir;
+    for (const std::size_t every : {7u, 40u}) {
+        const std::string bytes = late_ioct(forged_pid_events(200), every);
+        const auto scan = trace::scan_ioct(bytes);
+        const std::size_t dropped = expect_whole_file_results(bytes, &dir);
+        EXPECT_EQ(dropped, 1400 / every + 1);
+        EXPECT_GT(dropped, trace::ParseDiagnostics::kDefaultMaxRetained);
+        EXPECT_GT(scan.dropped, 0u);
+        EXPECT_GT(dropped - scan.dropped, 0u);
+    }
+}
+
+/// `n` short calls of three processes: opens in and out of the mount
+/// (some failing), writes and closes, so the filter keeps fd state and
+/// a file of two windows stays small.
+std::vector<trace::TraceEvent> short_events(std::size_t n) {
+    std::vector<trace::TraceEvent> out;
+    for (std::size_t i = 0; out.size() < n; ++i) {
+        trace::TraceEvent ev;
+        ev.seq = out.size();
+        ev.pid = ev.tid = static_cast<std::uint32_t>(1 + i % 3);
+        const std::int64_t fd = static_cast<std::int64_t>(3 + i / 3 % 4);
+        switch (i / 3 % 4) {
+            case 0:
+                ev.syscall = "open";
+                ev.args = {{"pathname", std::string(i % 5 ? "/mnt/test/a"
+                                                          : "/tmp/b")},
+                           {"flags", std::uint64_t{abi::O_RDWR}},
+                           {"mode", std::uint64_t{0644}}};
+                ev.ret = i % 7 ? fd : -2;
+                break;
+            case 1:
+            case 2:
+                ev.syscall = "write";
+                ev.args = {{"fd", fd}, {"count", std::uint64_t{i % 64}}};
+                ev.ret = static_cast<std::int64_t>(i % 64);
+                break;
+            default:
+                ev.syscall = "close";
+                ev.args = {{"fd", fd}};
+                break;
+        }
+        out.push_back(std::move(ev));
+    }
+    return out;
+}
+
+TEST(BinaryPipeline, OnePassMatchesWholeFileDecodeAtEveryTruncation) {
+    // Two windows of rows, late strings, every damage kind and a torn
+    // tail; cut at every byte.
+    const std::string bytes = late_ioct(short_events(540), 9);
+    ASSERT_GT(trace::scan_ioct(bytes).events.size(), 512u);
+    OneFileDir dir;
+    for (std::size_t n = 1; n <= bytes.size(); ++n)
+        expect_whole_file_results(std::string_view(bytes).substr(0, n), &dir);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // pairs must equal a label-keyed recount done here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <random>
@@ -171,6 +172,70 @@ TEST(PairCells, PairsEqualALabelKeyedRecount) {
     IOCov from_events(config);
     from_events.consume_all(events);
     EXPECT_EQ(pairs_of(from_events.report()).rows(), expected);
+}
+
+/// Every open-flags statistic recounted by label from flag_names():
+/// `hist`, `combo_cardinality`, `combo_cardinality_rdonly` and `pairs`.
+struct FlagRecount {
+    std::map<std::string, std::uint64_t> hist, cardinality, rdonly;
+    std::vector<stats::PartitionCount> pairs;
+};
+
+FlagRecount recount_flags(const std::vector<std::uint32_t>& flag_words) {
+    FlagRecount out;
+    for (const std::uint32_t flags : flag_words) {
+        const auto names = flag_names(flags);
+        for (const auto& name : names) ++out.hist[name];
+        const std::string size =
+            names.size() >= 7 ? "7+" : std::to_string(names.size());
+        ++out.cardinality[size];
+        for (const auto& name : names)
+            if (name == "O_RDONLY") ++out.rdonly[size];
+    }
+    out.pairs = recount_pairs(flag_words);
+    return out;
+}
+
+/// The rows of `hist` that counted something, by label.
+std::map<std::string, std::uint64_t> counted(
+    const stats::PartitionHistogram& hist) {
+    std::map<std::string, std::uint64_t> out;
+    for (const auto& row : hist.rows())
+        if (row.count) out[row.label] = row.count;
+    return out;
+}
+
+TEST(PairCells, FlagWordsEvictedFromTheMemoCountAsTheRecount) {
+    // Three times round a cycle of distinct words, many more than the
+    // memo holds, so every lap finds its entries evicted by the last.
+    std::mt19937 rng(11);
+    std::vector<std::uint32_t> cycle;
+    while (cycle.size() < 5 * Analyzer::kFlagsMemoEntries) {
+        const std::uint32_t flags = random_flags(rng);
+        if (std::find(cycle.begin(), cycle.end(), flags) == cycle.end())
+            cycle.push_back(flags);
+    }
+    std::vector<std::uint32_t> words;
+    std::vector<TraceEvent> events;
+    for (int lap = 0; lap < 3; ++lap)
+        for (const std::uint32_t flags : cycle) {
+            words.push_back(flags);
+            events.push_back(open_event(21, "/mnt/test/f", flags, 3));
+            events.back().seq = events.size();
+        }
+    const FlagRecount expected = recount_flags(words);
+    const auto config = trace::FilterConfig::mount_point("/mnt/test");
+
+    IOCov rows(config), from_events(config);
+    rows.consume_binary(trace::encode_trace(events));
+    from_events.consume_all(events);
+    for (const IOCov* run : {&rows, &from_events}) {
+        const ArgCoverage& flags = *run->report().find_input("open", "flags");
+        EXPECT_EQ(counted(flags.hist), expected.hist);
+        EXPECT_EQ(counted(flags.combo_cardinality), expected.cardinality);
+        EXPECT_EQ(counted(flags.combo_cardinality_rdonly), expected.rdonly);
+        EXPECT_EQ(flags.pairs.rows(), expected.pairs);
+    }
 }
 
 TEST(PairCells, ReportIsCompleteAfterEveryCall) {
