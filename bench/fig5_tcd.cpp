@@ -48,13 +48,13 @@ int main() {
     std::printf("measured crossover target: %.0f\n", crossover);
     std::printf("paper crossover (5,237) scaled to this run: %.0f\n",
                 5237.0 * scale);
+    const bool matches = core::tcd_uniform(cm, crossover / 10) <
+                             core::tcd_uniform(xfs, crossover / 10) &&
+                         core::tcd_uniform(cm, crossover * 10) >
+                             core::tcd_uniform(xfs, crossover * 10);
     std::printf("CrashMonkey better below the crossover, xfstests better "
                 "above: %s\n",
-                (core::tcd_uniform(cm, crossover / 10) <
-                     core::tcd_uniform(xfs, crossover / 10) &&
-                 core::tcd_uniform(cm, crossover * 10) >
-                     core::tcd_uniform(xfs, crossover * 10))
-                    ? "yes (matches paper)"
-                    : "NO");
-    return 0;
+                matches ? "yes (matches paper)" : "NO");
+    // The paper's claim is the gate: exit 1 when it does not hold.
+    return matches ? 0 : 1;
 }

@@ -419,7 +419,8 @@ BENCHMARK(BM_SnapshotSave);
 void BM_SnapshotSaveDurable(benchmark::State& state) {
     const auto& snap = canned_fleet().snapshots.front();
     const auto dir = std::filesystem::temp_directory_path() /
-                     ("iocov_bench_durable_" + std::to_string(::getpid()));
+                     (std::string("iocov_bench_durable_") +
+                      std::to_string(::getpid()));
     std::filesystem::create_directories(dir);
     const std::string path = (dir / "bench.iocs").string();
     std::int64_t bytes = 0;
@@ -458,7 +459,7 @@ void BM_SnapshotMerge(benchmark::State& state) {
         std::vector<core::NamedSnapshot> shards;
         shards.reserve(fleet.encoded.size());
         for (std::size_t i = 0; i < fleet.encoded.size(); ++i)
-            shards.push_back({"s" + std::to_string(i),
+            shards.push_back({std::string("s") + std::to_string(i),
                               *core::decode_snapshot(fleet.encoded[i])});
         const auto merged = core::merge_snapshots(std::move(shards), 1);
         benchmark::DoNotOptimize(merged.report.events_seen);
@@ -485,7 +486,8 @@ void BM_ServeIngest(benchmark::State& state) {
     std::uint64_t n = 0;
     for (auto _ : state) {
         const auto wire =
-            serve::encode_push("bench-" + std::to_string(n++), binary);
+            serve::encode_push(std::string("bench-") + std::to_string(n++),
+                               binary);
         serve::FrameDecoder decoder;
         decoder.feed(wire);
         serve::Frame frame;

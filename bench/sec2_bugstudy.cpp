@@ -65,6 +65,7 @@ int main() {
                 r.cbm_input_triggerable, r.line_cbm, pct_trig);
 
     // The Fig. 1 marquee bug, spelled out.
+    bool fig1_covered_but_missed = false;
     for (const auto& o : r.outcomes) {
         if (o.bug->id != "ext4-22-019") continue;
         std::printf("Fig. 1 bug (%s): %s\n", o.bug->id.c_str(),
@@ -75,6 +76,15 @@ int main() {
                     o.fn_covered ? "yes" : "no",
                     o.branch_covered ? "yes" : "no",
                     o.detected ? "YES" : "no");
+        fig1_covered_but_missed = o.line_covered && o.fn_covered &&
+                                  o.branch_covered && !o.detected;
     }
-    return 0;
+
+    // The paper's counts are the gate: exit 1 when one does not hold.
+    const bool matches =
+        r.total == 70 && r.ext4 == 51 && r.btrfs == 19 && r.line_cbm == 37 &&
+        r.fn_cbm == 43 && r.branch_cbm == 20 && r.input_bugs == 50 &&
+        r.output_bugs == 41 && r.either_bugs == 57 &&
+        r.cbm_input_triggerable == 24 && fig1_covered_but_missed;
+    return matches ? 0 : 1;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 
@@ -188,21 +189,21 @@ void Analyzer::consume(const trace::TraceEvent& event,
 void Analyzer::consume(const trace::EventBatch& batch,
                        const std::vector<std::string_view>& strings,
                        const SyscallTable::FileBinding& file) {
+    if (!batch.keyed)
+        throw std::invalid_argument(
+            "Analyzer::consume: rows decoded without key codes");
     for (const trace::BatchRow& row : batch.rows) {
         const SyscallTable::Binding& binding = file.names[row.name_id];
         const trace::BatchArg* args = batch.args.data() + row.arg_begin;
-        const auto key_of = [&](std::size_t a) {
-            return file.keys[args[a].name_id];
-        };
         consume_bound(binding, row.ret, [&](std::size_t i, std::size_t slot) {
-            // The same lookup as the event path's, by name code: position
-            // i first, then the first argument of that name, then the
-            // variant's implied argument.
+            // The same lookup as the event path's, by the name codes the
+            // decode stamped: position i first, then the first argument
+            // of that name, then the variant's implied argument.
             const SyscallTable::KeyCode want = schema_->table().slot_key(slot);
-            if (i < row.arg_count && key_of(i) == want)
+            if (i < row.arg_count && args[i].key == want)
                 return args[i].view(strings);
             for (std::size_t a = 0; a < row.arg_count; ++a)
-                if (key_of(a) == want) return args[a].view(strings);
+                if (args[a].key == want) return args[a].view(strings);
             if (binding.implied && binding.implied_key == want)
                 return trace::ArgView(binding.implied->value);
             return trace::ArgView();

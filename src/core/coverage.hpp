@@ -100,7 +100,8 @@ class Analyzer {
     /// caller has already dropped the rows its filter rejects) exactly
     /// as consume() would their materialized events.  `file` is
     /// `table().bind_file(strings)`, `strings` the table `batch` was
-    /// decoded against.
+    /// decoded against with `file.keys` (a keyed decode_batch); an
+    /// unkeyed batch throws std::invalid_argument.
     void consume(const trace::EventBatch& batch,
                  const std::vector<std::string_view>& strings,
                  const SyscallTable::FileBinding& file);

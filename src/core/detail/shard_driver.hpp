@@ -1,5 +1,5 @@
 // The one sharded ingest driver behind IOCov's parallel entry points
-// (consume_binary_parallel: one item per pid shard; consume_binary_files:
+// (consume_binary_parallel: one item per pid class; consume_binary_files:
 // one per file; consume_text_parallel: one per line chunk, then one per
 // pid shard).  Internal, not public API; tests drive it directly to
 // reach the isolation path.
@@ -35,6 +35,11 @@ struct ShardDriver {
     /// it dropped.  Runs concurrently with other items' bodies.
     using Body = std::function<std::size_t(std::size_t item, IOCov& shard)>;
 
+    /// Called for a lost item, on its lane, with a copy of the item to
+    /// complete: Item::records, line and offset, when counting them up
+    /// front would cost a pass the body makes anyway.
+    using Recount = std::function<void(std::size_t item, Item& lost)>;
+
     struct Run {
         std::size_t dropped = 0;  ///< records dropped by bodies and losses
         unsigned lanes = 1;       ///< lanes the items ran on
@@ -46,13 +51,15 @@ struct ShardDriver {
     /// items inline in order; more run on a work-stealing pool weighted
     /// by Item::weight (`n_threads` 0 = hardware concurrency).  A body
     /// that throws loses its item: shards_lost() rises by one,
-    /// Item::records count as dropped, and "shard lost: <what>" is
-    /// recorded at Item::line/offset.  Only the fold's inputs (report,
+    /// Item::records (as `recount`, when given, completes them) count
+    /// as dropped, and "shard lost: <what>" is recorded at
+    /// Item::line/offset.  Only the fold's inputs (report,
     /// counters, diagnostics, dropped count) outlive an item; they fold
     /// into `into` in item order, through the same fold as
     /// IOCov::merge, so the result does not depend on scheduling.
     static Run run(IOCov& into, const std::vector<Item>& items,
-                   unsigned n_threads, const Body& body);
+                   unsigned n_threads, const Body& body,
+                   const Recount& recount = {});
 
     /// One item per IOCT file: weighted by WalkEntry::bytes, labelled
     /// by WalkEntry::name.  An entry that cannot be opened or is not

@@ -77,86 +77,72 @@ void IOCov::analyze_batch(const std::vector<std::string_view>& strings,
     // The admitted rows are compacted to the front of the batch (row i
     // is read before any later write can reach it), then analyzed in
     // one call.
+    auto& rows = batch_.rows;
     std::size_t admitted = 0;
-    for (const trace::BatchRow& row : batch_.rows) {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
         const auto call = trace::FilterCall::of(
-            batch_, row, strings, file.names[row.name_id].role,
-            file.keys.data());
-        if (filter_.admit(call)) batch_.rows[admitted++] = row;
+            batch_, i, strings, file.names[rows[i].name_id].role);
+        if (!filter_.admit(call)) continue;
+        if (admitted != i) rows[admitted] = rows[i];
+        ++admitted;
     }
-    tally_.ingest.events += batch_.rows.size();
-    tally_.filtered_out += batch_.rows.size() - admitted;
-    batch_.rows.resize(admitted);
+    tally_.ingest.events += rows.size();
+    tally_.filtered_out += rows.size() - admitted;
+    rows.resize(admitted);
     analyzer_.consume(batch_, strings, file);
 }
 
-std::size_t IOCov::ingest_refs(
-    std::string_view data, const std::vector<std::string_view>& strings,
-    const trace::EventRef* refs, std::size_t n,
-    const SyscallTable::FileBinding& file, trace::ParseDiagnostics& diags) {
-    // Decoded rows go straight to the filter and the analyzer, strings
-    // as table ids; chunked through the reusable EventBatch so steady
-    // state performs zero heap allocations (tracked per thread via the
-    // exec allocation hook).
-    std::size_t dropped = 0;
-    const std::uint64_t allocs0 = exec::thread_allocation_count();
-    for (std::size_t i = 0; i < n; i += kBatchRows) {
-        batch_.clear();
-        trace::decode_batch(data, strings, refs + i,
-                            std::min(kBatchRows, n - i), batch_, &dropped,
-                            &diags);
-        analyze_batch(strings, file);
-    }
-    tally_.hot_loop_allocs += exec::thread_allocation_count() - allocs0;
-    return dropped;
-}
-
-std::size_t IOCov::ingest_ioct(std::string_view data,
-                               trace::ParseDiagnostics& scan_diags,
-                               trace::ParseDiagnostics& decode_diags) {
-    tally_.ingest.bytes += data.size();
+IOCov::IngestDrops IOCov::ingest_ioct(std::string_view data,
+                                      trace::PidShard shard,
+                                      trace::ParseDiagnostics& scan_diags,
+                                      trace::ParseDiagnostics& decode_diags) {
     const SyscallTable& table = analyzer_.table();
     strings_.clear();
     binding_.names.clear();
     binding_.keys.clear();
     trace::IoctReader reader(data, scan_diags);
-    std::size_t dropped = 0;
-    while (reader.read(strings_, window_, kBatchRows)) {
+    IngestDrops drops;
+    while (reader.read(strings_, window_, kBatchRows, shard)) {
         table.bind_more(binding_, strings_);
-        // The window's decode -> filter -> analyze is the hot loop
-        // ingest_refs counts; completing the string table is not.
+        // The window's decode -> filter -> analyze is the hot loop;
+        // completing the string table is not.  Heap allocations in it
+        // are counted per thread through the exec allocation hook.
         std::uint64_t allocs0 = exec::thread_allocation_count();
         batch_.clear();
         std::size_t bad = 0;
-        trace::decode_batch(data, strings_, window_.data(), window_.size(),
-                            batch_, &bad);
+        trace::decode_batch(data, strings_, binding_.keys, window_.data(),
+                            window_.size(), batch_, &bad);
         if (bad != 0) {
             // A row may name a string defined later in the file.  Decode
-            // the window again against the complete table, as a
-            // scan-then-decode reader would, recording its drops, before
-            // any of its rows reach the filter (which keeps state).
+            // the window again against the complete table, stamping the
+            // codes of its new strings, as a scan-then-decode reader
+            // would, recording its drops, before any of its rows reach
+            // the filter (which keeps state).
             const std::uint64_t allocs1 = exec::thread_allocation_count();
             reader.read_strings(strings_);
             table.bind_more(binding_, strings_);
             allocs0 += exec::thread_allocation_count() - allocs1;
             batch_.clear();
             bad = 0;
-            trace::decode_batch(data, strings_, window_.data(),
-                                window_.size(), batch_, &bad, &decode_diags);
-            dropped += bad;
+            trace::decode_batch(data, strings_, binding_.keys,
+                                window_.data(), window_.size(), batch_, &bad,
+                                &decode_diags);
+            drops.decode += bad;
         }
         analyze_batch(strings_, binding_);
         tally_.hot_loop_allocs += exec::thread_allocation_count() - allocs0;
     }
-    return reader.dropped() + dropped;
+    drops.scan = reader.dropped();
+    return drops;
 }
 
 std::size_t IOCov::consume_binary(std::string_view data) {
     trace::ParseDiagnostics scan_diags, decode_diags;
-    const std::size_t dropped = ingest_ioct(data, scan_diags, decode_diags);
+    const IngestDrops drops = ingest_ioct(data, {}, scan_diags, decode_diags);
+    tally_.ingest.bytes += data.size();
     diagnostics_.merge(scan_diags);
     diagnostics_.merge(decode_diags);
-    return dropped;
+    return drops.scan + drops.decode;
 }
 
 std::size_t IOCov::consume_binary_parallel(std::string_view data,
@@ -167,37 +153,50 @@ std::size_t IOCov::consume_binary_parallel(std::string_view data,
         return consume_binary(data);
     }
 
-    const auto scan = trace::scan_ioct(data);
-    const auto file = analyzer_.table().bind_file(scan.strings);
-
-    // Shard record references (not events) by pid with a counting sort
-    // sized from the scan itself, never from the footer's untrusted
-    // per-pid counts.  Scan order is file order, so each pid's event
-    // order — the only ordering the stateful filter depends on — is
-    // preserved inside its shard.
-    std::vector<std::size_t> begin(n_threads + 1, 0);
-    for (const auto& ref : scan.events) ++begin[ref.pid % n_threads + 1];
-    for (unsigned s = 0; s < n_threads; ++s) begin[s + 1] += begin[s];
-    std::vector<trace::EventRef> refs(scan.events.size());
-    std::vector<std::size_t> next(begin.begin(), begin.end() - 1);
-    for (const auto& ref : scan.events)
-        refs[next[ref.pid % n_threads]++] = ref;
-
-    std::vector<detail::ShardDriver::Item> items(n_threads);
-    for (unsigned s = 0; s < n_threads; ++s) {
-        items[s].weight = items[s].records = begin[s + 1] - begin[s];
-        if (items[s].records) items[s].offset = refs[begin[s]].offset;
-    }
+    // One item per pid class (pid % n_threads): each walks the whole
+    // file with its own reader and decodes only its own refs, so no
+    // shard holds more than the string table and one window, and each
+    // pid's events reach its shard's filter in file order — the only
+    // ordering the stateful filter depends on.  The record walk drops
+    // the same records in every shard; shard 0's count and diagnostics
+    // stand for all of them.
+    const auto shard_of = [n_threads](std::size_t s) {
+        return trace::PidShard{n_threads, static_cast<std::uint32_t>(s)};
+    };
+    trace::ParseDiagnostics scan_diags;
+    std::size_t scan_dropped = 0;
+    detail::ShardDriver::Item item;
+    item.weight = 1;
+    const std::vector<detail::ShardDriver::Item> items(n_threads, item);
     const auto run = detail::ShardDriver::run(
-        *this, items, n_threads, [&](std::size_t s, IOCov& shard) {
-            return shard.ingest_refs(data, scan.strings,
-                                     refs.data() + begin[s], items[s].records,
-                                     file, shard.diagnostics_);
+        *this, items, n_threads,
+        [&](std::size_t s, IOCov& shard) {
+            trace::ParseDiagnostics uncounted(0);
+            const IngestDrops drops = shard.ingest_ioct(
+                data, shard_of(s), s == 0 ? scan_diags : uncounted,
+                shard.diagnostics_);
+            if (s == 0) scan_dropped = drops.scan;
+            return drops.decode;
+        },
+        [&](std::size_t s, detail::ShardDriver::Item& lost) {
+            // A lost shard drops every record of its pid class, counted
+            // by a walk that decodes nothing; a lost shard 0 also
+            // leaves the record walk's drops to this walk.
+            trace::ParseDiagnostics uncounted(0);
+            if (s == 0) scan_diags.clear();
+            trace::IoctReader reader(data, s == 0 ? scan_diags : uncounted);
+            std::vector<std::string_view> strings;
+            std::vector<trace::EventRef> refs;
+            while (reader.read(strings, refs, kBatchRows, shard_of(s))) {
+                if (lost.records == 0) lost.offset = refs.front().offset;
+                lost.records += refs.size();
+            }
+            if (s == 0) scan_dropped = reader.dropped();
         });
-    diagnostics_.merge(scan.diags);
+    diagnostics_.merge(scan_diags);
     tally_.ingest.bytes += data.size();
     tally_.ingest.threads = std::max(tally_.ingest.threads, run.lanes);
-    return scan.dropped + run.dropped;
+    return scan_dropped + run.dropped;
 }
 
 std::optional<std::size_t> IOCov::consume_binary_file(const std::string& path,
@@ -326,7 +325,8 @@ IOCovSnapshot IOCov::snapshot() const {
 namespace detail {
 
 ShardDriver::Run ShardDriver::run(IOCov& into, const std::vector<Item>& items,
-                                  unsigned n_threads, const Body& body) {
+                                  unsigned n_threads, const Body& body,
+                                  const Recount& recount) {
     struct Part {
         CoverageReport report;
         IOCov::Tally tally;
@@ -347,9 +347,11 @@ ShardDriver::Run ShardDriver::run(IOCov& into, const std::vector<Item>& items,
             // throws, so this guards worker failures (e.g. bad_alloc).
             // The item degrades to a counted loss of its records instead
             // of poisoning the whole ingest.
+            Item lost = items[i];
+            if (recount) recount(i, lost);
             part.tally.shards_lost = 1;
-            part.dropped = items[i].records;
-            part.diags.record(items[i].line, items[i].offset,
+            part.dropped = lost.records;
+            part.diags.record(lost.line, lost.offset,
                               std::string("shard lost: ") + e.what());
         }
     };
@@ -397,13 +399,14 @@ IOCov::DirIngest ShardDriver::consume_binary_files(
                 return 0;
             }
             ++shard.tally_.ingest.files;
+            shard.tally_.ingest.bytes += mapped->data().size();
             // One accumulator: scan drops, then decode drops, each in
             // record order (the shard's accumulator starts empty).
             trace::ParseDiagnostics decode_diags;
-            const std::size_t dropped = shard.ingest_ioct(
-                mapped->data(), shard.diagnostics_, decode_diags);
+            const IOCov::IngestDrops drops = shard.ingest_ioct(
+                mapped->data(), {}, shard.diagnostics_, decode_diags);
             shard.diagnostics_.append(decode_diags);
-            return dropped;
+            return drops.scan + drops.decode;
         });
 
     // Analyzed files counted themselves; the rest were lost or rejected.

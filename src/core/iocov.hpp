@@ -100,16 +100,16 @@ class IOCov {
     /// need to distinguish should sniff with trace::is_ioct first.
     std::size_t consume_binary(std::string_view data);
 
-    /// Parallel consume_binary on the same driver: one structural scan
-    /// locates record boundaries and pre-decodes pids, record refs are
-    /// sharded by pid (sized from the scan itself; the footer's per-pid
-    /// counts are untrusted input and size nothing), and each shard
-    /// decodes + filters + analyzes on its own fresh IOCov before the
-    /// shards fold back in shard order.  Bit-identical to consume_binary
-    /// on a fresh IOCov, with the same contract as the text path: each
-    /// call starts from fresh filter state.  `n_threads` 0 means
-    /// hardware concurrency; 1 resets the filter and falls back to
-    /// consume_binary.
+    /// Parallel consume_binary on the same driver: one shard per pid
+    /// class (pid % n_threads), each walking the buffer with its own
+    /// one-pass reader and decoding + filtering + analyzing only its own
+    /// records on its own fresh IOCov, before the shards fold back in
+    /// shard order.  No shard holds a ref per record, and the footer's
+    /// per-pid counts (untrusted input) size nothing.  Bit-identical to
+    /// consume_binary on a fresh IOCov, with the same contract as the
+    /// text path: each call starts from fresh filter state.  `n_threads`
+    /// 0 means hardware concurrency; 1 resets the filter and falls back
+    /// to consume_binary.
     std::size_t consume_binary_parallel(std::string_view data,
                                         unsigned n_threads = 0);
 
@@ -254,27 +254,25 @@ class IOCov {
               const trace::ParseDiagnostics& diags,
               std::string_view label = {});
 
-    /// Ingests every record of one IOCT buffer in one pass: the reader
-    /// (trace::IoctReader) hands out windows of at most kBatchRows refs,
-    /// each decoded, filtered and analyzed before the next is read, so
-    /// memory beyond the buffer is O(strings + window).  Scan drops are
-    /// recorded into `scan_diags` and decode drops into `decode_diags`
-    /// (distinct accumulators), each in record order.  Returns the
-    /// records dropped.
-    std::size_t ingest_ioct(std::string_view data,
+    /// Records one IOCT ingest dropped: in the record walk, and in the
+    /// decode.
+    struct IngestDrops {
+        std::size_t scan = 0;
+        std::size_t decode = 0;
+    };
+
+    /// Ingests the records of pid class `shard` of one IOCT buffer in
+    /// one pass: the reader (trace::IoctReader) hands out windows of at
+    /// most kBatchRows refs, each decoded keyed against the string
+    /// table's binding, filtered and analyzed before the next is read,
+    /// so memory beyond the buffer is O(strings + window).  Scan drops
+    /// (of every pid) are recorded into `scan_diags` and decode drops
+    /// into `decode_diags` (distinct accumulators), each in record
+    /// order.  Counts no ingest bytes: that is the caller's, once per
+    /// buffer.
+    IngestDrops ingest_ioct(std::string_view data, trace::PidShard shard,
                             trace::ParseDiagnostics& scan_diags,
                             trace::ParseDiagnostics& decode_diags);
-
-    /// The decode -> filter -> analyze row loop over `n` scan refs.
-    /// `file` is the string table bound once (SyscallTable::bind_file);
-    /// rows reach the filter and the analyzer without being
-    /// materialized.  Returns the records dropped (recorded into
-    /// `diags`).
-    std::size_t ingest_refs(std::string_view data,
-                            const std::vector<std::string_view>& strings,
-                            const trace::EventRef* refs, std::size_t n,
-                            const SyscallTable::FileBinding& file,
-                            trace::ParseDiagnostics& diags);
 
     /// Filters the rows decoded into batch_ and analyzes the admitted
     /// ones (compacted to its front).

@@ -93,8 +93,8 @@ class SyscallTable {
     /// Code of an argument name the filter or the analyzer reads: the
     /// filter's three (trace::FilterKey) first, then every tracked and
     /// implied argument name.  kNoKey marks any other name.
-    using KeyCode = std::uint8_t;
-    static constexpr KeyCode kNoKey = 0xFF;
+    using KeyCode = trace::KeyCode;
+    static constexpr KeyCode kNoKey = trace::kNoKey;
 
     /// The code of the key of flat arg slot `slot`.
     KeyCode slot_key(std::size_t slot) const { return slot_key_[slot]; }
@@ -120,10 +120,11 @@ class SyscallTable {
 
     /// One IOCT string table resolved at once: names[i] == bind(strings[i])
     /// and keys[i] is the code of strings[i] as an argument name.  The
-    /// row loop then resolves a row's syscall and finds its arguments by
-    /// plain vector index on interned ids — zero hashing per event.  A
-    /// code per string, not one id per name, keeps a table that interns
-    /// a string twice exact.
+    /// keyed trace::decode_batch stamps each argument with keys[id], so
+    /// the row loop resolves a row's syscall by plain vector index on
+    /// its interned id and finds its arguments by code — zero hashing
+    /// per event.  A code per string, not one id per name, keeps a table
+    /// that interns a string twice exact.
     struct FileBinding {
         std::vector<Binding> names;
         std::vector<KeyCode> keys;

@@ -1,5 +1,6 @@
 #include "exec/alloc_hook.hpp"
 
+#include <atomic>
 #include <cstdlib>
 #include <new>
 
@@ -26,6 +27,8 @@ namespace {
 thread_local std::uint64_t t_alloc_count = 0;
 thread_local std::uint64_t t_alloc_bytes = 0;
 
+std::atomic<std::uint64_t> g_retired_bytes{0};
+
 }  // namespace
 
 bool has_allocation_counting() { return IOCOV_ALLOC_HOOK != 0; }
@@ -33,6 +36,15 @@ bool has_allocation_counting() { return IOCOV_ALLOC_HOOK != 0; }
 std::uint64_t thread_allocation_count() { return t_alloc_count; }
 
 std::uint64_t thread_allocated_bytes() { return t_alloc_bytes; }
+
+void retire_thread_allocations() {
+    g_retired_bytes.fetch_add(t_alloc_bytes, std::memory_order_relaxed);
+    t_alloc_bytes = 0;
+}
+
+std::uint64_t retired_allocated_bytes() {
+    return g_retired_bytes.load(std::memory_order_relaxed);
+}
 
 }  // namespace iocov::exec
 

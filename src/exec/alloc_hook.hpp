@@ -32,4 +32,14 @@ std::uint64_t thread_allocation_count();
 /// that it does not grow with the input.
 std::uint64_t thread_allocated_bytes();
 
+/// Adds the calling thread's thread_allocated_bytes() to
+/// retired_allocated_bytes(); every exec::ThreadPool worker calls it as
+/// it exits.
+void retire_thread_allocations();
+
+/// Bytes requested by the threads that have retired their count: with
+/// the caller's own, what a region that fans out to a pool asks of the
+/// heap once the pool is joined.
+std::uint64_t retired_allocated_bytes();
+
 }  // namespace iocov::exec

@@ -5,6 +5,8 @@
 #include <memory>
 #include <utility>
 
+#include "exec/alloc_hook.hpp"
+
 namespace iocov::exec {
 
 unsigned ThreadPool::default_thread_count() {
@@ -42,7 +44,10 @@ void ThreadPool::worker_loop() {
         {
             std::unique_lock<std::mutex> lock(mu_);
             work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-            if (queue_.empty()) return;  // stop_ and drained
+            if (queue_.empty()) {  // stop_ and drained
+                retire_thread_allocations();
+                return;
+            }
             job = std::move(queue_.front());
             queue_.pop_front();
         }

@@ -126,7 +126,8 @@ IoStatus AtomicWriter::open(std::string path, WriteOptions opts) {
     for (unsigned attempt = 0; attempt < 64; ++attempt) {
         temp_path_ = dir + "." + base + ".tmp." +
                      std::to_string(static_cast<unsigned long>(::getpid())) +
-                     (attempt ? "." + std::to_string(attempt) : std::string());
+                     (attempt ? std::string(".") + std::to_string(attempt)
+                              : std::string());
         fd_ = retried(IoPhase::TempCreate, opts_.retry, retries,
                       [&](const FaultHook::Action&) {
                           return ::open(temp_path_.c_str(),

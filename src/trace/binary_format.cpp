@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "host/fault.hpp"
 #include "trace/detail/wire.hpp"
@@ -28,6 +29,7 @@ using detail::zigzag64;
 // A writer-produced event never exceeds a handful of args; anything
 // past this in a file is corruption, not a trace.
 constexpr std::uint64_t kMaxArgs = 64;
+static_assert(kMaxArgs < kNoArg, "a BatchRow byte holds any count or position");
 
 constexpr std::size_t kSinkFlushBytes = 64 * 1024;
 
@@ -161,7 +163,8 @@ void IoctReader::drop(std::size_t offset, const char* reason) {
 }
 
 bool IoctReader::read(std::vector<std::string_view>& strings,
-                      std::vector<EventRef>& refs, std::size_t max) {
+                      std::vector<EventRef>& refs, std::size_t max,
+                      PidShard shard) {
     refs.clear();
     const char* const base = records_.data.data();
     detail::Record rec;
@@ -185,6 +188,8 @@ bool IoctReader::read(std::vector<std::string_view>& strings,
                     drop(rec.start, "truncated event header");
                     break;
                 }
+                if (shard.count > 1 && pid % shard.count != shard.index)
+                    break;
                 refs.push_back(
                     {static_cast<std::uint64_t>(rec.payload.data() - base),
                      static_cast<std::uint32_t>(rec.payload.size()),
@@ -347,9 +352,13 @@ namespace {
 /// Decodes one EVT payload into `out` (SoA append).  Returns nullptr on
 /// success; on failure appends nothing (partially appended args are
 /// rolled back) and returns the exact static reason string
-/// decode_event() produces for the same payload.
+/// decode_event() produces for the same payload.  `Keyed` also stamps
+/// each argument with keys[name id] and the row with its first
+/// pathname, dfd and fd positions; otherwise `keys` is not read.
+template <bool Keyed>
 const char* decode_ref(const unsigned char* base, const EventRef& ref,
-                       std::size_t string_count, EventBatch& out) {
+                       std::size_t string_count, const KeyCode* keys,
+                       EventBatch& out) {
     if (ref.length == 0) return "not an event record";
     const unsigned char* p = base + ref.offset;
     const unsigned char* const rec_end = p + ref.length;
@@ -370,6 +379,7 @@ const char* decode_ref(const unsigned char* base, const EventRef& ref,
         return "argument count out of range";
 
     const std::size_t arg_begin = out.args.size();
+    FirstArgs first{kNoArg, kNoArg, kNoArg};
     auto fail = [&](const char* r) {
         out.args.resize(arg_begin);
         return r;
@@ -396,25 +406,39 @@ const char* decode_ref(const unsigned char* base, const EventRef& ref,
             default:
                 return fail("unknown argument type byte");
         }
-        out.args.push_back({raw, static_cast<std::uint32_t>(arg_name),
-                            static_cast<ArgType>(type)});
+        if constexpr (Keyed) {
+            // The first argument of each filter name wins, as in
+            // FilterCall::of(const TraceEvent&).
+            const KeyCode key = keys[arg_name];
+            if (key < kFilterKeys && first[key] == kNoArg)
+                first[key] = static_cast<std::uint8_t>(i);
+            out.args.emplace_back(raw, static_cast<std::uint32_t>(arg_name),
+                                  static_cast<ArgType>(type), key);
+        } else {
+            out.args.emplace_back(raw, static_cast<std::uint32_t>(arg_name),
+                                  static_cast<ArgType>(type));
+        }
     }
     if (p != rec_end) return fail("trailing bytes after last argument");
 
-    out.rows.push_back({seq, unzigzag64(ret), arg_begin,
-                        static_cast<std::uint32_t>(pid),
-                        static_cast<std::uint32_t>(tid),
-                        static_cast<std::uint32_t>(name_id),
-                        static_cast<std::uint32_t>(argc)});
+    const auto pid32 = static_cast<std::uint32_t>(pid);
+    const auto tid32 = static_cast<std::uint32_t>(tid);
+    const auto name32 = static_cast<std::uint32_t>(name_id);
+    const auto count = static_cast<std::uint8_t>(argc);
+    if constexpr (Keyed)
+        out.rows.emplace_back(seq, unzigzag64(ret), arg_begin, pid32, tid32,
+                              name32, count, first);
+    else
+        out.rows.emplace_back(seq, unzigzag64(ret), arg_begin, pid32, tid32,
+                              name32, count);
     return nullptr;
 }
 
-}  // namespace
-
-std::size_t decode_batch(std::string_view data,
-                         const std::vector<std::string_view>& strings,
-                         const EventRef* refs, std::size_t n, EventBatch& out,
-                         std::size_t* dropped, ParseDiagnostics* diags) {
+template <bool Keyed>
+std::size_t decode_refs(std::string_view data, std::size_t string_count,
+                        const KeyCode* keys, const EventRef* refs,
+                        std::size_t n, EventBatch& out, std::size_t* dropped,
+                        ParseDiagnostics* diags) {
     const auto* base = reinterpret_cast<const unsigned char*>(data.data());
     out.rows.reserve(out.rows.size() + n);
     std::size_t decoded = 0;
@@ -425,7 +449,7 @@ std::size_t decode_batch(std::string_view data,
         const char* reason =
             ref.offset > data.size() || ref.length > data.size() - ref.offset
                 ? "not an event record"
-                : decode_ref(base, ref, strings.size(), out);
+                : decode_ref<Keyed>(base, ref, string_count, keys, out);
         if (reason == nullptr) {
             ++decoded;
         } else {
@@ -435,6 +459,29 @@ std::size_t decode_batch(std::string_view data,
         }
     }
     return decoded;
+}
+
+}  // namespace
+
+std::size_t decode_batch(std::string_view data,
+                         const std::vector<std::string_view>& strings,
+                         std::span<const KeyCode> keys, const EventRef* refs,
+                         std::size_t n, EventBatch& out, std::size_t* dropped,
+                         ParseDiagnostics* diags) {
+    if (keys.size() < strings.size())
+        throw std::invalid_argument(
+            "decode_batch: key table shorter than the string table");
+    return decode_refs<true>(data, strings.size(), keys.data(), refs, n, out,
+                             dropped, diags);
+}
+
+std::size_t decode_batch(std::string_view data,
+                         const std::vector<std::string_view>& strings,
+                         const EventRef* refs, std::size_t n, EventBatch& out,
+                         std::size_t* dropped, ParseDiagnostics* diags) {
+    out.keyed = false;
+    return decode_refs<false>(data, strings.size(), nullptr, refs, n, out,
+                              dropped, diags);
 }
 
 // ---- EventScratch ----------------------------------------------------------

@@ -29,10 +29,12 @@
 // parse_stream's semantics for malformed text lines.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -146,6 +148,13 @@ struct EventRef {
     std::uint32_t pid = 0;
 };
 
+/// One pid class of a trace: the events whose pid % count == index.
+/// The default class holds every event.
+struct PidShard {
+    std::uint32_t count = 1;
+    std::uint32_t index = 0;
+};
+
 /// The one IOCT record walker.  One pass over the container appends
 /// each STR record's body (a view aliasing `data`) to a caller-owned
 /// string table and hands out EVT refs, with each event's pid
@@ -168,12 +177,14 @@ class IoctReader {
 
     bool header_ok() const { return header_ok_; }
 
-    /// Replaces `refs` with the next EVT refs, walking on until it holds
-    /// `max` of them or the records end, and appends every STR record
-    /// passed on the way to `strings` (unless read_strings() already
-    /// did).  Returns false once no refs are left.
+    /// Replaces `refs` with the next EVT refs of pid class `shard`,
+    /// walking on until it holds `max` of them or the records end, and
+    /// appends every STR record passed on the way to `strings` (unless
+    /// read_strings() already did).  Every record is diagnosed whatever
+    /// its pid.  Returns false once no refs are left.
     bool read(std::vector<std::string_view>& strings,
-              std::vector<EventRef>& refs, std::size_t max);
+              std::vector<EventRef>& refs, std::size_t max,
+              PidShard shard = {});
 
     /// Appends every STR record past the walk's position to `strings`,
     /// completing the table read() has built, so an event that names a
@@ -250,12 +261,44 @@ enum class ArgType : std::uint8_t {
     Str = 2,   ///< string-table id
 };
 
+/// The code of an argument name.  A keyed decode_batch() stamps each
+/// argument with the code its name id has in a per-file key table
+/// (core::SyscallTable::bind_file builds it): the filter's three names
+/// first, in FilterKey order, then every name the analyzer reads.
+/// kNoKey marks any other name.
+using KeyCode = std::uint8_t;
+inline constexpr KeyCode kNoKey = 0xFF;
+
+/// Codes of the three argument names the filter reads.
+enum FilterKey : KeyCode { kPathnameKey = 0, kDfdKey = 1, kFdKey = 2 };
+inline constexpr std::size_t kFilterKeys = 3;
+
+/// By FilterKey: the position (from BatchRow::arg_begin) of a row's
+/// first argument of that name, kNoArg when it has none (an event has
+/// at most 64 arguments, so every position fits below it).
+using FirstArgs = std::array<std::uint8_t, kFilterKeys>;
+inline constexpr std::uint8_t kNoArg = 0xFF;
+
+// The stamps of a keyed decode_batch() ride in BatchArg's and BatchRow's
+// padding.  A keyless decode leaves them unwritten (the constructors
+// without a stamp do not touch them): writing kNoKey/kNoArg there slowed
+// that decode by about an eighth.  EventBatch::keyed says whether the
+// stamps are valid.
+
 /// One decoded argument: `raw` is the already-unzigzagged i64 bit
 /// pattern (Int), the plain value (Uint), or a string-table id (Str).
 struct BatchArg {
     std::uint64_t raw = 0;
     std::uint32_t name_id = 0;
     ArgType type = ArgType::Int;
+    KeyCode key;  ///< the name's code; keyed decodes only
+
+    BatchArg() : key(kNoKey) {}
+    BatchArg(std::uint64_t value, std::uint32_t name, ArgType kind)
+        : raw(value), name_id(name), type(kind) {}
+    BatchArg(std::uint64_t value, std::uint32_t name, ArgType kind,
+             KeyCode code)
+        : raw(value), name_id(name), type(kind), key(code) {}
 
     /// The value, its string a view of `strings` (the table it was
     /// decoded against).
@@ -268,6 +311,7 @@ struct BatchArg {
         return {ArgView::Kind::Str, 0, strings[static_cast<std::size_t>(raw)]};
     }
 };
+static_assert(sizeof(BatchArg) == 16);
 
 /// One decoded event; args live at [arg_begin, arg_begin + arg_count)
 /// in the owning EventBatch's `args`.
@@ -278,29 +322,64 @@ struct BatchRow {
     std::uint32_t pid = 0;
     std::uint32_t tid = 0;
     std::uint32_t name_id = 0;
-    std::uint32_t arg_count = 0;
+    std::uint8_t arg_count = 0;  ///< at most 64
+    FirstArgs first_arg;         ///< keyed decodes only
+
+    BatchRow() : first_arg{kNoArg, kNoArg, kNoArg} {}
+    BatchRow(std::uint64_t seq_no, std::int64_t ret_value, std::size_t begin,
+             std::uint32_t pid_no, std::uint32_t tid_no, std::uint32_t name,
+             std::uint8_t count)
+        : seq(seq_no), ret(ret_value), arg_begin(begin), pid(pid_no),
+          tid(tid_no), name_id(name), arg_count(count) {}
+    BatchRow(std::uint64_t seq_no, std::int64_t ret_value, std::size_t begin,
+             std::uint32_t pid_no, std::uint32_t tid_no, std::uint32_t name,
+             std::uint8_t count, FirstArgs first)
+        : BatchRow(seq_no, ret_value, begin, pid_no, tid_no, name, count) {
+        first_arg = first;
+    }
 };
+static_assert(sizeof(BatchRow) == 40);
 
 /// Reusable SoA scratch for decode_batch(); clear() keeps capacity so a
 /// chunked decode loop allocates only while the high-water mark grows.
 struct EventBatch {
     std::vector<BatchRow> rows;
     std::vector<BatchArg> args;
+    /// False once a keyless decode_batch() appended rows: their stamps
+    /// were never written, so only EventScratch::materialize may read
+    /// them.
+    bool keyed = true;
 
     void clear() {
         rows.clear();
         args.clear();
+        keyed = true;
     }
 };
 
 /// Batched decode of EVT payloads located by scan_ioct(): appends one
 /// BatchRow per intact record to `out`, leaving every string as a
-/// table id — no per-event materialization at all.  Undecodable refs
-/// are counted into *dropped and recorded into `diags` with byte
-/// offset and reason, matching decode_event()'s reason strings and
-/// scan order exactly.  Returns the number of rows appended.  Callers
-/// chunk large ref spans (and clear() the batch between chunks) to
-/// bound scratch memory.
+/// table id — no per-event materialization at all.  `keys[id]` is the
+/// KeyCode of string id as an argument name (keys.size() must be at
+/// least strings.size()); each argument is stamped with its code
+/// (BatchArg::key) and each row with the positions of its first
+/// pathname, dfd and fd arguments (BatchRow::first_arg), so the filter
+/// and the analyzer read arguments by code and never look a name up.
+/// Undecodable refs are counted into *dropped and recorded into `diags`
+/// with byte offset and reason, matching decode_event()'s reason
+/// strings and scan order exactly.  Returns the number of rows
+/// appended.  Callers chunk large ref spans (and clear() the batch
+/// between chunks) to bound scratch memory.
+std::size_t decode_batch(std::string_view data,
+                         const std::vector<std::string_view>& strings,
+                         std::span<const KeyCode> keys, const EventRef* refs,
+                         std::size_t n, EventBatch& out,
+                         std::size_t* dropped = nullptr,
+                         ParseDiagnostics* diags = nullptr);
+
+/// The keyless decode, for callers that only materialize rows
+/// (EventScratch): the same rows and drops, no stamps, and `out`
+/// marked unkeyed.
 std::size_t decode_batch(std::string_view data,
                          const std::vector<std::string_view>& strings,
                          const EventRef* refs, std::size_t n,

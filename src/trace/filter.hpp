@@ -9,12 +9,15 @@
 // This mirrors how one reconstructs fd provenance from an LTTng trace.
 //
 // The admit logic reads one small projection of a call, FilterCall.  A
-// TraceEvent projects onto it by argument name; a decoded IOCT row
-// projects onto it by comparing interned name codes, with the role of
-// its syscall resolved once per trace file (core/syscall_table).
+// TraceEvent projects onto it by argument name.  A decoded IOCT row
+// projects onto it with three indexed loads: the keyed decode already
+// stamped the row with the positions of its first pathname, dfd and fd
+// arguments (trace/binary_format.hpp), and the role of its syscall is
+// resolved once per trace file (core/syscall_table).
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -55,11 +58,6 @@ enum class SyscallRole : std::uint8_t {
 std::span<const std::pair<std::string_view, SyscallRole>> syscall_roles();
 SyscallRole syscall_role(std::string_view name);
 
-/// Codes of the three argument names the filter reads.  A row's
-/// arguments carry interned name ids; a per-file table maps each id to
-/// its name's code (core::SyscallTable::bind_file assigns these).
-enum FilterKey : std::uint8_t { kPathnameKey = 0, kDfdKey = 1, kFdKey = 2 };
-
 /// The part of one call the filter reads: pid, role, return value and
 /// the first argument named pathname, dfd and fd (Missing when absent).
 struct FilterCall {
@@ -71,27 +69,21 @@ struct FilterCall {
     /// Projection by argument name.
     static FilterCall of(const TraceEvent& event);
 
-    /// Projection of one decoded row: `role` is its syscall's, and
-    /// `keys[id]` is the code of string id's name.
-    static FilterCall of(const EventBatch& batch, const BatchRow& row,
+    /// Projection of row `r` of a keyed decode (`batch.keyed`):
+    /// `role` is its syscall's, and `strings` the table it was decoded
+    /// against.
+    static FilterCall of(const EventBatch& batch, std::size_t r,
                          const std::vector<std::string_view>& strings,
-                         SyscallRole role, const std::uint8_t* keys) {
-        FilterCall call;
-        call.pid = row.pid;
-        call.role = role;
-        call.ret = row.ret;
+                         SyscallRole role) {
+        assert(batch.keyed && "a keyless decode stamps no positions");
+        const BatchRow& row = batch.rows[r];
         const BatchArg* args = batch.args.data() + row.arg_begin;
-        for (std::uint32_t i = 0; i < row.arg_count; ++i) {
-            ArgView* slot = nullptr;
-            switch (keys[args[i].name_id]) {
-                case kPathnameKey: slot = &call.pathname; break;
-                case kDfdKey: slot = &call.dfd; break;
-                case kFdKey: slot = &call.fd; break;
-                default: continue;
-            }
-            if (!*slot) *slot = args[i].view(strings);
-        }
-        return call;
+        const auto at = [&](FilterKey key) {
+            const std::uint8_t i = row.first_arg[key];
+            return i == kNoArg ? ArgView() : args[i].view(strings);
+        };
+        return {row.pid, role, row.ret, at(kPathnameKey), at(kDfdKey),
+                at(kFdKey)};
     }
 };
 

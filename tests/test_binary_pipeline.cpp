@@ -394,6 +394,37 @@ TEST(BinaryPipeline, IngestRequestsNoMoreHeapForMoreEvents) {
     EXPECT_LE(a, b + 1024) << "bytes requested: " << a << " -> " << b;
 }
 
+TEST(BinaryPipeline, ShardedIngestRequestsNoMoreHeapForMoreEvents) {
+    if (!exec::has_allocation_counting())
+        GTEST_SKIP() << "allocation hook compiled out (sanitizer build)";
+    // Each pid shard walks the file with its own one-pass reader: the
+    // same strings, twice the events, and the caller plus the pool's
+    // workers ask the heap for the same bytes — nobody holds a ref per
+    // event.
+    const auto events = forged_pid_events(2000);
+    auto doubled = events;
+    doubled.insert(doubled.end(), events.begin(), events.end());
+    const auto config = trace::FilterConfig::mount_point("/mnt/test");
+    const auto all_bytes = [] {
+        return exec::thread_allocated_bytes() +
+               exec::retired_allocated_bytes();
+    };
+    auto requested = [&](const std::string& bytes) {
+        IOCov iocov(config);
+        const std::uint64_t bytes0 = all_bytes();
+        EXPECT_EQ(iocov.consume_binary_parallel(bytes, 3), 0u);
+        return all_bytes() - bytes0;
+    };
+    const std::string once = trace::encode_trace(events);
+    const std::string twice = trace::encode_trace(doubled);
+    ASSERT_GT(twice.size(), once.size() + 100000);
+    const std::uint64_t a = requested(once);
+    const std::uint64_t b = requested(twice);
+    EXPECT_GT(a, 0u);
+    EXPECT_LE(b, a + 1024) << "bytes requested: " << a << " -> " << b;
+    EXPECT_LE(a, b + 1024) << "bytes requested: " << a << " -> " << b;
+}
+
 // ---- the one-pass reader: late strings, mixed drops, truncations ---------
 
 /// A damaged record late_ioct() inserts: the first three are dropped by

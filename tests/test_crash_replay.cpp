@@ -228,13 +228,14 @@ void random_workload(vfs::FileSystem& fs, Rng& rng) {
             case 0: {
                 auto r = fs.create_file(
                     dirs[rng.below(dirs.size())],
-                    "f" + std::to_string(op), 0644, root);
+                    std::string("f") + std::to_string(op), 0644, root);
                 if (r.ok()) files.push_back(r.value());
                 break;
             }
             case 1: {
                 auto r = fs.make_dir(dirs[rng.below(dirs.size())],
-                                     "d" + std::to_string(op), 0755, root);
+                                     std::string("d") + std::to_string(op),
+                                     0755, root);
                 if (r.ok()) dirs.push_back(r.value());
                 break;
             }

@@ -164,7 +164,8 @@ TEST_F(FileSystemTest, CreateOnReadOnlyFsIsErofs) {
 TEST_F(FileSystemTest, InodeExhaustionIsEnospc) {
     FileSystem fs(small_config());
     for (int i = 0; i < 31; ++i) {  // root already uses one of 32
-        auto r = fs.create_file(kRootInode, "f" + std::to_string(i), 0644,
+        auto r = fs.create_file(kRootInode,
+                                std::string("f") + std::to_string(i), 0644,
                                 root_);
         ASSERT_TRUE(r.ok()) << i;
     }
@@ -185,7 +186,8 @@ TEST_F(FileSystemTest, MaxLinksOnDirIsEmlink) {
     auto d = fs.make_dir(kRootInode, "d", 0755, root_).value();
     for (unsigned i = 0; i + 2 < 8; ++i)
         ASSERT_TRUE(
-            fs.make_dir(d, "s" + std::to_string(i), 0755, root_).ok());
+            fs.make_dir(d, std::string("s") + std::to_string(i), 0755, root_)
+                .ok());
     EXPECT_EQ(fs.make_dir(d, "one-too-many", 0755, root_).error(),
               Err::EMLINK_);
 }
@@ -204,7 +206,8 @@ TEST_F(FileSystemTest, HardLinkAtMaxLinksIsEmlink) {
     FileSystem fs(small_config());
     auto f = fs.create_file(kRootInode, "f", 0644, root_).value();
     for (unsigned i = 1; i < 8; ++i)
-        ASSERT_TRUE(fs.link(f, kRootInode, "l" + std::to_string(i), root_)
+        ASSERT_TRUE(fs.link(f, kRootInode,
+                            std::string("l") + std::to_string(i), root_)
                         .ok());
     EXPECT_EQ(fs.link(f, kRootInode, "l8", root_).error(), Err::EMLINK_);
 }

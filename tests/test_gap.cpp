@@ -124,9 +124,9 @@ TEST(TcdAttribution, DeviationsSumToTcdSquared) {
     testers::Rng rng(99);
     stats::PartitionHistogram h;
     for (int i = 0; i < 11; ++i) {
-        h.add("p" + std::to_string(i), 0);
+        h.add(std::string("p") + std::to_string(i), 0);
         const auto c = rng.below(5000);
-        if (c) h.add("p" + std::to_string(i), c);
+        if (c) h.add(std::string("p") + std::to_string(i), c);
     }
     const double target = 123.0;
     const auto contributions = tcd_attribution_uniform(h, target);

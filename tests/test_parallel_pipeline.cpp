@@ -399,6 +399,36 @@ TEST(ShardDriver, LostItemIsIsolatedAndTheRestFoldAsIfItWereAbsent) {
     }
 }
 
+TEST(ShardDriver, RecountCompletesOnlyALostItem) {
+    // Items whose records are not known up front (pid shards of one
+    // IOCT walk) are counted by the recount, and only when lost.
+    const auto config = trace::FilterConfig::mount_point("/mnt/test");
+    for (const unsigned lanes : {1u, 3u}) {
+        std::vector<detail::ShardDriver::Item> items(3);
+        std::vector<int> recounted(items.size(), 0);
+        IOCov got(config);
+        const auto run = detail::ShardDriver::run(
+            got, items, lanes,
+            [](std::size_t i, IOCov&) -> std::size_t {
+                if (i == 1) throw std::runtime_error("injected");
+                return 2;
+            },
+            [&](std::size_t i, detail::ShardDriver::Item& lost) {
+                ++recounted[i];
+                lost.records = 40;
+                lost.offset = 700;
+            });
+        const auto where = std::to_string(lanes) + " lanes";
+        EXPECT_EQ(recounted, (std::vector<int>{0, 1, 0})) << where;
+        EXPECT_EQ(run.dropped, 2u + 40 + 2) << where;
+        EXPECT_EQ(got.shards_lost(), 1u) << where;
+        EXPECT_EQ(got.diagnostics().to_string(),
+                  "1 input(s) dropped\n  offset 700: shard lost: injected\n")
+            << where;
+        EXPECT_EQ(items[1].records, 0u) << "the caller's items stay as given";
+    }
+}
+
 TEST(ShardDriver, ItemsShareTheParentsSchema) {
     const auto config = trace::FilterConfig::mount_point("/mnt/test");
     const std::vector<SyscallSpec> custom = syscall_registry();

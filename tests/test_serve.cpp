@@ -109,7 +109,7 @@ class Serve : public ::testing::Test {
     void SetUp() override {
         host::FaultHook::reset();
         dir_ = fs::temp_directory_path() /
-               ("iocov_serve_" + std::to_string(::getpid()) + "_" +
+               (std::string("iocov_serve_") + std::to_string(::getpid()) + "_" +
                 ::testing::UnitTest::GetInstance()
                     ->current_test_info()
                     ->name());
@@ -248,15 +248,16 @@ TEST(LiveCoverage, AnyPushOrderMatchesBatchBitIdentically) {
 
     core::LiveCoverage fwd, rev, threaded;
     for (std::size_t i = 0; i < shards.size(); ++i) {
-        const auto r = fwd.push("s" + std::to_string(i), shards[i]);
+        const auto r =
+            fwd.push(std::string("s") + std::to_string(i), shards[i]);
         EXPECT_TRUE(r.accepted);
         EXPECT_EQ(r.epoch, i + 1);
         EXPECT_GT(r.events, 0u);
     }
     for (std::size_t i = shards.size(); i-- > 0;)
-        rev.push("s" + std::to_string(i), shards[i]);
+        rev.push(std::string("s") + std::to_string(i), shards[i]);
     for (std::size_t i = 0; i < shards.size(); ++i)
-        threaded.push("s" + std::to_string(i), shards[i], 4);
+        threaded.push(std::string("s") + std::to_string(i), shards[i], 4);
 
     EXPECT_EQ(report_text(fwd.read()->state.report), want);
     EXPECT_EQ(report_text(rev.read()->state.report), want);
@@ -304,7 +305,7 @@ TEST(LiveCoverage, MergingDeltasReproducesTheFullState) {
     core::LiveCoverage live;
     std::vector<core::IOCovSnapshot> deltas;
     for (std::uint64_t s = 0; s < 6; ++s) {
-        live.push("s" + std::to_string(s), make_shard(s));
+        live.push(std::string("s") + std::to_string(s), make_shard(s));
         if (s % 2 == 1) {
             std::uint64_t pushes = 0;
             deltas.push_back(live.take_delta(&pushes));
@@ -337,7 +338,8 @@ TEST(LiveCoverage, RestoreThenRepushEverythingConverges) {
     resumed.restore(checkpointed->state, {"s0", "s1"});
     EXPECT_EQ(resumed.epoch(), 2u);
     for (std::size_t i = 0; i < shards.size(); ++i) {
-        const auto r = resumed.push("s" + std::to_string(i), shards[i]);
+        const auto r =
+            resumed.push(std::string("s") + std::to_string(i), shards[i]);
         EXPECT_EQ(r.accepted, i >= 2) << "restored names must dedup";
     }
     EXPECT_EQ(report_text(resumed.read()->state.report), want);
@@ -374,7 +376,8 @@ TEST(LiveCoverage, ConcurrentPushesAndReadsStayConsistent) {
     for (int w = 0; w < kWriters; ++w) {
         writers.emplace_back([&, w] {
             for (int i = 0; i < kPerWriter; ++i)
-                live.push("w" + std::to_string(w) + "_" + std::to_string(i),
+                live.push(std::string("w") + std::to_string(w) + "_" +
+                              std::to_string(i),
                           shard);
         });
     }
@@ -443,7 +446,8 @@ TEST_F(Serve, ConcurrentProducersMatchBatchBitIdentically) {
                 return;
             }
             const auto reply =
-                client->push("shard" + std::to_string(i), shards[i]);
+                client->push(std::string("shard") + std::to_string(i),
+                             shards[i]);
             if (!reply || !reply->ok) failed.fetch_add(1);
         });
     }
@@ -517,7 +521,8 @@ TEST_F(Serve, QueriesDuringIngestSeeOnlyConsistentPrefixes) {
             ASSERT_TRUE(client.has_value());
             for (int i = 0; i < kPushes / 3; ++i) {
                 const auto reply = client->push(
-                    "w" + std::to_string(w) + "_" + std::to_string(i),
+                    std::string("w") + std::to_string(w) + "_" +
+                        std::to_string(i),
                     shard);
                 ASSERT_TRUE(reply.has_value());
                 EXPECT_TRUE(reply->ok);
@@ -703,7 +708,7 @@ TEST_F(Serve, DeltasEmittedDuringIngestMergeToTheFullState) {
     ASSERT_TRUE(client.has_value());
     for (std::size_t i = 0; i < shards.size(); ++i) {
         const auto reply =
-            client->push("d" + std::to_string(i), shards[i]);
+            client->push(std::string("d") + std::to_string(i), shards[i]);
         ASSERT_TRUE(reply.has_value() && reply->ok);
     }
     client->stop();
@@ -751,7 +756,7 @@ TEST_F(Serve, CheckpointRestartRepushConvergesToUninterruptedReport) {
         ASSERT_TRUE(client.has_value());
         for (std::size_t i = 0; i < 3; ++i) {
             const auto reply =
-                client->push("c" + std::to_string(i), shards[i]);
+                client->push(std::string("c") + std::to_string(i), shards[i]);
             ASSERT_TRUE(reply.has_value() && reply->ok);
         }
         daemon.server().request_stop();
@@ -779,7 +784,7 @@ TEST_F(Serve, CheckpointRestartRepushConvergesToUninterruptedReport) {
         std::uint64_t dups = 0;
         for (std::size_t i = 0; i < shards.size(); ++i) {
             const auto reply =
-                client->push("c" + std::to_string(i), shards[i]);
+                client->push(std::string("c") + std::to_string(i), shards[i]);
             ASSERT_TRUE(reply.has_value() && reply->ok);
             if (reply->text.find("duplicate") != std::string::npos) ++dups;
         }
@@ -849,7 +854,7 @@ TEST_F(Serve, InjectedSocketErrnosDegradeConnectionsNotTheDaemon) {
         auto client = Client::connect(ep, 5000);
         if (!client) continue;
         const auto reply =
-            client->push("e" + std::to_string(i), shard);
+            client->push(std::string("e") + std::to_string(i), shard);
         if (reply && reply->ok) ++delivered;
     }
     host::FaultHook::reset();

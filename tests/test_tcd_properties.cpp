@@ -15,8 +15,8 @@ stats::PartitionHistogram random_hist(std::uint64_t seed, std::size_t n,
     stats::PartitionHistogram h;
     for (std::size_t i = 0; i < n; ++i) {
         const auto c = rng.below(max_count + 1);
-        h.add("p" + std::to_string(i), 0);
-        if (c) h.add("p" + std::to_string(i), c);
+        h.add(std::string("p") + std::to_string(i), 0);
+        if (c) h.add(std::string("p") + std::to_string(i), c);
     }
     return h;
 }
@@ -42,8 +42,8 @@ TEST_P(TcdProperty, LogDomainScaleInvariance) {
     stats::PartitionHistogram h, h10;
     for (int i = 0; i < 10; ++i) {
         const auto c = rng.below(10000) + 1;  // nonzero: no log floor
-        h.add("p" + std::to_string(i), c);
-        h10.add("p" + std::to_string(i), c * 1000);
+        h.add(std::string("p") + std::to_string(i), c);
+        h10.add(std::string("p") + std::to_string(i), c * 1000);
     }
     const double t = 500;
     EXPECT_NEAR(tcd_uniform(h, t), tcd_uniform(h10, t * 1000), 1e-9);
@@ -55,7 +55,8 @@ TEST_P(TcdProperty, MonotoneAwayFromUniformCounts) {
     const double c = 1000;
     stats::PartitionHistogram h;
     for (int i = 0; i < 8; ++i)
-        h.add("p" + std::to_string(i), static_cast<std::uint64_t>(c));
+        h.add(std::string("p") + std::to_string(i),
+              static_cast<std::uint64_t>(c));
     double prev = tcd_uniform(h, c);
     for (double t = c * 2; t <= c * 1000; t *= 2) {
         const double cur = tcd_uniform(h, t);

@@ -91,7 +91,11 @@ TEST_P(VfsFuzz, RandomNamespaceOpsPreserveInvariants) {
     std::vector<InodeId> dirs{kRootInode};
     auto random_dir = [&] { return dirs[rng.below(dirs.size())]; };
     auto random_name = [&] {
-        return "n" + std::to_string(rng.below(24));
+        return std::string("n") + std::to_string(rng.below(24));
+    };
+    auto random_path = [&] {
+        std::string path = "/";
+        return path += random_name();
     };
 
     for (int step = 0; step < 600; ++step) {
@@ -110,12 +114,11 @@ TEST_P(VfsFuzz, RandomNamespaceOpsPreserveInvariants) {
                 break;
             }
             case 3: {
-                (void)fs.make_symlink(dir, name, "/" + random_name(),
-                                      root);
+                (void)fs.make_symlink(dir, name, random_path(), root);
                 break;
             }
             case 4: {  // hard link to some existing file
-                auto target = fs.resolve("/" + random_name(), root);
+                auto target = fs.resolve(random_path(), root);
                 if (target.ok())
                     (void)fs.link(target.value(), dir, name, root);
                 break;
@@ -152,7 +155,7 @@ TEST_P(VfsFuzz, RandomNamespaceOpsPreserveInvariants) {
                 break;
             }
             case 8: {  // write some data through the inode API
-                auto target = fs.resolve("/" + random_name(), root);
+                auto target = fs.resolve(random_path(), root);
                 if (target.ok() && fs.find(target.value())->is_reg())
                     (void)fs.write_pattern(target.value(),
                                            rng.below(1 << 16),
@@ -161,7 +164,7 @@ TEST_P(VfsFuzz, RandomNamespaceOpsPreserveInvariants) {
                 break;
             }
             default: {
-                auto target = fs.resolve("/" + random_name(), root);
+                auto target = fs.resolve(random_path(), root);
                 if (target.ok() && fs.find(target.value())->is_reg())
                     (void)fs.truncate(target.value(), rng.below(1 << 15));
                 break;

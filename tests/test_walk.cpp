@@ -56,7 +56,8 @@ std::vector<TraceEvent> workload(std::uint32_t pid, int rounds) {
     for (int r = 0; r < rounds; ++r) {
         push("openat",
              {{"dfd", ArgValue{std::int64_t{-100}}},
-              {"pathname", ArgValue{"/mnt/test/f" + std::to_string(r)}},
+              {"pathname",
+               ArgValue{std::string("/mnt/test/f") + std::to_string(r)}},
               {"flags", ArgValue{std::uint64_t{r % 2 ? 0101u : 0102u}}},
               {"mode", ArgValue{std::uint64_t{0644}}}},
              3);
@@ -80,7 +81,7 @@ class TempDir {
   public:
     TempDir() {
         dir_ = fs::temp_directory_path() /
-               ("iocov_walk_" + std::to_string(::getpid()) + "_" +
+               (std::string("iocov_walk_") + std::to_string(::getpid()) + "_" +
                 std::to_string(counter_++));
         fs::create_directories(dir_);
     }
@@ -119,7 +120,7 @@ void put_damaged_traces(const TempDir& dir) {
     dir.put("c_corrupt.ioct", corrupt);
     dir.put("d_notes.txt", "not a trace\n");
     for (int i = 0; i < 4; ++i)
-        dir.put("e" + std::to_string(i) + ".ioct",
+        dir.put(std::string("e") + std::to_string(i) + ".ioct",
                 trace::encode_trace(workload(70 + i, 5 + 3 * i)));
 }
 
@@ -134,14 +135,14 @@ void put_damaged_snapshots(const TempDir& dir) {
         snap.label = "fleet";
         snap.timestamp = 1000 + i;
         good = encode_snapshot(snap);
-        dir.put("s" + std::to_string(i) + ".iocs", good);
+        dir.put(std::string("s") + std::to_string(i) + ".iocs", good);
     }
     dir.put("t_torn.iocs", good.substr(0, good.size() / 2));
     auto flipped = good;
     flipped[flipped.size() / 3] ^= 0x10;
     dir.put("u_flipped.iocs", flipped);
     for (int i = 10; i < 28; ++i)
-        dir.put("x" + std::to_string(i) + ".txt", "junk\n");
+        dir.put(std::string("x") + std::to_string(i) + ".txt", "junk\n");
 }
 
 /// Everything an analyze walk's caller can observe.
@@ -284,7 +285,8 @@ TEST(Walk, AnalyzeResumesFromEveryManifestToThePlainRun) {
             // is on disk and the walk stops there.
             host::FaultHook::reset();
             ASSERT_EQ(host::FaultHook::configure(
-                          "errno:dirsync:EIO:" + std::to_string(k)),
+                          std::string("errno:dirsync:EIO:") +
+                          std::to_string(k)),
                       std::nullopt);
             SnapshotError err;
             EXPECT_FALSE(analyze(entries, 1, cp, &err).has_value());
@@ -390,7 +392,8 @@ TEST(Walk, MergeResumesFromEveryManifestToThePlainRun) {
         for (std::size_t k = 1; k <= manifests(entries.size(), every); ++k) {
             host::FaultHook::reset();
             ASSERT_EQ(host::FaultHook::configure(
-                          "errno:dirsync:EIO:" + std::to_string(k)),
+                          std::string("errno:dirsync:EIO:") +
+                          std::to_string(k)),
                       std::nullopt);
             EXPECT_FALSE(merge(entries, 2, cp).has_value());
             host::FaultHook::reset();
